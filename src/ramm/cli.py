@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (
     ConfigError, FingerprintMismatchError, FormatError, MissingArtifactError,
-    TruncatedFileError,
+    RammError, TruncatedFileError,
 )
 
 EXIT_OK = 0
@@ -33,8 +33,12 @@ VALID_SWEEP_R = (0, 1, 2, 4, 8)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     values = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -330,20 +334,22 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # pre-scan for a config file so its values become flag defaults
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
-        defaults = _load_config_file(cfg_path)
-        parser.set_defaults(**defaults)
-        for action in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: _coerce(action, k, v)
-                                   for k, v in defaults.items() if k in known})
-            for sub_action in action._actions:
-                if sub_action.dest in defaults:
-                    sub_action.required = False
-    args = parser.parse_args(argv)
     try:
+        # pre-scan for a config file so its values become flag defaults
+        if "--config" in argv:
+            at = argv.index("--config") + 1
+            if at == len(argv):
+                raise ConfigError("--config needs a file path")
+            defaults = _load_config_file(argv[at])
+            parser.set_defaults(**defaults)
+            for action in parser._subparsers._group_actions[0].choices.values():
+                known = {a.dest for a in action._actions}
+                action.set_defaults(**{k: _coerce(action, k, v)
+                                       for k, v in defaults.items() if k in known})
+                for sub_action in action._actions:
+                    if sub_action.dest in defaults:
+                        sub_action.required = False
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except MissingArtifactError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
@@ -360,12 +366,18 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
+    except RammError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def _coerce(subparser, dest: str, raw: str):
     for action in subparser._actions:
         if action.dest == dest and action.type is not None:
-            return action.type(raw)
+            try:
+                return action.type(raw)
+            except ValueError as exc:
+                raise ConfigError(f"config value {dest} = {raw!r}: {exc}") from exc
         if action.dest == dest and isinstance(action.const, bool):
             return raw.lower() in ("1", "true", "yes")
     return raw

@@ -5,6 +5,11 @@ All streams (the original sample plus r retrieved pairs) share layer weights.
 Retrieval-attention runs single-query multi-head attention from the original
 stream's CLS over the CLS rows of all streams and residually updates only the
 original CLS; every other row of every stream passes through untouched.
+
+Every forward pass takes one item, with (n, d) states, or a batch, with
+(B, n, d) states: the unbatched case is the same code without the leading
+axis. In a batch, text is padded to its longest sequence and padded
+positions are dropped from attention by an additive key mask (key_mask).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +30,11 @@ from .tensor import load_tensor, save_tensor
 
 PAD, CLS, MASK, UNK = "[pad]", "[cls]", "[mask]", "[unk]"
 SPECIALS = [PAD, CLS, MASK, UNK]
+PAD_ID = SPECIALS.index(PAD)
+
+# additive attention-mask value of a dropped key; finite, so a row whose
+# every key is dropped stays finite instead of turning into NaN
+MASKED = -1e9
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -270,20 +280,33 @@ def load_params(directory, dtype=np.float32) -> dict[str, Node]:
 # Forward passes
 
 
+def key_mask(lengths) -> np.ndarray:
+    """Additive key-padding mask (B, max length): 0 on the first lengths[b]
+    positions of item b, MASKED on its padding."""
+    lengths = np.asarray(lengths)
+    return np.where(np.arange(lengths.max()) < lengths[:, None], 0.0, MASKED)
+
+
 def _mha(params, prefix, x_q: Node, x_kv: Node, n_head: int,
-         dctx=None, tag: str = "") -> Node:
-    """Multi-head attention with output projection, queries from x_q."""
+         dctx=None, tag: str = "", mask: np.ndarray | None = None) -> Node:
+    """Multi-head attention with output projection, queries from x_q.
+    `mask` is an additive (..., n_kv) key mask (see key_mask)."""
     d = x_q.value.shape[-1]
     dh = d // n_head
     q = ops.linear(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k = ops.linear(x_kv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v = ops.linear(x_kv, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    nq, nk = q.value.shape[0], k.value.shape[0]
-    q3 = ops.transpose(ops.reshape(q, (nq, n_head, dh)), (1, 0, 2))
-    k3 = ops.transpose(ops.reshape(k, (nk, n_head, dh)), (1, 0, 2))
-    v3 = ops.transpose(ops.reshape(v, (nk, n_head, dh)), (1, 0, 2))
-    out = ops.scaled_dot_attention(q3, k3, v3)
-    out = ops.reshape(ops.transpose(out, (1, 0, 2)), (nq, d))
+    lead = q.value.shape[:-2]
+    nq, nk = q.value.shape[-2], k.value.shape[-2]
+    # (..., n, d) -> (..., n_head, n, dh); the permutation is its own inverse
+    heads = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
+    q3 = ops.transpose(ops.reshape(q, lead + (nq, n_head, dh)), heads)
+    k3 = ops.transpose(ops.reshape(k, lead + (nk, n_head, dh)), heads)
+    v3 = ops.transpose(ops.reshape(v, lead + (nk, n_head, dh)), heads)
+    if mask is not None:
+        mask = mask.reshape(lead + (1, 1, nk))
+    out = ops.scaled_dot_attention(q3, k3, v3, mask)
+    out = ops.reshape(ops.transpose(out, heads), lead + (nq, d))
     out = ops.linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
     return _maybe_drop(out, dctx, tag or prefix)
 
@@ -298,41 +321,64 @@ def _ffn(params, prefix, x: Node, dctx=None, tag: str = "") -> Node:
     return _maybe_drop(out, dctx, tag or prefix)
 
 
-def _encoder_block(params, prefix, x: Node, n_head: int, dctx=None) -> Node:
+def _encoder_block(params, prefix, x: Node, n_head: int, dctx=None,
+                   mask: np.ndarray | None = None) -> Node:
     xn = _ln(params, f"{prefix}.ln1", x)
-    x = ops.add(x, _mha(params, f"{prefix}.attn", xn, xn, n_head, dctx, f"{prefix}.attn"))
+    x = ops.add(x, _mha(params, f"{prefix}.attn", xn, xn, n_head, dctx,
+                        f"{prefix}.attn", mask))
     x = ops.add(x, _ffn(params, f"{prefix}.ffn", _ln(params, f"{prefix}.ln2", x),
                         dctx, f"{prefix}.ffn"))
     return x
 
 
 def encode_text(params, cfg: ModelConfig, ids, dctx: DropoutPlan | None = None) -> Node:
-    """Token + position embedding, then l_text pre-norm self-attention layers."""
-    ids = list(ids)
+    """Token + position embedding, then l_text pre-norm self-attention layers.
+
+    `ids` is one id sequence, giving (n, d) states, or a list of sequences,
+    padded with PAD_ID to the longest and giving (B, n, d) states whose
+    padding is masked by key_mask of the sequence lengths."""
+    mask = None
+    if len(ids) and not np.isscalar(ids[0]):
+        mask = key_mask([len(seq) for seq in ids])
+        grid = np.full(mask.shape, PAD_ID, dtype=np.int64)
+        for b, seq in enumerate(ids):
+            grid[b, : len(seq)] = seq
+        ids = grid
+    ids = np.asarray(ids, dtype=np.int64)
     x = ops.gather_rows(params["text.tok_emb"], ids)
-    x = ops.add(x, ops.slice_rows(params["text.pos_emb"], 0, len(ids)))
+    x = ops.add(x, ops.slice_rows(params["text.pos_emb"], 0, ids.shape[-1]))
     for i in range(cfg.l_text):
-        x = _encoder_block(params, f"text.{i}", x, cfg.n_head, dctx)
+        x = _encoder_block(params, f"text.{i}", x, cfg.n_head, dctx, mask)
     return _ln(params, "text.lnf", x)
 
 
 def encode_image(params, cfg: ModelConfig, patches, dctx: DropoutPlan | None = None) -> Node:
-    """Patch projection plus learned CLS slot, then l_image encoder layers."""
+    """Patch projection plus learned CLS slot, then l_image encoder layers.
+    `patches` is (n_patches, d_patch), or (B, n_patches, d_patch) for a batch."""
     patches = ops.as_node(patches)
     if patches.value.shape[-1] != cfg.d_patch:
         raise ops.ShapeError(
             f"patch dim {patches.value.shape[-1]} != configured {cfg.d_patch}"
         )
     proj = ops.linear(patches, params["image.patch_proj.w"], params["image.patch_proj.b"])
-    x = ops.concat_rows([params["image.cls"], proj])
-    x = ops.add(x, ops.slice_rows(params["image.pos_emb"], 0, x.value.shape[0]))
+    # one copy of the learned CLS row per item
+    cls = ops.gather_rows(params["image.cls"],
+                          np.zeros(patches.value.shape[:-2] + (1,), dtype=np.int64))
+    x = ops.concat_rows([cls, proj], axis=-2)
+    x = ops.add(x, ops.slice_rows(params["image.pos_emb"], 0, x.value.shape[-2]))
     for i in range(cfg.l_image):
         x = _encoder_block(params, f"image.{i}", x, cfg.n_head, dctx)
     return _ln(params, "image.lnf", x)
 
 
+def cls_rows(states: Node) -> Node:
+    """The CLS row of each item as an (m, d) matrix: (1, d) for unbatched
+    (n, d) states, (B, d) for a (B, n, d) batch."""
+    return ops.reshape(ops.slice_rows(states, 0, 1, axis=-2), (-1, states.value.shape[-1]))
+
+
 def project_itc(cls_row: Node, params, modality: str) -> Node:
-    """Linear projection of a CLS row followed by L2 normalization."""
+    """Linear projection of CLS rows followed by L2 normalization."""
     if modality not in ("text", "image"):
         raise ConfigError(f"unknown modality {modality!r}")
     out = ops.linear(cls_row, params[f"proj.{modality}.w"], params[f"proj.{modality}.b"])
@@ -341,11 +387,18 @@ def project_itc(cls_row: Node, params, modality: str) -> Node:
 
 @dataclass
 class FusionState:
-    """(r+1) parallel dual-stream hidden states; stream 0 is the original."""
+    """(r+1) parallel dual-stream hidden states; stream 0 is the original.
+
+    For a batch, every stream is (B, n, d). text_masks holds each text
+    stream's additive key mask (B, n) and stream_mask (B, r+1) drops the
+    retrieved streams an item lacks from retrieval-attention; None masks
+    nothing."""
 
     text_streams: list[Node]
     image_streams: list[Node]
     layer_index: int = 0
+    text_masks: list | None = None
+    stream_mask: np.ndarray | None = None
 
     @property
     def r(self) -> int:
@@ -363,24 +416,18 @@ def retrieval_attention(state: FusionState, params, cfg: ModelConfig,
         raise ContractViolation("retrieval_attention requires r >= 1 streams")
 
     def per_modality(streams: list[Node], sub: str, ln_name: str) -> list[Node]:
-        normed = [
-            _ln(params, f"fuse.{layer}.{ln_name}", ops.slice_rows(s, 0, 1))
-            for s in streams
-        ]
-        keys = ops.concat_rows(normed)
-        out = _mha(params, f"fuse.{layer}.{sub}", normed[0], keys, cfg.n_head,
-                   dctx, f"fuse.{layer}.{sub}")
-        s0 = streams[0]
-        new0 = ops.concat_rows([
-            ops.add(ops.slice_rows(s0, 0, 1), out),
-            ops.slice_rows(s0, 1, s0.value.shape[0]),
-        ])
-        return [new0] + streams[1:]
+        cls = ops.concat_rows([ops.slice_rows(s, 0, 1, axis=-2) for s in streams],
+                              axis=-2)
+        keys = _ln(params, f"fuse.{layer}.{ln_name}", cls)
+        query = ops.slice_rows(keys, 0, 1, axis=-2)
+        out = _mha(params, f"fuse.{layer}.{sub}", query, keys, cfg.n_head,
+                   dctx, f"fuse.{layer}.{sub}", state.stream_mask)
+        return [ops.add_to_rows(streams[0], out)] + streams[1:]
 
-    return FusionState(
-        per_modality(state.text_streams, "ret_w", "ln_rw"),
-        per_modality(state.image_streams, "ret_v", "ln_rv"),
-        state.layer_index,
+    return replace(
+        state,
+        text_streams=per_modality(state.text_streams, "ret_w", "ln_rw"),
+        image_streams=per_modality(state.image_streams, "ret_v", "ln_rv"),
     )
 
 
@@ -391,11 +438,12 @@ def fusion_layer(state: FusionState, params, cfg: ModelConfig,
     around every sublayer. Streams share weights and are processed
     independently until retrieval-attention couples their CLS rows."""
     i = state.layer_index
+    masks = state.text_masks or [None] * len(state.text_streams)
     texts, images = [], []
-    for j, (w, v) in enumerate(zip(state.text_streams, state.image_streams)):
+    for j, (w, v, m) in enumerate(zip(state.text_streams, state.image_streams, masks)):
         wn = _ln(params, f"fuse.{i}.ln_sw", w)
         w1 = ops.add(w, _mha(params, f"fuse.{i}.self_w", wn, wn, cfg.n_head,
-                             dctx, f"fuse.{i}.self_w.s{j}"))
+                             dctx, f"fuse.{i}.self_w.s{j}", m))
         vn = _ln(params, f"fuse.{i}.ln_sv", v)
         v1 = ops.add(v, _mha(params, f"fuse.{i}.self_v", vn, vn, cfg.n_head,
                              dctx, f"fuse.{i}.self_v.s{j}"))
@@ -404,11 +452,11 @@ def fusion_layer(state: FusionState, params, cfg: ModelConfig,
         w2 = ops.add(w1, _mha(params, f"fuse.{i}.cross_w", wc, vc, cfg.n_head,
                               dctx, f"fuse.{i}.cross_w.s{j}"))
         v2 = ops.add(v1, _mha(params, f"fuse.{i}.cross_v", vc, wc, cfg.n_head,
-                              dctx, f"fuse.{i}.cross_v.s{j}"))
+                              dctx, f"fuse.{i}.cross_v.s{j}", m))
         texts.append(w2)
         images.append(v2)
 
-    mid = FusionState(texts, images, i)
+    mid = replace(state, text_streams=texts, image_streams=images)
     if retrieval_enabled and mid.r >= 1:
         mid = retrieval_attention(mid, params, cfg, i, dctx)
 
@@ -420,20 +468,25 @@ def fusion_layer(state: FusionState, params, cfg: ModelConfig,
                              dctx, f"fuse.{i}.ffn_v.s{j}"))
         texts2.append(w3)
         images2.append(v3)
-    return FusionState(texts2, images2, i + 1)
+    return replace(mid, text_streams=texts2, image_streams=images2, layer_index=i + 1)
 
 
 def fuse(params, cfg: ModelConfig, text0: Node, image0: Node,
          retrieved: list[tuple[Node, Node]],
-         dctx: DropoutPlan | None = None) -> tuple[Node, Node]:
+         dctx: DropoutPlan | None = None, text_masks: list | None = None,
+         stream_mask: np.ndarray | None = None) -> tuple[Node, Node]:
     """Run the full fusion stack; returns final stream-0 representations.
 
     With no retrieved pairs the retrieval-attention sublayer is skipped
     entirely, so the r=0 path is the plain co-attention model bit-for-bit.
+    For a batch, text_masks and stream_mask are as in FusionState (see
+    StreamBatch).
     """
     state = FusionState(
         [text0] + [t for t, _ in retrieved],
         [image0] + [v for _, v in retrieved],
+        text_masks=text_masks,
+        stream_mask=stream_mask,
     )
     enabled = len(retrieved) > 0
     for _ in range(cfg.l_fuse):
@@ -441,9 +494,62 @@ def fuse(params, cfg: ModelConfig, text0: Node, image0: Node,
     return state.text_streams[0], state.image_streams[0]
 
 
+@dataclass
+class StreamBatch:
+    """The r+1 fusion streams of a batch as constant arrays, ready for fuse."""
+
+    texts: list[np.ndarray]               # r+1 text states (B, n_j, d), padded
+    images: list[np.ndarray]              # r+1 image states (B, n_patches + 1, d)
+    text_masks: list[np.ndarray]          # r+1 additive key masks (B, n_j)
+    stream_mask: np.ndarray | None        # additive (B, r+1); None when r = 0
+
+    @property
+    def retrieved(self) -> list[tuple[Node, Node]]:
+        return [(ops.constant(t), ops.constant(v))
+                for t, v in zip(self.texts[1:], self.images[1:])]
+
+
+def _pad(states: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(n_b, d) arrays zero-padded into one (B, max n_b, d) array, plus its key mask."""
+    lengths = [len(a) for a in states]
+    out = np.zeros((len(states), max(lengths), states[0].shape[-1]),
+                   dtype=np.result_type(*states))
+    for b, a in enumerate(states):
+        out[b, : len(a)] = a
+    return out, key_mask(lengths)
+
+
+def batch_streams(originals: list[tuple[np.ndarray, np.ndarray]],
+                  retrieved: list[list[tuple[np.ndarray, np.ndarray]]]) -> StreamBatch:
+    """Stack B items' (text, image) states and their retrieved pairs' states.
+
+    Text is padded to the longest sequence of each stream. An item with
+    fewer retrieved pairs than the batch's widest gets a one-row zero
+    placeholder in each missing slot, masked out of retrieval-attention by
+    stream_mask, so it fuses exactly as it would alone. Every item keeps at
+    least one retrieved pair when any item has one (retrieval returns
+    min(r, index size) pairs or more for every query).
+    """
+    width = max(len(pairs) for pairs in retrieved)
+    streams = [[orig] + pairs for orig, pairs in zip(originals, retrieved)]
+    text0, image0 = originals[0]
+    blank = (np.zeros((1, text0.shape[-1]), text0.dtype), np.zeros_like(image0))
+    texts, masks, images = [], [], []
+    for j in range(width + 1):
+        slot = [s[j] if j < len(s) else blank for s in streams]
+        text, mask = _pad([t for t, _ in slot])
+        texts.append(text)
+        masks.append(mask)
+        images.append(np.stack([v for _, v in slot]))
+    stream_mask = None
+    if width:
+        stream_mask = key_mask([len(s) for s in streams])
+    return StreamBatch(texts, images, masks, stream_mask)
+
+
 def _cls_pair(w_cls: Node, v_cls: Node) -> Node:
-    """Concatenate two (1,d) CLS rows into a (1,2d) feature row."""
-    return ops.transpose(ops.concat_rows([ops.transpose(w_cls), ops.transpose(v_cls)]))
+    """Concatenate (m, d) text and image CLS rows into (m, 2d) feature rows."""
+    return ops.concat_rows([w_cls, v_cls], axis=-1)
 
 
 def _mlp_head(params, prefix, x: Node) -> Node:

@@ -123,13 +123,17 @@ def mask_tokens(ids: list[int], rate: float, seed: int, vocab: Vocab
     return corrupted, positions, targets
 
 
-def mlm_loss(text_states: Node, params, positions: list[int], targets: list[int]) -> Node:
-    """Cross-entropy of vocabulary logits at masked positions only."""
+def mlm_loss(text_states: Node, params, positions: list[int], targets: list[int],
+             weights=None) -> Node:
+    """Cross-entropy of vocabulary logits at masked positions only.
+
+    `positions` index rows of the (n, d) text states; for a batch, pass the
+    states flattened to (B*n, d). `weights` are per-position loss weights as
+    in ops.cross_entropy (default: the mean)."""
     from .model import mlm_head
 
-    logits = mlm_head(params, text_states)
-    rows = [ops.slice_rows(logits, p, p + 1) for p in positions]
-    return ops.cross_entropy(ops.concat_rows(rows), targets)
+    logits = mlm_head(params, ops.gather_rows(text_states, positions))
+    return ops.cross_entropy(logits, targets, weights)
 
 
 def pretrain_loss(itc: Node, itm: Node, mlm: Node) -> Node:

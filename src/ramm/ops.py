@@ -6,7 +6,8 @@ plain accumulation. There is no generic rule engine: if an op is not listed
 here it cannot be differentiated.
 
 Shapes follow a "last two axes are the matrix" convention so the same
-kernels serve 2D contracts and batched (per-head) attention.
+kernels serve unbatched (n, d) states, batched (B, n, d) states and per-head
+attention. Learned weights and biases are shared over all leading axes.
 """
 
 from __future__ import annotations
@@ -92,9 +93,11 @@ def backward(root: Node) -> None:
         for parent, pgrad in zip(node.parents, node.vjp(node.grad)):
             if pgrad is None or not parent.requires_grad:
                 continue
+            # out of place: a vjp may hand one array to several parents
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad = parent.grad + pgrad
+                parent.grad = pgrad
+            else:
+                parent.grad = parent.grad + pgrad
 
 
 def zero_grads(nodes: Iterable[Node]) -> None:
@@ -137,17 +140,15 @@ def reshape(a, shape: Sequence[int]) -> Node:
 
 
 def add(a, b) -> Node:
+    """a + b; b may lack leading axes of a and is then shared across them."""
     a, b = as_node(a), as_node(b)
-    if a.value.shape != b.value.shape:
+    extra = a.value.ndim - b.value.ndim
+    if extra < 0 or a.value.shape[extra:] != b.value.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return Node(a.value + b.value, (a, b), lambda g: (g, g))
-
-
-def sub(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return Node(a.value - b.value, (a, b), lambda g: (g, -g))
+    if extra == 0:
+        return Node(a.value + b.value, (a, b), lambda g: (g, g))
+    lead = tuple(range(extra))
+    return Node(a.value + b.value, (a, b), lambda g: (g, g.sum(axis=lead)))
 
 
 def mul(a, b) -> Node:
@@ -163,24 +164,35 @@ def scale(a, s: float) -> Node:
     return Node(a.value * s, (a,), lambda g: (g * s,))
 
 
-def add_bias(x, b) -> Node:
-    """x + b with b broadcast over all leading axes (bias over rows only)."""
-    x, b = as_node(x), as_node(b)
-    if b.value.ndim != 1 or b.value.shape[0] != x.value.shape[-1]:
-        raise ShapeError(f"bias shape {b.shape} does not fit {x.shape}")
-    lead = tuple(range(x.value.ndim - 1))
-    return Node(x.value + b.value, (x, b), lambda g: (g, g.sum(axis=lead)))
-
-
 def linear(x, w, b) -> Node:
-    """x @ w + b; realizes every learned projection in the model."""
-    return add_bias(matmul(x, w), b)
+    """x @ w + b; realizes every learned projection in the model. The (k, n)
+    weight and (n,) bias are shared over all leading axes of x, so a batch
+    of items costs one matrix product."""
+    x, w, b = as_node(x), as_node(w), as_node(b)
+    if w.value.ndim != 2 or x.value.shape[-1] != w.value.shape[0]:
+        raise ShapeError(f"linear shape mismatch: {x.shape} x {w.shape}")
+    k, n = w.value.shape
+    if b.value.shape != (n,):
+        raise ShapeError(f"bias shape {b.shape} does not fit {w.shape}")
+    x2 = x.value.reshape(-1, k)
+    out = (x2 @ w.value + b.value).reshape(x.value.shape[:-1] + (n,))
+
+    def vjp(g):
+        g2 = g.reshape(-1, n)
+        return (g2 @ w.value.T).reshape(x.value.shape), x2.T @ g2, g2.sum(axis=0)
+
+    return Node(out, (x, w, b), vjp)
 
 
-def softmax_rows(x) -> Node:
-    """Softmax along the last axis with per-row max subtraction."""
+def softmax_rows(x, mask: np.ndarray | None = None) -> Node:
+    """Softmax along the last axis with per-row max subtraction.
+
+    `mask` is an additive constant broadcast onto x: 0 keeps an entry, a
+    large finite negative drops it. Finite, so a row whose every entry is
+    dropped stays finite (uniform) instead of turning into NaN."""
     x = as_node(x)
-    shifted = x.value - x.value.max(axis=-1, keepdims=True)
+    z = x.value if mask is None else (x.value + mask).astype(x.dtype, copy=False)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
 
@@ -190,8 +202,9 @@ def softmax_rows(x) -> Node:
     return Node(y, (x,), vjp)
 
 
-def scaled_dot_attention(q, k, v) -> Node:
-    """softmax(q kᵀ / sqrt(d_k)) v over the last two axes."""
+def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None) -> Node:
+    """softmax(q kᵀ / sqrt(d_k) + mask) v over the last two axes; `mask` is
+    an additive key-padding mask broadcast onto the (..., nq, nk) scores."""
     q, k, v = as_node(q), as_node(k), as_node(v)
     if q.value.shape[-1] != k.value.shape[-1]:
         raise ShapeError(f"query/key dim mismatch: {q.shape} vs {k.shape}")
@@ -199,7 +212,7 @@ def scaled_dot_attention(q, k, v) -> Node:
         raise ShapeError(f"key/value count mismatch: {k.shape} vs {v.shape}")
     d_k = q.value.shape[-1]
     scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
-    return matmul(softmax_rows(scores), v)
+    return matmul(softmax_rows(scores, mask), v)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Node:
@@ -253,8 +266,11 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy(logits, targets) -> Node:
-    """Mean negative log-softmax of the target class; grad=(softmax-onehot)/m."""
+def cross_entropy(logits, targets, weights=None) -> Node:
+    """Mean negative log-softmax of the target class; grad=(softmax-onehot)/m.
+
+    With `weights` (one per row) the loss is their weighted sum instead of
+    the mean, and row i's gradient is scaled by weights[i]."""
     logits = as_node(logits)
     targets = np.asarray(targets, dtype=np.int64)
     m, c = logits.value.shape
@@ -263,12 +279,19 @@ def cross_entropy(logits, targets) -> Node:
     if targets.min() < 0 or targets.max() >= c:
         raise IndexError(f"target out of range [0, {c})")
     logp = _log_softmax(logits.value)
-    loss = -logp[np.arange(m), targets].mean()
+    picked = logp[np.arange(m), targets]
+    if weights is None:
+        loss, scale_rows = -picked.mean(), 1.0 / m
+    else:
+        w = np.asarray(weights, dtype=logits.dtype)
+        if w.shape != (m,):
+            raise ShapeError(f"weights must have shape ({m},), got {w.shape}")
+        loss, scale_rows = -(w * picked).sum(), w[:, None]
 
     def vjp(g):
         soft = np.exp(logp)
         soft[np.arange(m), targets] -= 1.0
-        return (g * soft / m,)
+        return (g * soft * scale_rows,)
 
     return Node(np.asarray(loss, dtype=logits.dtype), (logits,), vjp)
 
@@ -332,7 +355,8 @@ def l2_normalize_rows(x, eps: float = 1e-12) -> Node:
 
 
 def gather_rows(table, ids) -> Node:
-    """Row lookup (embedding); gradient scatters back with accumulation."""
+    """Lookup along axis 0 (embedding rows, or items of a batch); `ids` may
+    have any shape. The gradient scatters back with accumulation."""
     table = as_node(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.value.shape[0]):
@@ -349,33 +373,40 @@ def gather_rows(table, ids) -> Node:
     return Node(out, (table,), vjp)
 
 
-def slice_rows(x, start: int, stop: int) -> Node:
+def slice_rows(x, start: int, stop: int, axis: int = 0) -> Node:
+    """x[start:stop] along `axis`."""
     x = as_node(x)
-    n = x.value.shape[0]
-    out = x.value[start:stop]
+    index = [slice(None)] * x.value.ndim
+    index[axis] = slice(start, stop)
+    index = tuple(index)
 
     def vjp(g):
         gx = np.zeros_like(x.value)
-        gx[start:stop] = g
+        gx[index] = g
         return (gx,)
 
-    return Node(out, (x,), vjp)
+    return Node(x.value[index], (x,), vjp)
 
 
-def concat_rows(parts: Sequence) -> Node:
+def concat_rows(parts: Sequence, axis: int = 0) -> Node:
+    """Concatenation along `axis`."""
     parts = [as_node(p) for p in parts]
-    sizes = [p.value.shape[0] for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=0)
+    out = np.concatenate([p.value for p in parts], axis=axis)
+    bounds = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
+    return Node(out, tuple(parts), lambda g: tuple(np.split(g, bounds, axis=axis)))
 
-    def vjp(g):
-        grads = []
-        at = 0
-        for s in sizes:
-            grads.append(g[at : at + s])
-            at += s
-        return tuple(grads)
 
-    return Node(out, tuple(parts), vjp)
+def add_to_rows(x, y, start: int = 0) -> Node:
+    """x with y added to rows start..start+len along axis -2 (a scatter-add);
+    every other row of the result is x's, bitwise."""
+    x, y = as_node(x), as_node(y)
+    k = y.value.shape[-2]
+    if (x.value.shape[:-2] != y.value.shape[:-2] or x.value.shape[-1] != y.value.shape[-1]
+            or not 0 <= start <= x.value.shape[-2] - k):
+        raise ShapeError(f"cannot add {y.shape} to rows {start}.. of {x.shape}")
+    out = x.value.astype(np.result_type(x.value, y.value))
+    out[..., start : start + k, :] += y.value
+    return Node(out, (x, y), lambda g: (g, g[..., start : start + k, :]))
 
 
 def mean_all(x) -> Node:
@@ -385,15 +416,6 @@ def mean_all(x) -> Node:
         np.asarray(x.value.mean(), dtype=x.dtype),
         (x,),
         lambda g: (np.full_like(x.value, float(g) / n),),
-    )
-
-
-def sum_all(x) -> Node:
-    x = as_node(x)
-    return Node(
-        np.asarray(x.value.sum(), dtype=x.dtype),
-        (x,),
-        lambda g: (np.full_like(x.value, float(g)),),
     )
 
 

@@ -181,21 +181,3 @@ def retrieve_by_vector(query_vec, index: EmbeddingIndex, r: int, mode: Mode,
         return select_training(pool, r, seed)
     return select_inference(pool, r)
 
-
-def retrieve(patches, params, cfg, index: EmbeddingIndex, r: int, mode: Mode,
-             seed: int = 0, materialize=None, exclude_pair_id: int | None = None):
-    """Full query path: encode image, project, dual search, merge, select.
-
-    `materialize(pair_id)` maps a selected id to its corpus pair (caption and
-    image payload) for fusion; when omitted only ids and scores are returned.
-    """
-    from . import ops
-    from .model import encode_image, project_itc
-
-    if r == 0:
-        return RetrievalResult(mode, [], 0), []
-    v = encode_image(params, cfg, patches)
-    qvec = project_itc(ops.slice_rows(v, 0, 1), params, "image").value[0]
-    result = retrieve_by_vector(qvec, index, r, mode, seed, exclude_pair_id)
-    pairs = [materialize(pid) for pid, _ in result.selected] if materialize else []
-    return result, pairs

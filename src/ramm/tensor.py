@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,25 +37,13 @@ class Tensor:
             raise RammError("tensor contains non-finite values")
         self.array = arr
 
-    @classmethod
-    def from_list(cls, values, dtype=np.float32) -> "Tensor":
-        return cls(np.asarray(values, dtype=dtype))
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.array.shape
 
     @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the payload."""
-        return self.array.reshape(-1)
-
-    @property
     def dtype(self):
         return self.array.dtype
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.array.astype(dtype))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
@@ -129,8 +117,3 @@ def relative_error(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.linalg.norm(a), np.linalg.norm(b), eps)
     return float(np.linalg.norm(a - b) / denom)
-
-
-def check_shapes(expected: Sequence[int], got: Sequence[int], what: str) -> None:
-    if tuple(expected) != tuple(got):
-        raise ShapeError(f"{what}: expected {tuple(expected)}, got {tuple(got)}")

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,9 +18,10 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, MissingArtifactError
 from .model import (
-    DropoutPlan, ModelConfig, Vocab, encode_image, encode_text, fuse,
-    init_params, itm_head, load_params, project_itc, reinit_group,
-    save_params, tokenize, vqa_head,
+    _TOKEN_RE, DropoutPlan, ModelConfig, StreamBatch, Vocab, batch_streams,
+    cls_rows, encode_image, encode_text, fuse, init_params, itm_head,
+    key_mask, load_params, project_itc, reinit_group, save_params, tokenize,
+    vqa_head,
 )
 from .objectives import (
     AdamW, TrainConfig, ema_update, itc_loss, itc_loss_distilled, itm_loss,
@@ -34,8 +33,6 @@ from .store import (
 )
 from .synthetic import VQAItem, load_corpus, load_vqa_items
 from .tensor import load_tensor
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 def _sub_seed(*parts) -> int:
@@ -57,13 +54,14 @@ def save_checkpoint(directory, params, mcfg: ModelConfig, extra: dict | None = N
             json.dumps(extra, sort_keys=True), encoding="utf-8")
 
 
-def load_checkpoint(directory, dtype=np.float32):
+def load_checkpoint(directory, weights: str = "weights", dtype=np.float32):
+    """Model config and the parameters in the `weights` subdirectory."""
     directory = Path(directory)
     cfg_path = directory / "config.json"
     if not cfg_path.exists():
         raise MissingArtifactError(f"no checkpoint at {directory}")
     mcfg = ModelConfig.from_json(cfg_path.read_text(encoding="utf-8"))
-    params = load_params(directory / "weights", dtype=dtype)
+    params = load_params(directory / weights, dtype=dtype)
     return params, mcfg
 
 
@@ -85,6 +83,49 @@ def _derangement(n: int, rng: np.random.Generator) -> np.ndarray:
             return perm
 
 
+def pretrain_losses(params, momentum, mcfg: ModelConfig, tcfg: TrainConfig,
+                    ids: list[list[int]], patches: np.ndarray, perm: np.ndarray,
+                    masked: list[tuple[list[int], list[int], list[int]]],
+                    dctx: DropoutPlan | None = None) -> tuple[ops.Node, ops.Node, ops.Node]:
+    """ITC, ITM and MLM losses of one batch of B pairs, as one graph.
+
+    ids: the B captions' token ids; patches: (B, n_patches, d_patch);
+    perm: a derangement giving each image its mismatched ITM caption;
+    masked: each caption's mask_tokens output. `momentum` holds the
+    distillation teacher, unused when tcfg.distill_weight is 0. Each loss is
+    the mean over the batch of the per-pair losses."""
+    w = encode_text(params, mcfg, ids, dctx)
+    v = encode_image(params, mcfg, patches, dctx)
+    tmat = project_itc(cls_rows(w), params, "text")
+    imat = project_itc(cls_rows(v), params, "image")
+    if tcfg.distill_weight > 0.0:
+        tm = project_itc(cls_rows(encode_text(momentum, mcfg, ids)), momentum, "text")
+        im = project_itc(cls_rows(encode_image(momentum, mcfg, patches)), momentum, "image")
+        loss_itc = itc_loss_distilled(tmat, imat, tm.value, im.value,
+                                      tcfg.itc_temperature, tcfg.distill_weight)
+    else:
+        loss_itc = itc_loss(tmat, imat, tcfg.itc_temperature)
+
+    # ITM: the B matched pairs, then the same images with deranged captions
+    b = len(ids)
+    mask = key_mask([len(seq) for seq in ids])
+    wl, vl = fuse(params, mcfg, ops.concat_rows([w, ops.gather_rows(w, perm)]),
+                  ops.concat_rows([v, v]), [], dctx,
+                  text_masks=[np.concatenate([mask, mask[perm]])])
+    loss_itm = itm_loss(itm_head(params, cls_rows(wl), cls_rows(vl)), [1] * b + [0] * b)
+
+    # MLM over corrupted captions fused with their images; each caption's
+    # masked positions share its 1/B of the loss
+    wc = encode_text(params, mcfg, [corrupted for corrupted, _, _ in masked], dctx)
+    wl, _ = fuse(params, mcfg, wc, v, [], dctx, text_masks=[mask])
+    n = wl.value.shape[-2]
+    rows = [i * n + p for i, (_, positions, _) in enumerate(masked) for p in positions]
+    targets = [t for _, _, tgts in masked for t in tgts]
+    weights = [1.0 / (b * len(positions)) for _, positions, _ in masked for _ in positions]
+    loss_mlm = mlm_loss(ops.reshape(wl, (-1, mcfg.d)), params, rows, targets, weights)
+    return loss_itc, loss_itm, loss_mlm
+
+
 def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig,
              steps: int, log_path=None) -> Path:
     """Train ITC + ITM + MLM (unweighted sum) with momentum distillation."""
@@ -94,7 +135,7 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig,
     if len(pairs) < tcfg.batch_size:
         raise ConfigError("corpus smaller than batch size")
     token_ids = [tokenize(p.caption, vocab, mcfg.max_text_len) for p in pairs]
-    patches = [load_patches(p.image_ref) for p in pairs]
+    patches = np.stack([load_patches(p.image_ref) for p in pairs])
 
     params = init_params(mcfg, tcfg.seed)
     momentum = clone_params(params)
@@ -106,59 +147,13 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig,
 
     for step in range(steps):
         batch = rng.choice(len(pairs), size=tcfg.batch_size, replace=False)
-        dctx = base_plan.at(step)
-        text_states, image_states, tprojs, iprojs = [], [], [], []
-        for bi in batch:
-            w = encode_text(params, mcfg, token_ids[bi], dctx)
-            v = encode_image(params, mcfg, patches[bi], dctx)
-            text_states.append(w)
-            image_states.append(v)
-            tprojs.append(project_itc(ops.slice_rows(w, 0, 1), params, "text"))
-            iprojs.append(project_itc(ops.slice_rows(v, 0, 1), params, "image"))
-        tmat = ops.concat_rows(tprojs)
-        imat = ops.concat_rows(iprojs)
-        if tcfg.distill_weight > 0.0:
-            tm, im = [], []
-            for bi in batch:
-                wm = encode_text(momentum, mcfg, token_ids[bi])
-                vm = encode_image(momentum, mcfg, patches[bi])
-                tm.append(project_itc(ops.slice_rows(wm, 0, 1), momentum, "text").value)
-                im.append(project_itc(ops.slice_rows(vm, 0, 1), momentum, "image").value)
-            loss_itc = itc_loss_distilled(
-                tmat, imat, np.concatenate(tm), np.concatenate(im),
-                tcfg.itc_temperature, tcfg.distill_weight)
-        else:
-            loss_itc = itc_loss(tmat, imat, tcfg.itc_temperature)
-
-        # ITM: matched pairs plus derangement-shuffled caption negatives
         perm = _derangement(len(batch), rng)
-        itm_logits, itm_labels = [], []
-        for pos, bi in enumerate(batch):
-            wl, vl = fuse(params, mcfg, text_states[pos], image_states[pos], [], dctx)
-            itm_logits.append(itm_head(params, ops.slice_rows(wl, 0, 1),
-                                       ops.slice_rows(vl, 0, 1)))
-            itm_labels.append(1)
-            wl, vl = fuse(params, mcfg, text_states[perm[pos]], image_states[pos],
-                          [], dctx)
-            itm_logits.append(itm_head(params, ops.slice_rows(wl, 0, 1),
-                                       ops.slice_rows(vl, 0, 1)))
-            itm_labels.append(0)
-        loss_itm = itm_loss(ops.concat_rows(itm_logits), itm_labels)
-
-        # MLM over corrupted captions fused with their images
-        mlm_losses = []
-        for pos, bi in enumerate(batch):
-            corrupted, positions, targets = mask_tokens(
-                token_ids[bi], tcfg.mask_rate, _sub_seed(tcfg.seed, step, int(bi)),
-                vocab)
-            wc = encode_text(params, mcfg, corrupted, dctx)
-            wl, _ = fuse(params, mcfg, wc, image_states[pos], [], dctx)
-            mlm_losses.append(mlm_loss(wl, params, positions, targets))
-        loss_mlm = mlm_losses[0]
-        for extra in mlm_losses[1:]:
-            loss_mlm = ops.add(loss_mlm, extra)
-        loss_mlm = ops.scale(loss_mlm, 1.0 / len(mlm_losses))
-
+        masked = [mask_tokens(token_ids[bi], tcfg.mask_rate,
+                              _sub_seed(tcfg.seed, step, int(bi)), vocab)
+                  for bi in batch]
+        loss_itc, loss_itm, loss_mlm = pretrain_losses(
+            params, momentum, mcfg, tcfg, [token_ids[bi] for bi in batch],
+            patches[batch], perm, masked, base_plan.at(step))
         total = pretrain_loss(loss_itc, loss_itm, loss_mlm)
         ops.zero_grads(params.values())
         ops.backward(total)
@@ -192,36 +187,67 @@ def build_index_cmd(checkpoint_dir, data_dir, out_path) -> Path:
 # Fine-tuning
 
 
-@dataclass
-class FrozenSample:
-    """Cached inference-mode uni-modal states for one text/image payload."""
-
-    text: ops.Node
-    image: ops.Node
-
-
 class UnimodalCache:
-    """Frozen-encoder forward results, computed once per unique payload."""
+    """Frozen-encoder states (inference mode), computed once per payload and
+    a batch of payloads at a time. An image is read from disk only when its
+    states are not cached yet."""
 
-    def __init__(self, params, mcfg: ModelConfig, vocab: Vocab):
+    def __init__(self, params, mcfg: ModelConfig, vocab: Vocab, data_dir):
         self.params = params
         self.mcfg = mcfg
         self.vocab = vocab
-        self._texts: dict[str, ops.Node] = {}
-        self._images: dict[str, ops.Node] = {}
+        self.data_dir = Path(data_dir)
+        pairs, self.load_patches = load_corpus(self.data_dir)
+        self.pair_by_id = {p.pair_id: p for p in pairs}
+        self._texts: dict[str, np.ndarray] = {}
+        self._images: dict[str, np.ndarray] = {}
 
-    def text(self, key: str, raw: str) -> ops.Node:
-        if key not in self._texts:
-            ids = tokenize(raw, self.vocab, self.mcfg.max_text_len)
-            self._texts[key] = ops.constant(
-                encode_text(self.params, self.mcfg, ids).value)
-        return self._texts[key]
+    def texts(self, raws: list[str]) -> list[np.ndarray]:
+        """(n, d) states of each text, keyed by the text itself."""
+        missing = [t for t in dict.fromkeys(raws) if t not in self._texts]
+        if missing:
+            ids = [tokenize(t, self.vocab, self.mcfg.max_text_len) for t in missing]
+            states = encode_text(self.params, self.mcfg, ids).value
+            for t, seq, w in zip(missing, ids, states):
+                self._texts[t] = w[: len(seq)]
+        return [self._texts[t] for t in raws]
 
-    def image(self, key: str, patches: np.ndarray) -> ops.Node:
-        if key not in self._images:
-            self._images[key] = ops.constant(
-                encode_image(self.params, self.mcfg, patches).value)
-        return self._images[key]
+    def images(self, refs: list[str], load) -> list[np.ndarray]:
+        """(n_patches + 1, d) states of each image; `load(ref)` reads the
+        patches of an image not cached yet."""
+        missing = [ref for ref in dict.fromkeys(refs) if ref not in self._images]
+        if missing:
+            patches = np.stack([load(ref) for ref in missing])
+            for ref, v in zip(missing, encode_image(self.params, self.mcfg, patches).value):
+                self._images[ref] = v
+        return [self._images[ref] for ref in refs]
+
+    def item_images(self, items: list[VQAItem]) -> list[np.ndarray]:
+        return self.images([it.image_ref for it in items],
+                           lambda ref: load_tensor(self.data_dir / ref).array)
+
+    def streams(self, items: list[VQAItem], selected: list[list[int]]) -> StreamBatch:
+        """The fusion streams of a batch of items; selected[b] lists the
+        pair ids that item b retrieved."""
+        originals = list(zip(self.texts([it.question for it in items]),
+                             self.item_images(items)))
+        pairs = [self.pair_by_id[pid] for pids in selected for pid in pids]
+        states = list(zip(self.texts([p.caption for p in pairs]),
+                          self.images([p.image_ref for p in pairs], self.load_patches)))
+        retrieved, at = [], 0
+        for pids in selected:
+            retrieved.append(states[at : at + len(pids)])
+            at += len(pids)
+        return batch_streams(originals, retrieved)
+
+
+def answer_logits(params, mcfg: ModelConfig, text0: ops.Node, image0: ops.Node,
+                  streams: StreamBatch, dctx: DropoutPlan | None = None) -> ops.Node:
+    """(B, n_answers) VQA logits of a batch: stream 0 is (text0, image0),
+    the retrieved streams and every mask come from `streams`."""
+    wl, vl = fuse(params, mcfg, text0, image0, streams.retrieved, dctx,
+                  streams.text_masks, streams.stream_mask)
+    return vqa_head(params, cls_rows(wl), cls_rows(vl))
 
 
 def _load_answers(data_dir) -> list[str]:
@@ -242,6 +268,7 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     runs fast; pass train_unimodal=True to update them too. feature_noise
     adds fresh Gaussian noise to the instance's image states every step, a
     cheap augmentation that discourages memorizing individual images.
+    Each step builds one graph for its whole batch.
     """
     if r < 0:
         raise ConfigError("r must be non-negative")
@@ -256,42 +283,16 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
             f"checkpoint expects {mcfg.n_answers} answers, data has {len(answers)}")
     answer_id = {a: i for i, a in enumerate(answers)}
     items = load_vqa_items(data_dir / "vqa_train.jsonl")
-    corpus_pairs, load_patches = load_corpus(data_dir)
-    pair_by_id = {p.pair_id: p for p in corpus_pairs}
 
     reinit_group(params, "vqa.", _sub_seed(tcfg.seed, "vqa-head"))
-    cache = UnimodalCache(params, mcfg, vocab)
-
-    # Per-item query vectors (frozen) and item payload caches
-    item_text: list[ops.Node] = []
-    item_image: list[ops.Node] = []
-    item_tokens: list[list[int]] = []
-    item_patches: list[np.ndarray] = []
-    item_qvec: list[np.ndarray] = []
-    for it in items:
-        patches = load_tensor(data_dir / it.image_ref).array
-        item_tokens.append(tokenize(it.question, vocab, mcfg.max_text_len))
-        item_patches.append(patches)
-        item_text.append(cache.text(f"q{it.item_id}", it.question))
-        img = cache.image(it.image_ref, patches)
-        item_image.append(img)
-        qvec = project_itc(ops.constant(img.value[0:1]), params, "image").value[0]
-        item_qvec.append(qvec)
-
-    def retrieved_streams(it: VQAItem, qvec, step: int):
-        if r == 0:
-            return []
-        result = retrieve_by_vector(
-            qvec, index, r, Mode.TRAIN,
-            seed=_sub_seed(tcfg.seed, "select", step, it.item_id))
-        streams = []
-        for pid, _ in result.selected:
-            pair = pair_by_id[pid]
-            streams.append((
-                cache.text(f"p{pid}", pair.caption),
-                cache.image(pair.image_ref, load_patches(pair.image_ref)),
-            ))
-        return streams
+    cache = UnimodalCache(params, mcfg, vocab, data_dir)
+    # frozen retrieval query vector of every item
+    item_cls = np.stack([v[0] for v in cache.item_images(items)])
+    item_qvec = project_itc(ops.constant(item_cls), params, "image").value
+    if train_unimodal:
+        item_tokens = [tokenize(it.question, vocab, mcfg.max_text_len) for it in items]
+        item_patches = np.stack([load_tensor(data_dir / it.image_ref).array
+                                 for it in items])
 
     trainable = None if train_unimodal else ("fuse.", "vqa.")
     steps_per_epoch = max(1, len(items) // tcfg.batch_size)
@@ -308,42 +309,40 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     for epoch in range(epochs):
         order = rng.permutation(len(items))
         for b0 in range(0, steps_per_epoch * tcfg.batch_size, tcfg.batch_size):
-            batch = order[b0 : b0 + tcfg.batch_size]
-            losses = []
-            for idx in batch:
-                it = items[int(idx)]
-                target = [answer_id[it.answer]]
-                streams = retrieved_streams(it, item_qvec[int(idx)], step)
-                if train_unimodal:
-                    # live encoder forward so gradients reach the encoders
-                    text_in = encode_text(params, mcfg, item_tokens[int(idx)])
-                    image_in = encode_image(params, mcfg, item_patches[int(idx)])
-                else:
-                    text_in = item_text[int(idx)]
-                    image_in = item_image[int(idx)]
-                if feature_noise > 0.0:
-                    noise_rng = np.random.default_rng(
-                        _sub_seed(tcfg.seed, "aug", step, it.item_id))
-                    noise = ops.constant(
-                        feature_noise * noise_rng.normal(size=image_in.value.shape))
-                    image_in = ops.add(image_in, noise)
+            idx = order[b0 : b0 + tcfg.batch_size]
+            batch = [items[int(i)] for i in idx]
+            selected: list[list[int]] = [[] for _ in batch]
+            if r > 0:
+                selected = [
+                    [pid for pid, _ in retrieve_by_vector(
+                        q, index, r, Mode.TRAIN,
+                        seed=_sub_seed(tcfg.seed, "select", step, it.item_id)).selected]
+                    for it, q in zip(batch, item_qvec[idx])]
+            streams = cache.streams(batch, selected)
+            if train_unimodal:
+                # live encoder forward so gradients reach the encoders
+                text_in = encode_text(params, mcfg, [item_tokens[i] for i in idx])
+                image_in = encode_image(params, mcfg, item_patches[idx])
+            else:
+                text_in = ops.constant(streams.texts[0])
+                image_in = ops.constant(streams.images[0])
+            if feature_noise > 0.0:
+                noise = np.stack([
+                    feature_noise * np.random.default_rng(
+                        _sub_seed(tcfg.seed, "aug", step, it.item_id)
+                    ).normal(size=image_in.value.shape[1:])
+                    for it in batch])
+                image_in = ops.add(image_in, ops.constant(noise))
 
-                def forward(pass_idx: int) -> ops.Node:
-                    dctx = base_plan.at(step, pass_idx)
-                    wl, vl = fuse(params, mcfg, text_in,
-                                  image_in, streams, dctx)
-                    return vqa_head(params, ops.slice_rows(wl, 0, 1),
-                                    ops.slice_rows(vl, 0, 1))
+            def forward(pass_idx: int) -> ops.Node:
+                return answer_logits(params, mcfg, text_in, image_in, streams,
+                                     base_plan.at(step, pass_idx))
 
-                if use_rdrop:
-                    losses.append(rdrop_loss(forward(0), forward(1), target,
-                                             tcfg.rdrop_alpha))
-                else:
-                    losses.append(ops.cross_entropy(forward(0), target))
-            total = losses[0]
-            for extra in losses[1:]:
-                total = ops.add(total, extra)
-            total = ops.scale(total, 1.0 / len(losses))
+            targets = [answer_id[it.answer] for it in batch]
+            if use_rdrop:
+                total = rdrop_loss(forward(0), forward(1), targets, tcfg.rdrop_alpha)
+            else:
+                total = ops.cross_entropy(forward(0), targets)
             ops.zero_grads(params.values())
             ops.backward(total)
             lr = opt.step()
@@ -402,63 +401,60 @@ class EvalReport:
         )
 
 
+# items per evaluation graph; bounds the memory of a pass over a large split
+EVAL_BATCH = 64
+
+
 def _acc(flags: list[bool]) -> float:
     return float(np.mean(flags)) if flags else 0.0
 
 
 def evaluate(checkpoint_dir, index_path, data_dir, r: int, split: str = "test",
              use_ema: bool = True, out_dir=None, seed: int = 0):
-    """Deterministic inference-mode evaluation; returns report and details."""
+    """Deterministic inference-mode evaluation; returns report and details.
+    Items are scored EVAL_BATCH at a time, one graph per batch."""
     data_dir = Path(data_dir)
-    params, mcfg = load_checkpoint(checkpoint_dir)
-    ema_dir = Path(checkpoint_dir) / "weights_ema"
-    if use_ema and ema_dir.exists():
-        params = load_params(ema_dir)
+    use_ema = use_ema and (Path(checkpoint_dir) / "weights_ema").exists()
+    params, mcfg = load_checkpoint(checkpoint_dir, "weights_ema" if use_ema else "weights")
     index = load_index(index_path)
     verify_fingerprint(index, params, mcfg.d_proj)
     vocab = Vocab.load(data_dir / "vocab.txt")
     answers = _load_answers(data_dir)
     items = load_vqa_items(data_dir / f"vqa_{split}.jsonl")
-    corpus_pairs, load_patches = load_corpus(data_dir)
-    pair_by_id = {p.pair_id: p for p in corpus_pairs}
-    cache = UnimodalCache(params, mcfg, vocab)
+    cache = UnimodalCache(params, mcfg, vocab, data_dir)
 
     details = []
     correct_flags, closed_flags, open_flags, req_flags, notreq_flags = [], [], [], [], []
-    for it in items:
-        patches = load_tensor(data_dir / it.image_ref).array
-        wtext = cache.text(f"q{it.item_id}", it.question)
-        wimg = cache.image(it.image_ref, patches)
-        retrieved = []
-        streams = []
+    for b0 in range(0, len(items), EVAL_BATCH):
+        batch = items[b0 : b0 + EVAL_BATCH]
+        selected: list[list[tuple[int, float]]] = [[] for _ in batch]
         if r > 0:
-            qvec = project_itc(ops.constant(wimg.value[0:1]), params, "image").value[0]
-            result = retrieve_by_vector(qvec, index, r, Mode.INFER)
-            for pid, s in result.selected:
-                pair = pair_by_id[pid]
-                row = index.row_of(pid)
+            item_cls = np.stack([v[0] for v in cache.item_images(batch)])
+            qvecs = project_itc(ops.constant(item_cls), params, "image").value
+            selected = [retrieve_by_vector(q, index, r, Mode.INFER).selected
+                        for q in qvecs]
+        streams = cache.streams(batch, [[pid for pid, _ in sel] for sel in selected])
+        logits = answer_logits(params, mcfg, ops.constant(streams.texts[0]),
+                               ops.constant(streams.images[0]), streams)
+        for it, sel, row in zip(batch, selected, logits.value):
+            retrieved = []
+            for pid, s in sel:
                 retrieved.append({
                     "pair_id": pid,
-                    "source": TAG_NAMES[int(index.source_tags[row])],
-                    "caption": pair.caption,
+                    "source": TAG_NAMES[int(index.source_tags[index.row_of(pid)])],
+                    "caption": cache.pair_by_id[pid].caption,
                     "s": s,
                 })
-                streams.append((
-                    cache.text(f"p{pid}", pair.caption),
-                    cache.image(pair.image_ref, load_patches(pair.image_ref)),
-                ))
-        wl, vl = fuse(params, mcfg, wtext, wimg, streams)
-        logits = vqa_head(params, ops.slice_rows(wl, 0, 1), ops.slice_rows(vl, 0, 1))
-        pred = answers[int(np.argmax(logits.value[0]))]
-        ok = pred == it.answer
-        correct_flags.append(ok)
-        (closed_flags if it.closed else open_flags).append(ok)
-        (req_flags if it.required else notreq_flags).append(ok)
-        details.append({
-            "item_id": it.item_id, "gold": it.answer, "pred": pred,
-            "correct": ok, "closed": it.closed, "required": it.required,
-            "retrieved": retrieved,
-        })
+            pred = answers[int(np.argmax(row))]
+            ok = pred == it.answer
+            correct_flags.append(ok)
+            (closed_flags if it.closed else open_flags).append(ok)
+            (req_flags if it.required else notreq_flags).append(ok)
+            details.append({
+                "item_id": it.item_id, "gold": it.answer, "pred": pred,
+                "correct": ok, "closed": it.closed, "required": it.required,
+                "retrieved": retrieved,
+            })
 
     report = EvalReport(
         overall=_acc(correct_flags), closed=_acc(closed_flags),

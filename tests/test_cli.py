@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ramm.cli import (
-    EXIT_BAD_R, EXIT_CONFIG, EXIT_FINGERPRINT, EXIT_FORMAT, EXIT_MISSING,
-    EXIT_OK, main,
+    EXIT_BAD_R, EXIT_CONFIG, EXIT_ERROR, EXIT_FINGERPRINT, EXIT_FORMAT,
+    EXIT_MISSING, EXIT_OK, main,
 )
 from ramm.tensor import Tensor, save_tensor
 
@@ -122,6 +122,33 @@ def test_exit_config_error(pipeline):
     assert main(["pretrain", "--data", str(pipeline["data"]), "--out",
                  "/tmp/never", "--steps", "2", "--d", "10", "--n-head", "4",
                  "--seed", "0"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "--config needs a file path"),          # flag given last, no path
+    ("missing", "cannot read config file"),
+    ("r = 2\nno equals sign\n", "without '='"),
+    ("r = two\n", "config value r"),
+])
+def test_exit_config_file_errors(tmp_path, capsys, content, message):
+    argv = ["eval", "--config"]
+    if content is not None:
+        cfg = tmp_path / "ramm.cfg"
+        if content != "missing":
+            cfg.write_text(content)
+        argv.append(str(cfg))
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_exit_unmapped_error_is_a_message(pipeline, tmp_path, capsys):
+    # patches whose width does not fit the checkpoint raise ShapeError,
+    # which has no exit code of its own
+    save_tensor(Tensor(np.ones((4, 5), dtype=np.float32)), tmp_path / "p.ten")
+    assert main(["retrieve", "--index", str(pipeline["index"]), "--query-tensor",
+                 str(tmp_path / "p.ten"), "--r", "2", "--mode", "infer",
+                 "--checkpoint", str(pipeline["ckpt"])]) == EXIT_ERROR
+    assert "patch dim" in capsys.readouterr().err
 
 
 def test_config_file_defaults(pipeline, tmp_path, capsys):

@@ -252,3 +252,148 @@ def test_full_model_gradient_check(rng):
                 analytic = float(grad @ u)
                 err = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-12)
                 assert err < 1e-3, f"{name}: directional rel err {err:.3e}"
+
+
+# -- one padded batch equals its items run one at a time ----------------------
+
+def _grads(params):
+    return {n: (p.grad.copy() if p.grad is not None else np.zeros_like(p.value))
+            for n, p in params.items()}
+
+
+def _assert_same_grads(got, want, tol=1e-10):
+    for name in want:
+        if name.endswith(".bk"):
+            # softmax ignores a shift shared by all keys, so a key bias has
+            # true gradient 0 and both sides hold only rounding noise
+            assert np.abs(got[name] - want[name]).max() < tol, name
+        else:
+            assert relative_error(got[name], want[name]) < tol, name
+
+
+def test_padded_finetune_batch_matches_items(rng):
+    """Loss and every parameter gradient of one padded fine-tune batch equal
+    the mean over per-item passes, at 64-bit. The texts differ in length
+    and the last item retrieved fewer pairs than the others (flagged)."""
+    from ramm.model import batch_streams
+    from ramm.train import answer_logits
+
+    cfg = micro_config(l_fuse=2)
+    params = micro_params(cfg)
+    n_img = cfg.patch_grid**2
+    ids = [[1, 4, 5, 6], [1, 7], [1, 8, 9, 10, 11]]
+    patches = rng.normal(size=(3, n_img, cfg.d_patch))
+    retrieved = [
+        [(rng.normal(size=(n, cfg.d)), rng.normal(size=(n_img + 1, cfg.d)))
+         for n in lengths]
+        for lengths in ([3, 2], [4, 1], [2])]
+    targets = [2, 0, 1]
+
+    # per item: stream 0 encoded live so the encoders get gradients too
+    losses = []
+    for b in range(3):
+        w = encode_text(params, cfg, ids[b])
+        v = encode_image(params, cfg, patches[b])
+        ret = [(ops.constant(t), ops.constant(i)) for t, i in retrieved[b]]
+        wf, vf = fuse(params, cfg, w, v, ret)
+        logits = vqa_head(params, model.cls_rows(wf), model.cls_rows(vf))
+        losses.append(ops.cross_entropy(logits, [targets[b]]))
+    per_item = ops.scale(ops.add(ops.add(losses[0], losses[1]), losses[2]), 1.0 / 3)
+    ops.backward(per_item)
+    want = _grads(params)
+
+    ops.zero_grads(params.values())
+    originals = [(np.zeros((len(seq), cfg.d)), np.zeros((n_img + 1, cfg.d))) for seq in ids]
+    streams = batch_streams(originals, retrieved)
+    assert streams.stream_mask.shape == (3, 3) and streams.stream_mask[2, 2] < 0
+    logits = answer_logits(params, cfg, encode_text(params, cfg, ids),
+                           encode_image(params, cfg, patches), streams)
+    batched = ops.cross_entropy(logits, targets)
+    ops.backward(batched)
+    assert abs(batched.value.item() - per_item.value.item()) < 1e-10 * per_item.value.item()
+    _assert_same_grads(_grads(params), want)
+
+
+def test_pretrain_losses_batch_matches_items(rng):
+    """ITC (distilled), ITM and MLM of one padded batch, and the gradient of
+    their sum, equal the per-pair construction at 64-bit."""
+    from ramm.objectives import (
+        TrainConfig, itc_loss_distilled, itm_loss, mask_tokens, mlm_loss,
+        pretrain_loss,
+    )
+    from ramm.train import clone_params, pretrain_losses
+
+    cfg = micro_config()
+    tcfg = TrainConfig(mask_rate=0.3)
+    params = micro_params(cfg)
+    momentum = clone_params(params)
+    for node in momentum.values():
+        node.value = node.value + 0.01 * rng.normal(size=node.value.shape)
+    vocab = Vocab([f"w{i}" for i in range(cfg.vocab_size - 4)])
+    ids = [[1, 4, 5, 6, 7], [1, 8], [1, 9, 10], [1, 11, 12, 13]]
+    patches = rng.normal(size=(4, cfg.patch_grid**2, cfg.d_patch))
+    perm = np.array([2, 3, 1, 0])
+    masked = [mask_tokens(seq, tcfg.mask_rate, 40 + b, vocab) for b, seq in enumerate(ids)]
+
+    # per pair, the unbatched graphs
+    w = [encode_text(params, cfg, seq) for seq in ids]
+    v = [encode_image(params, cfg, p) for p in patches]
+    tmat = ops.concat_rows([project_itc(ops.slice_rows(x, 0, 1), params, "text") for x in w])
+    imat = ops.concat_rows([project_itc(ops.slice_rows(x, 0, 1), params, "image") for x in v])
+    tm = np.concatenate([project_itc(ops.slice_rows(encode_text(momentum, cfg, seq), 0, 1),
+                                     momentum, "text").value for seq in ids])
+    im = np.concatenate([project_itc(ops.slice_rows(encode_image(momentum, cfg, p), 0, 1),
+                                     momentum, "image").value for p in patches])
+    itc = itc_loss_distilled(tmat, imat, tm, im, tcfg.itc_temperature, tcfg.distill_weight)
+    logits, labels = [], []
+    for b in range(4):
+        for text, label in ((w[b], 1), (w[perm[b]], 0)):
+            wl, vl = fuse(params, cfg, text, v[b], [])
+            logits.append(model.itm_head(params, ops.slice_rows(wl, 0, 1),
+                                         ops.slice_rows(vl, 0, 1)))
+            labels.append(label)
+    itm = itm_loss(ops.concat_rows(logits), labels)
+    mlm = None
+    for b, (corrupted, positions, targets) in enumerate(masked):
+        wl, _ = fuse(params, cfg, encode_text(params, cfg, corrupted), v[b], [])
+        part = mlm_loss(wl, params, positions, targets)
+        mlm = part if mlm is None else ops.add(mlm, part)
+    mlm = ops.scale(mlm, 1.0 / 4)
+    ops.backward(pretrain_loss(itc, itm, mlm))
+    want = _grads(params)
+
+    ops.zero_grads(params.values())
+    got = pretrain_losses(params, momentum, cfg, tcfg, ids, patches, perm, masked)
+    ops.backward(pretrain_loss(*got))
+    for g, ref in zip(got, (itc, itm, mlm)):
+        assert abs(g.value.item() - ref.value.item()) < 1e-10 * abs(ref.value.item())
+    _assert_same_grads(_grads(params), want)
+
+
+def test_batched_evaluate_matches_items(tmp_path, monkeypatch):
+    """evaluate in batches predicts and retrieves what it does item by item."""
+    from ramm import train
+    from ramm.objectives import TrainConfig
+    from ramm.synthetic import SyntheticSpec, generate
+    from ramm.train import build_index_cmd, evaluate, finetune, pretrain
+
+    data, ckpt, index = tmp_path / "data", tmp_path / "ckpt", tmp_path / "index.idx"
+    generate(SyntheticSpec(n_train=16, n_test=12, pairs_per_cluster=2, seed=3), data)
+    vocab = Vocab.load(data / "vocab.txt")
+    answers = (data / "answers.txt").read_text().split()
+    mcfg = ModelConfig(vocab_size=len(vocab), n_answers=len(answers), d=16,
+                       n_head=2, l_fuse=1, l_text=1, l_image=1, d_proj=8,
+                       max_text_len=12, patch_grid=2, d_patch=16, d_ff=32,
+                       dropout_rate=0.0)
+    pretrain(data, ckpt, mcfg, TrainConfig(seed=0, batch_size=4), steps=3)
+    build_index_cmd(ckpt, data, index)
+    finetune(ckpt, index, data, 2, TrainConfig(seed=0, batch_size=4, lr=0.003),
+             tmp_path / "ft", epochs=2)
+    monkeypatch.setattr(train, "EVAL_BATCH", 5)
+    _, batched = evaluate(tmp_path / "ft", index, data, 2, use_ema=False)
+    monkeypatch.setattr(train, "EVAL_BATCH", 1)
+    _, single = evaluate(tmp_path / "ft", index, data, 2, use_ema=False)
+    assert len(batched) == 12
+    assert [d["pred"] for d in batched] == [d["pred"] for d in single]
+    assert ([[s["pair_id"] for s in d["retrieved"]] for d in batched]
+            == [[s["pair_id"] for s in d["retrieved"]] for d in single])

@@ -314,3 +314,127 @@ def test_tensor_invariant_rejects_nonfinite():
 
     with pytest.raises(Exception):
         Tensor(np.array([1.0, np.inf]))
+
+
+# ---------------------------------------------------------------------------
+# ops over a leading batch axis
+
+
+def test_backward_never_mutates_a_shared_gradient():
+    """add hands one array to both parents; a later contribution to one of
+    them must not change the other's gradient."""
+    a = ops.param(np.zeros((2, 3)))
+    b = ops.param(np.zeros((2, 3)))
+    ops.backward(ops.mean_all(ops.add(ops.add(a, b), a)))
+    assert np.allclose(a.grad, 2.0 / 6) and np.allclose(b.grad, 1.0 / 6)
+
+
+def test_linear_shares_weight_over_leading_axes(rng):
+    x = rng.normal(size=(2, 3, 4))
+    w = rng.normal(size=(4, 5))
+    b = rng.normal(size=5)
+    out = ops.linear(x, w, b).value
+    for i in range(2):
+        assert np.allclose(out[i], ops.linear(x[i], w, b).value, atol=1e-12)
+    weights = rng.normal(size=(2, 3, 5))
+
+    def loss(xn, wn, bn):
+        return ops.mean_all(ops.mul(ops.linear(xn, wn, bn), ops.constant(weights)))
+
+    _check_grad(lambda n: loss(n, ops.constant(w), ops.constant(b)), x)
+    _check_grad(lambda n: loss(ops.constant(x), n, ops.constant(b)), w)
+    _check_grad(lambda n: loss(ops.constant(x), ops.constant(w), n), b)
+
+
+def test_batched_matmul_gradients(rng):
+    a = rng.normal(size=(2, 3, 4))
+    b = rng.normal(size=(2, 4, 2))
+    _check_grad(lambda n: ops.mean_all(ops.gelu(ops.matmul(n, ops.constant(b)))), a)
+    _check_grad(lambda n: ops.mean_all(ops.gelu(ops.matmul(ops.constant(a), n))), b)
+
+
+def _key_mask(valid, nk):
+    return np.where(np.arange(nk) < np.asarray(valid)[:, None], 0.0, -1e9)
+
+
+def test_masked_attention_equals_attention_over_valid_keys(rng):
+    q = rng.normal(size=(2, 3, 4))
+    k = rng.normal(size=(2, 5, 4))
+    v = rng.normal(size=(2, 5, 2))
+    valid = [5, 2]
+    out = ops.scaled_dot_attention(q, k, v, _key_mask(valid, 5)[:, None, :]).value
+    for i, n in enumerate(valid):
+        want = ops.scaled_dot_attention(q[i], k[i, :n], v[i, :n]).value
+        assert np.allclose(out[i], want, atol=1e-12)
+
+
+def test_attention_with_every_key_masked_stays_finite(rng):
+    q, k, v = rng.normal(size=(1, 2, 3)), rng.normal(size=(1, 4, 3)), rng.normal(size=(1, 4, 2))
+    out = ops.scaled_dot_attention(q, k, v, _key_mask([0], 4)[:, None, :]).value
+    assert np.all(np.isfinite(out))
+
+
+def test_masked_attention_gradients(rng):
+    q = rng.normal(size=(2, 3, 4))
+    k = rng.normal(size=(2, 5, 4))
+    v = rng.normal(size=(2, 5, 2))
+    mask = _key_mask([5, 3], 5)[:, None, :]
+    w = rng.normal(size=(2, 3, 2))
+
+    def loss(qn, kn, vn):
+        return ops.mean_all(ops.mul(ops.scaled_dot_attention(qn, kn, vn, mask),
+                                    ops.constant(w)))
+
+    _check_grad(lambda n: loss(n, ops.constant(k), ops.constant(v)), q)
+    _check_grad(lambda n: loss(ops.constant(q), n, ops.constant(v)), k)
+    _check_grad(lambda n: loss(ops.constant(q), ops.constant(k), n), v)
+
+
+def test_axis_slice_concat_and_scatter_gradients(rng):
+    x = rng.normal(size=(2, 4, 3))
+    other = rng.normal(size=(2, 1, 3))
+    w = rng.normal(size=(2, 5, 3))
+    wide = rng.normal(size=(2, 4, 6))
+    assert np.array_equal(ops.slice_rows(x, 1, 3, axis=-2).value, x[:, 1:3])
+    _check_grad(lambda n: ops.mean_all(ops.gelu(ops.slice_rows(n, 1, 3, axis=-2))), x)
+    # concat along the row axis and along the feature axis
+    _check_grad(lambda n: ops.mean_all(ops.mul(
+        ops.concat_rows([ops.constant(other), n], axis=-2), ops.constant(w))), x)
+    right = rng.normal(size=(2, 4, 3))
+    _check_grad(lambda n: ops.mean_all(ops.mul(
+        ops.concat_rows([n, ops.constant(right)], axis=-1), ops.constant(wide))), x)
+    # scatter-add into row 1: every other row passes through bitwise
+    out = ops.add_to_rows(x, other, 1).value
+    assert np.array_equal(out[:, [0, 2, 3]], x[:, [0, 2, 3]])
+    assert np.allclose(out[:, 1:2], x[:, 1:2] + other)
+    ws = rng.normal(size=(2, 4, 3))
+    _check_grad(lambda n: ops.mean_all(ops.mul(
+        ops.add_to_rows(n, ops.constant(other), 1), ops.constant(ws))), x)
+    _check_grad(lambda n: ops.mean_all(ops.mul(
+        ops.add_to_rows(ops.constant(right), ops.gelu(n), 1), ops.constant(ws))), other)
+
+
+def test_broadcast_add_and_batched_gather_gradients(rng):
+    x = rng.normal(size=(2, 3, 4))
+    row = rng.normal(size=(3, 4))
+    w = rng.normal(size=(2, 3, 4))
+    _check_grad(lambda n: ops.mean_all(ops.mul(ops.add(ops.constant(x), n),
+                                               ops.constant(w))), row)
+    with pytest.raises(ShapeError):
+        ops.add(row, x)
+    table = rng.normal(size=(3, 2, 4))
+    ids = np.array([[2, 0], [2, 2]])
+    wg = rng.normal(size=(2, 2, 2, 4))
+    _check_grad(lambda n: ops.mean_all(ops.mul(ops.gather_rows(n, ids),
+                                               ops.constant(wg))), table)
+
+
+def test_weighted_cross_entropy(rng):
+    logits = rng.normal(size=(4, 3))
+    targets = [0, 2, 1, 1]
+    weights = np.array([0.5, 0.25, 0.125, 0.125])
+    want = sum(wi * float(ops.cross_entropy(logits[i : i + 1], [t]).value)
+               for i, (wi, t) in enumerate(zip(weights, targets)))
+    got = float(ops.cross_entropy(logits, targets, weights).value)
+    assert abs(got - want) < 1e-12
+    _check_grad(lambda n: ops.cross_entropy(n, targets, weights), logits)
