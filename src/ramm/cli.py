@@ -14,8 +14,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     ConfigError, FingerprintMismatchError, FormatError, MissingArtifactError,
     RammError, TruncatedFileError,
@@ -278,13 +276,9 @@ def _cmd_retrieve(args) -> int:
         qvec = project_itc(ops.slice_rows(v, 0, 1), params, "image").value[0]
     mode = Mode.TRAIN if args.mode == "train" else Mode.INFER
     result = retrieve_by_vector(qvec, index, args.r, mode, seed=args.seed)
-    q64 = np.asarray(qvec, dtype=np.float64)
-    q64 = q64 / max(np.linalg.norm(q64), 1e-12)
-    for rank, (pid, s) in enumerate(result.selected, start=1):
-        row = index.row_of(pid)
-        s_w = float(index.text_vecs[row].astype(np.float64) @ q64)
-        s_v = float(index.image_vecs[row].astype(np.float64) @ q64)
-        print(f"{rank}\t{pid}\t{s_w:.6f}\t{s_v:.6f}\t{s:.6f}\t{index.captions[row]}")
+    for rank, ((pid, s), (s_w, s_v)) in enumerate(
+            zip(result.selected, result.components), start=1):
+        print(f"{rank}\t{pid}\t{s_w:.6f}\t{s_v:.6f}\t{s:.6f}\t{index.caption_of(pid)}")
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ Queries are always image vectors; question text is never used as a query.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -47,6 +47,8 @@ class RetrievalResult:
     selected: list[tuple[int, float]]
     candidate_pool_size: int
     flagged: bool = False  # pool (or index) smaller than requested r
+    # (s_w, s_v) of each selected pair, in the order of `selected`
+    components: list[tuple[float, float]] = field(default_factory=list)
 
 
 def _prepare_query(query_vec: np.ndarray) -> np.ndarray:
@@ -67,17 +69,12 @@ def search_topr(query_vec, index: EmbeddingIndex, which: str, r: int
     vectors. If r exceeds the index size the whole index is returned."""
     if r < 1:
         raise ContractViolation("search_topr requires r >= 1")
-    if which == "text":
-        family = index.text_vecs
-    elif which == "image":
-        family = index.image_vecs
-    else:
+    if which not in ("text", "image"):
         raise ContractViolation(f"unknown vector family {which!r}")
     n = len(index)
     if n == 0:
         return []
-    q = _prepare_query(query_vec)
-    scores = family.astype(np.float64) @ q
+    scores = index.scores(which, _prepare_query(query_vec))
     k = min(r, n)
     if k < n:
         # superset including every exact tie with the k-th score, so the
@@ -140,7 +137,7 @@ def select_training(pool: list[RetrievalCandidate], r: int, seed: int
     remaining = sorted(pool, key=lambda c: c.pair_id)
     scores = np.array([c.s for c in remaining], dtype=np.float64)
     weights = scores - scores.min() + eps
-    chosen: list[tuple[int, float]] = []
+    chosen: list[RetrievalCandidate] = []
     flagged = len(remaining) < r
     take = min(r, len(remaining))
     idx = list(range(len(remaining)))
@@ -148,9 +145,8 @@ def select_training(pool: list[RetrievalCandidate], r: int, seed: int
         w = weights[idx]
         probs = w / w.sum()
         pick = rng.choice(len(idx), p=probs)
-        j = idx.pop(int(pick))
-        chosen.append((remaining[j].pair_id, remaining[j].s))
-    return RetrievalResult(Mode.TRAIN, chosen, len(pool), flagged)
+        chosen.append(remaining[idx.pop(int(pick))])
+    return _result(Mode.TRAIN, chosen, len(pool), flagged)
 
 
 def select_inference(pool: list[RetrievalCandidate], r: int) -> RetrievalResult:
@@ -158,21 +154,27 @@ def select_inference(pool: list[RetrievalCandidate], r: int) -> RetrievalResult:
     if not pool:
         raise ContractViolation("select_inference requires a nonempty pool")
     ranked = sorted(pool, key=lambda c: (-c.s, c.pair_id))
-    flagged = len(pool) < r
-    chosen = [(c.pair_id, c.s) for c in ranked[:r]]
-    return RetrievalResult(Mode.INFER, chosen, len(pool), flagged)
+    return _result(Mode.INFER, ranked[:r], len(pool), len(pool) < r)
+
+
+def _result(mode: Mode, chosen: list[RetrievalCandidate], pool_size: int,
+            flagged: bool) -> RetrievalResult:
+    return RetrievalResult(mode, [(c.pair_id, c.s) for c in chosen], pool_size,
+                           flagged, [(c.s_w, c.s_v) for c in chosen])
 
 
 def retrieve_by_vector(query_vec, index: EmbeddingIndex, r: int, mode: Mode,
                        seed: int = 0, exclude_pair_id: int | None = None
                        ) -> RetrievalResult:
-    """Dual search + merge + select for an already-projected image vector."""
+    """Dual search + merge + select for an already-projected image vector.
+    A non-unit query is normalized (and counted) once, here."""
     if r == 0:
         return RetrievalResult(mode, [], 0)
-    top_w = search_topr(query_vec, index, "text", r)
-    top_v = search_topr(query_vec, index, "image", r)
+    q = _prepare_query(query_vec)
+    top_w = search_topr(q, index, "text", r)
+    top_v = search_topr(q, index, "image", r)
     pool = merge_candidates(top_w, top_v)
-    pool = complete_scores(pool, query_vec, index)
+    pool = complete_scores(pool, q, index)
     if exclude_pair_id is not None:
         pool = [c for c in pool if c.pair_id != exclude_pair_id]
         if not pool:

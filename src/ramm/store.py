@@ -5,12 +5,14 @@ caption sidecar."""
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import ops
 from .errors import BuildError, FingerprintMismatchError, FormatError, TruncatedFileError
 from .model import ModelConfig, encode_image, encode_text, project_itc, tokenize
 from .ops import Node
@@ -21,7 +23,14 @@ VERSION = 1
 SOURCE_TAGS = {"PMCPM": 0, "ROCO": 1, "MIMIC_CXR": 2, "SYNTH": 3, "OTHER": 4}
 TAG_NAMES = {v: k for k, v in SOURCE_TAGS.items()}
 
-_REC = struct.Struct("<QBQ")  # pair_id, source_tag, caption_offset
+_HEADER = struct.Struct("<HHQQ")  # version, d_proj, count, fingerprint
+_REC = np.dtype([("pair_id", "<u8"), ("source_tag", "u1"), ("offset", "<u8")])
+
+# Rows cast to float64 and scored per block. 2048 rows of d_proj 32 make a
+# 512 KiB block, which stays in L2 between the cast and the product. A power
+# of two, so blocks split the rows where BLAS gemv's row groups do, and the
+# blocked sums equal the whole-family product bit for bit.
+SCORE_BLOCK = 2048
 
 
 def fingerprint_params(params: dict[str, Node], d_proj: int) -> int:
@@ -47,21 +56,48 @@ class EmbeddingIndex:
     text_vecs: np.ndarray         # (n, d_proj) float32
     image_vecs: np.ndarray        # (n, d_proj) float32
     captions: list[str] = field(default_factory=list)
+    # (pair_ids it was built from, rows in ascending pair_id order)
+    _id_order: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __len__(self) -> int:
         return int(self.pair_ids.shape[0])
 
-    def caption_of(self, pair_id: int) -> str:
-        idx = np.nonzero(self.pair_ids == np.uint64(pair_id))[0]
-        if idx.size == 0:
-            raise KeyError(f"pair_id {pair_id} not in index")
-        return self.captions[int(idx[0])]
+    def scores(self, which: str, q: np.ndarray) -> np.ndarray:
+        """Dot product of every `which` vector with float64 `q`, at 64-bit.
+
+        Bit-identical to `family.astype(np.float64) @ q`, but casts one block
+        of rows at a time instead of copying the whole family.
+        """
+        family = {"text": self.text_vecs, "image": self.image_vecs}[which]
+        n = family.shape[0]
+        out = np.empty(n, dtype=np.float64)
+        # numpy computes a one-row product as a dot, not with BLAS gemv, and
+        # its sum can differ in the last bit, so a lone last row joins the
+        # block before it
+        a = 0
+        for b in [*range(SCORE_BLOCK, n - 1, SCORE_BLOCK), n]:
+            np.matmul(family[a:b].astype(np.float64), q, out=out[a:b])
+            a = b
+        return out
+
+    def id_order(self) -> np.ndarray:
+        """Rows sorted by pair_id, built on first use and again whenever
+        `pair_ids` is replaced. An index holds each pair_id once."""
+        if self._id_order is None or self._id_order[0] is not self.pair_ids:
+            self._id_order = (self.pair_ids, np.argsort(self.pair_ids))
+        return self._id_order[1]
 
     def row_of(self, pair_id: int) -> int:
-        idx = np.nonzero(self.pair_ids == np.uint64(pair_id))[0]
-        if idx.size == 0:
+        key = np.uint64(pair_id)
+        order = self.id_order()
+        at = int(np.searchsorted(self.pair_ids, key, sorter=order))
+        if at == order.shape[0] or self.pair_ids[order[at]] != key:
             raise KeyError(f"pair_id {pair_id} not in index")
-        return int(idx[0])
+        return int(order[at])
+
+    def caption_of(self, pair_id: int) -> str:
+        return self.captions[self.row_of(pair_id)]
 
     def checksum(self) -> str:
         h = hashlib.blake2b(digest_size=16)
@@ -86,7 +122,9 @@ def build_store(pairs, params, cfg: ModelConfig, vocab, load_patches=None
 
     `pairs` yields objects with pair_id, source_tag, caption, and either an
     in-memory `patches` array or an `image_ref` resolvable by load_patches.
-    Undecodable pairs are skipped and counted; duplicate ids abort the build.
+    Pairs whose image cannot be read are skipped and counted; duplicate ids
+    abort the build, and an image or caption the encoders reject (a
+    `ShapeError`, say) propagates.
     """
     report = BuildReport()
     ids: list[int] = []
@@ -100,19 +138,16 @@ def build_store(pairs, params, cfg: ModelConfig, vocab, load_patches=None
         if pid in seen:
             raise BuildError(f"duplicate pair_id {pid}")
         seen.add(pid)
-        try:
-            patches = getattr(pair, "patches", None)
-            if patches is None:
+        patches = getattr(pair, "patches", None)
+        if patches is None:
+            try:
                 patches = load_patches(pair.image_ref)
-            token_ids = tokenize(pair.caption, vocab, cfg.max_text_len)
-            w = encode_text(params, cfg, token_ids)
-            v = encode_image(params, cfg, patches)
-        except Exception:
-            report.skipped += 1
-            report.skipped_ids.append(pid)
-            continue
-        from . import ops
-
+            except (OSError, FormatError, TruncatedFileError):
+                report.skipped += 1
+                report.skipped_ids.append(pid)
+                continue
+        w = encode_text(params, cfg, tokenize(pair.caption, vocab, cfg.max_text_len))
+        v = encode_image(params, cfg, patches)
         tvec = project_itc(ops.slice_rows(w, 0, 1), params, "text").value[0]
         ivec = project_itc(ops.slice_rows(v, 0, 1), params, "image").value[0]
         ids.append(pid)
@@ -142,66 +177,79 @@ def save_index(index: EmbeddingIndex, path) -> None:
     """RAMMIDX1: magic | version u16 | d_proj u16 | count u64 | fingerprint
     u64 | count records | text vecs f32 | image vecs f32, all little-endian."""
     path = Path(path)
-    blob = bytearray()
-    offsets = []
-    at = 0
-    for cap in index.captions:
-        offsets.append(at)
-        encoded = cap.encode("utf-8") + b"\n"
-        blob.extend(encoded)
-        at += len(encoded)
+    encoded = [cap.encode("utf-8") + b"\n" for cap in index.captions]
     n = len(index)
+    recs = np.empty(n, dtype=_REC)
+    recs["pair_id"] = index.pair_ids
+    recs["source_tag"] = index.source_tags
+    lengths = np.fromiter(map(len, encoded), dtype=np.uint64, count=n)
+    recs["offset"] = np.cumsum(lengths) - lengths
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<HHQQ", VERSION, index.d_proj, n, index.fingerprint))
-        for i in range(n):
-            f.write(_REC.pack(int(index.pair_ids[i]), int(index.source_tags[i]),
-                              offsets[i]))
-        f.write(index.text_vecs.astype("<f4").tobytes())
-        f.write(index.image_vecs.astype("<f4").tobytes())
-    sidecar_path(path).write_bytes(bytes(blob))
+        f.write(_HEADER.pack(VERSION, index.d_proj, n, index.fingerprint))
+        f.write(recs.data)
+        for vecs in (index.text_vecs, index.image_vecs):
+            f.write(np.ascontiguousarray(vecs, dtype="<f4").data)
+    sidecar_path(path).write_bytes(b"".join(encoded))
+
+
+def _read_captions(path: Path, offsets: np.ndarray) -> list[str]:
+    """The caption at each byte offset of the sidecar: the line starting
+    there, up to the next newline. save_index writes each caption's offset
+    at a line start, so an offset inside a line is a corrupt file."""
+    side = sidecar_path(path)
+    blob = side.read_bytes()
+    newlines = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == ord("\n"))
+    starts = np.concatenate(([0], newlines + 1)).astype(np.uint64)
+    line = np.searchsorted(starts, offsets)
+    if line.size and line.max() >= newlines.size:
+        raise TruncatedFileError(f"{side}: a caption has no terminating newline "
+                                 f"in {len(blob)} bytes")
+    if not np.array_equal(starts[line], offsets):
+        raise FormatError(f"{side}: a caption offset is not at a line start")
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{side}: captions are not UTF-8: {exc}") from exc
+    # a newline byte never occurs inside a UTF-8 sequence, so the decoded
+    # lines are the byte lines
+    return np.array(text.split("\n"), dtype=object)[line].tolist()
 
 
 def load_index(path) -> EmbeddingIndex:
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 8 or raw[:8] != MAGIC:
-        raise FormatError(f"{path}: bad magic")
-    header = struct.Struct("<HHQQ")
-    if len(raw) < 8 + header.size:
-        raise TruncatedFileError(f"{path}: truncated header")
-    version, d_proj, count, fingerprint = header.unpack_from(raw, 8)
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    at = 8 + header.size
-    need = at + count * _REC.size + 2 * count * d_proj * 4
-    if len(raw) < need:
-        raise TruncatedFileError(f"{path}: {len(raw)} bytes, need {need}")
-    ids = np.empty(count, dtype=np.uint64)
-    tags = np.empty(count, dtype=np.uint8)
-    offsets = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        pid, tag, off = _REC.unpack_from(raw, at)
-        ids[i], tags[i], offsets[i] = pid, tag, off
-        at += _REC.size
-    vec_bytes = count * d_proj * 4
-    tvecs = np.frombuffer(raw[at : at + vec_bytes], dtype="<f4").reshape(count, d_proj)
-    at += vec_bytes
-    ivecs = np.frombuffer(raw[at : at + vec_bytes], dtype="<f4").reshape(count, d_proj)
-    blob = sidecar_path(path).read_bytes()
-    captions = []
-    for off in offsets:
-        end = blob.index(b"\n", int(off))
-        captions.append(blob[int(off) : end].decode("utf-8"))
-    return EmbeddingIndex(
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(MAGIC)) != MAGIC:
+            raise FormatError(f"{path}: bad magic")
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TruncatedFileError(f"{path}: truncated header")
+        version, d_proj, count, fingerprint = _HEADER.unpack(head)
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        need = len(MAGIC) + _HEADER.size + count * (_REC.itemsize + 2 * d_proj * 4)
+        if size < need:
+            raise TruncatedFileError(f"{path}: {size} bytes, need {need}")
+        recs = np.fromfile(f, dtype=_REC, count=count)
+        tvecs = np.fromfile(f, dtype="<f4", count=count * d_proj)
+        ivecs = np.fromfile(f, dtype="<f4", count=count * d_proj)
+    if recs["source_tag"].size and recs["source_tag"].max() >= len(TAG_NAMES):
+        raise FormatError(f"{path}: unknown source tag {recs['source_tag'].max()}")
+    index = EmbeddingIndex(
         d_proj=int(d_proj),
         fingerprint=int(fingerprint),
-        pair_ids=ids,
-        source_tags=tags,
-        text_vecs=tvecs.astype(np.float32),
-        image_vecs=ivecs.astype(np.float32),
-        captions=captions,
+        pair_ids=np.ascontiguousarray(recs["pair_id"], dtype=np.uint64),
+        source_tags=np.ascontiguousarray(recs["source_tag"], dtype=np.uint8),
+        text_vecs=tvecs.astype(np.float32, copy=False).reshape(count, d_proj),
+        image_vecs=ivecs.astype(np.float32, copy=False).reshape(count, d_proj),
+        captions=_read_captions(path, recs["offset"]),
     )
+    ids = index.pair_ids[index.id_order()]
+    dups = ids[1:][ids[1:] == ids[:-1]]
+    if dups.size:
+        raise FormatError(f"{path}: duplicate pair_id {int(dups[0])}")
+    return index
 
 
 def verify_fingerprint(index: EmbeddingIndex, params, d_proj: int) -> None:

@@ -75,6 +75,30 @@ def test_retrieve_accepts_projected_vector(pipeline, tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
 
+def test_retrieve_prints_pool_components(pipeline, tmp_path, capsys):
+    """The s_w and s_v columns are each pair's exact similarities to the
+    query, as the retrieval pool scored them, and the caption is the pair's."""
+    from ramm.store import load_index
+
+    vec = np.random.default_rng(3).normal(size=8)
+    vec /= np.linalg.norm(vec)
+    save_tensor(Tensor(vec.astype(np.float32)), tmp_path / "q.ten")
+    assert main(["retrieve", "--index", str(pipeline["index"]),
+                 "--query-tensor", str(tmp_path / "q.ten"), "--r", "3",
+                 "--mode", "train", "--seed", "4"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 3
+    index = load_index(pipeline["index"])
+    q = vec.astype(np.float32).astype(np.float64)
+    for line in lines:
+        _, pid, s_w, s_v, s, caption = line.split("\t")
+        row = index.row_of(int(pid))
+        assert float(s_w) == pytest.approx(index.text_vecs[row].astype(np.float64) @ q, abs=1e-6)
+        assert float(s_v) == pytest.approx(index.image_vecs[row].astype(np.float64) @ q, abs=1e-6)
+        assert float(s) == max(float(s_w), float(s_v))
+        assert caption == index.captions[row]
+
+
 def test_stats_subcommand(pipeline, capsys):
     out = pipeline["root"] / "eval_stats"
     main(["eval", "--checkpoint", str(pipeline["ft"]), "--index",

@@ -1,16 +1,18 @@
 """Retrieval: exact search against brute force, merge semantics, sampling."""
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
 
+from ramm import retrieval
 from ramm.errors import ContractViolation
 from ramm.retrieval import (
     Mode, RetrievalCandidate, complete_scores, merge_candidates,
     retrieve_by_vector, search_topr, select_inference, select_training,
 )
-from ramm.store import EmbeddingIndex
+from ramm.store import SCORE_BLOCK, EmbeddingIndex
 
 
 def _unit_rows(rng, n, d):
@@ -245,3 +247,72 @@ def test_retrieve_clustered_corpus(rng):
                                  Mode.INFER, exclude_pair_id=row + 1)
         same = sum(labels[pid - 1] == labels[row] for pid, _ in res.selected)
         assert same >= 3
+
+
+def test_retrieve_counts_non_unit_query_once(rng, caplog):
+    """One non-unit query is normalized, counted and warned about once, not
+    once per search and once more in complete_scores."""
+    index = _index(rng, 20)
+    before = retrieval.non_unit_query_count
+    with caplog.at_level(logging.WARNING, logger="ramm.retrieval"):
+        res = retrieve_by_vector(3.0 * index.image_vecs[2], index, 2, Mode.INFER)
+    assert retrieval.non_unit_query_count == before + 1
+    assert len([r for r in caplog.records if "norm" in r.getMessage()]) == 1
+    assert res.selected[0][0] == 3
+
+
+# -- blocked scoring against the whole-family product -------------------------------
+
+@pytest.mark.parametrize("n", [SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1,
+                               2 * SCORE_BLOCK + 3])
+def test_block_scores_bit_identical(rng, n):
+    index = _index(rng, n, d=32)
+    q = rng.normal(size=32)
+    q /= np.linalg.norm(q)
+    for which, family in (("text", index.text_vecs), ("image", index.image_vecs)):
+        assert np.array_equal(index.scores(which, q), family.astype(np.float64) @ q)
+
+
+def _oracle_pool(index, q, r, exclude=None):
+    """Brute force over every row: full sort per family by (-score, pair_id),
+    top r of each, both components of each member scored exactly."""
+    s_w = index.text_vecs.astype(np.float64) @ q
+    s_v = index.image_vecs.astype(np.float64) @ q
+    rows = {int(row) for s in (s_w, s_v)
+            for row in np.lexsort((index.pair_ids, -s))[:r]}
+    return [RetrievalCandidate(int(index.pair_ids[row]), s_w=float(s_w[row]),
+                               s_v=float(s_v[row]))
+            for row in sorted(rows) if int(index.pair_ids[row]) != exclude]
+
+
+def test_retrieval_matches_oracle_across_blocks(rng):
+    """Top-r searches and both selection modes over an index of more than two
+    score blocks, in shuffled pair_id order, equal the brute-force oracle."""
+    n = 2 * SCORE_BLOCK + 37
+    index = _index(rng, n, d=16, pair_ids=rng.permutation(n) * 3 + 10)
+    for trial in range(6):
+        # near a stored image in the last, partial block, or anywhere
+        q = index.image_vecs[n - 1 - trial].astype(np.float64) + 0.3 * rng.normal(size=16)
+        q /= np.linalg.norm(q)
+        for r in (1, 4):
+            for which, family in (("text", index.text_vecs), ("image", index.image_vecs)):
+                got = search_topr(q, index, which, r)
+                scores = family.astype(np.float64) @ q
+                want = np.lexsort((index.pair_ids, -scores))[:r]
+                assert [c.pair_id for c in got] == index.pair_ids[want].tolist()
+                assert [c.s_w if which == "text" else c.s_v for c in got] == (
+                    scores[want].tolist())
+            exclude = int(index.pair_ids[n - 1 - trial]) if trial % 2 else None
+            pool = _oracle_pool(index, q, r, exclude)
+            infer = retrieve_by_vector(q, index, r, Mode.INFER, exclude_pair_id=exclude)
+            want = select_inference(pool, r)
+            assert [pid for pid, _ in infer.selected] == [pid for pid, _ in want.selected]
+            assert infer.candidate_pool_size == len(pool)
+            train = retrieve_by_vector(q, index, r, Mode.TRAIN, seed=trial,
+                                       exclude_pair_id=exclude)
+            want = select_training(pool, r, trial)
+            assert [pid for pid, _ in train.selected] == [pid for pid, _ in want.selected]
+            for res, ref in ((infer, select_inference(pool, r)), (train, want)):
+                assert [s for _, s in res.selected] == pytest.approx(
+                    [s for _, s in ref.selected], abs=1e-12)
+                assert np.allclose(res.components, ref.components, atol=1e-12)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ramm.errors import FingerprintMismatchError, FormatError, TruncatedFileError
 from ramm.store import (
@@ -104,6 +106,108 @@ def test_index_truncated(tmp_path, rng):
     (tmp_path / "i.idx").write_bytes(raw[: len(raw) // 2])
     with pytest.raises(TruncatedFileError):
         load_index(tmp_path / "i.idx")
+
+
+def _saved(tmp_path, index):
+    save_index(index, tmp_path / "i.idx")
+    return tmp_path / "i.idx", sidecar_path(tmp_path / "i.idx")
+
+
+def test_index_truncated_sidecar(tmp_path, rng):
+    path, side = _saved(tmp_path, _random_index(rng, n=10))
+    side.write_bytes(side.read_bytes()[:-5])
+    with pytest.raises(TruncatedFileError):
+        load_index(path)
+
+
+def test_index_caption_not_utf8(tmp_path, rng):
+    path, side = _saved(tmp_path, _random_index(rng, n=10))
+    raw = bytearray(side.read_bytes())
+    raw[3] = 0xFF
+    side.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_index(path)
+
+
+def test_index_duplicate_pair_id(tmp_path, rng):
+    index = _random_index(rng, n=10)
+    index.pair_ids[7] = index.pair_ids[2]
+    path, _ = _saved(tmp_path, index)
+    with pytest.raises(FormatError, match="duplicate pair_id 3"):
+        load_index(path)
+
+
+def test_index_unknown_source_tag(tmp_path, rng):
+    index = _random_index(rng, n=10)
+    index.source_tags[4] = 200
+    path, _ = _saved(tmp_path, index)
+    with pytest.raises(FormatError, match="source tag"):
+        load_index(path)
+
+
+def test_index_roundtrip_shuffled_ids_and_lookup(tmp_path, rng):
+    index = _random_index(rng, n=50)
+    index.pair_ids = rng.permutation(np.arange(100, 150, dtype=np.uint64))
+    index.captions[3] = "unicode caption: µm ülcer — 5×"
+    index.captions[4] = ""
+    back = load_index(_saved(tmp_path, index)[0])
+    assert back.checksum() == index.checksum()
+    for row in (0, 3, 4, 49):
+        pid = int(index.pair_ids[row])
+        assert back.row_of(pid) == row
+        assert back.caption_of(pid) == index.captions[row]
+
+
+def test_index_multiline_caption_loads_first_line(tmp_path, rng):
+    """The sidecar is newline-separated: a caption holding a newline reads
+    back up to it, and the captions after it are unaffected."""
+    index = _random_index(rng, n=4)
+    index.captions[1] = "first line\nsecond line"
+    back = load_index(_saved(tmp_path, index)[0])
+    assert back.captions == [index.captions[0], "first line", *index.captions[2:]]
+
+
+def test_index_caption_offset_inside_line(tmp_path, rng):
+    path, _ = _saved(tmp_path, _random_index(rng, n=4))
+    raw = bytearray(path.read_bytes())
+    raw[28 + 17 + 9] += 2          # the second record's caption offset
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="line start"):
+        load_index(path)
+
+
+def test_index_empty_roundtrip(tmp_path, rng):
+    index = _random_index(rng, n=0)
+    back = load_index(_saved(tmp_path, index)[0])
+    assert len(back) == 0 and back.captions == []
+    assert back.text_vecs.shape == (0, index.d_proj)
+
+
+_FUZZ_INDEX = _random_index(np.random.default_rng(5), n=6, d_proj=3)
+
+
+@given(target=st.sampled_from(["index", "sidecar"]),
+       flip=st.booleans(), at=st.floats(min_value=0, max_value=1, exclude_max=True),
+       mask=st.integers(min_value=1, max_value=255))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_index_fuzz_named_errors_only(tmp_path, target, flip, at, mask):
+    """RAMMIDX1 or sidecar bytes with one byte flipped, or cut at any point,
+    either load or raise FormatError/TruncatedFileError, nothing else."""
+    path, side = _saved(tmp_path, _FUZZ_INDEX)
+    victim = path if target == "index" else side
+    raw = bytearray(victim.read_bytes())
+    pos = int(at * len(raw))
+    if flip:
+        raw[pos] ^= mask
+    else:
+        del raw[pos:]
+    victim.write_bytes(bytes(raw))
+    try:
+        back = load_index(path)
+    except (FormatError, TruncatedFileError):
+        return
+    assert len(back.captions) == len(back) == back.text_vecs.shape[0]
 
 
 def test_index_fingerprint_guard(tmp_path, rng):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ramm.errors import BuildError
+from ramm.errors import BuildError, ShapeError
 from ramm.model import Vocab
 from ramm.store import build_store
 
@@ -85,6 +85,15 @@ def test_build_skips_undecodable(vocab, rng):
     assert len(index) == 3
 
 
+def test_build_shape_mismatch_raises(vocab, rng):
+    """An image of the wrong patch width is a configuration fault, not an
+    unreadable image: it raises instead of leaving an empty index."""
+    cfg = micro_config(d_patch=4)
+    pairs = _pairs(micro_config(d_patch=5), rng, 3)
+    with pytest.raises(ShapeError):
+        build_store(pairs, micro_params(cfg), cfg, vocab)
+
+
 def test_index_lookup_and_immutability(vocab, rng):
     cfg = micro_config()
     index, _ = build_store(_pairs(cfg, rng, 5), micro_params(cfg), cfg, vocab)
@@ -94,3 +103,18 @@ def test_index_lookup_and_immutability(vocab, rng):
     with pytest.raises(KeyError):
         index.row_of(999)
     assert index.checksum() == before
+
+
+def test_lookup_shuffled_ids_and_replaced_ids(vocab, rng):
+    """row_of resolves ids stored in any order, and follows a replaced
+    pair_ids array."""
+    cfg = micro_config()
+    index, _ = build_store(_pairs(cfg, rng, 6), micro_params(cfg), cfg, vocab)
+    index.pair_ids = np.array([40, 7, 93, 12, 5, 61], dtype=np.uint64)
+    assert [index.row_of(pid) for pid in (5, 7, 12, 40, 61, 93)] == [4, 1, 3, 0, 5, 2]
+    assert index.caption_of(93) == index.captions[2]
+    for missing in (0, 6, 94, 2**64 - 1):
+        with pytest.raises(KeyError):
+            index.row_of(missing)
+    index.pair_ids = index.pair_ids[::-1].copy()
+    assert index.row_of(40) == 5
