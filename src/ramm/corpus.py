@@ -120,7 +120,8 @@ def pair_figures(doc: ArticleDocument,
         pairs.append(ImageTextPair(
             pair_id=pair_id_for(doc.article_id, figure_id),
             article_id=doc.article_id,
-            caption=caption.strip(),
+            # one line: the index's caption sidecar is newline-separated
+            caption=" ".join(caption.split()),
             image_ref=image_ref,
         ))
     return pairs

@@ -12,10 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ops
 from .errors import BuildError, FingerprintMismatchError, FormatError, TruncatedFileError
-from .model import ModelConfig, encode_image, encode_text, project_itc, tokenize
-from .ops import Node
+from .model import ModelConfig, cls_rows, encode_image, encode_text, project_itc, tokenize
+from .ops import Node, ShapeError
 
 MAGIC = b"RAMMIDX1"
 VERSION = 1
@@ -31,6 +30,10 @@ _REC = np.dtype([("pair_id", "<u8"), ("source_tag", "u1"), ("offset", "<u8")])
 # of two, so blocks split the rows where BLAS gemv's row groups do, and the
 # blocked sums equal the whole-family product bit for bit.
 SCORE_BLOCK = 2048
+
+# items per inference graph (index building, evaluation); bounds the memory
+# of a pass over a large corpus or split
+EVAL_BATCH = 64
 
 
 def fingerprint_params(params: dict[str, Node], d_proj: int) -> int:
@@ -118,7 +121,8 @@ class BuildReport:
 
 def build_store(pairs, params, cfg: ModelConfig, vocab, load_patches=None
                 ) -> tuple[EmbeddingIndex, BuildReport]:
-    """Encode every corpus pair once with frozen encoders (dropout off).
+    """Encode every corpus pair once with frozen encoders (dropout off),
+    EVAL_BATCH pairs per graph.
 
     `pairs` yields objects with pair_id, source_tag, caption, and either an
     in-memory `patches` array or an `image_ref` resolvable by load_patches.
@@ -127,44 +131,47 @@ def build_store(pairs, params, cfg: ModelConfig, vocab, load_patches=None
     `ShapeError`, say) propagates.
     """
     report = BuildReport()
-    ids: list[int] = []
-    tags: list[int] = []
-    captions: list[str] = []
-    tvecs: list[np.ndarray] = []
-    ivecs: list[np.ndarray] = []
+    kept, patches = [], []
     seen: set[int] = set()
     for pair in pairs:
         pid = int(pair.pair_id)
         if pid in seen:
             raise BuildError(f"duplicate pair_id {pid}")
         seen.add(pid)
-        patches = getattr(pair, "patches", None)
-        if patches is None:
+        p = getattr(pair, "patches", None)
+        if p is None:
             try:
-                patches = load_patches(pair.image_ref)
+                p = load_patches(pair.image_ref)
             except (OSError, FormatError, TruncatedFileError):
                 report.skipped += 1
                 report.skipped_ids.append(pid)
                 continue
-        w = encode_text(params, cfg, tokenize(pair.caption, vocab, cfg.max_text_len))
-        v = encode_image(params, cfg, patches)
-        tvec = project_itc(ops.slice_rows(w, 0, 1), params, "text").value[0]
-        ivec = project_itc(ops.slice_rows(v, 0, 1), params, "image").value[0]
-        ids.append(pid)
-        tags.append(SOURCE_TAGS.get(pair.source_tag, SOURCE_TAGS["OTHER"]))
-        captions.append(pair.caption)
-        tvecs.append(np.asarray(tvec, dtype=np.float32))
-        ivecs.append(np.asarray(ivec, dtype=np.float32))
-        report.encoded += 1
-    n = len(ids)
+        # checked before stacking, where ragged patches raise a bare ValueError
+        if np.shape(p) != (cfg.n_patches, cfg.d_patch):
+            raise ShapeError(f"pair_id {pid}: patches {np.shape(p)} != "
+                             f"configured {(cfg.n_patches, cfg.d_patch)}")
+        kept.append(pair)
+        patches.append(p)
+    n = report.encoded = len(kept)
+    tvecs = np.empty((n, cfg.d_proj), dtype=np.float32)
+    ivecs = np.empty((n, cfg.d_proj), dtype=np.float32)
+    for a in range(0, n, EVAL_BATCH):
+        chunk = slice(a, a + EVAL_BATCH)
+        w = encode_text(params, cfg, [tokenize(pair.caption, vocab, cfg.max_text_len)
+                                      for pair in kept[chunk]])
+        v = encode_image(params, cfg, np.stack(patches[chunk]))
+        tvecs[chunk] = project_itc(cls_rows(w), params, "text").value
+        ivecs[chunk] = project_itc(cls_rows(v), params, "image").value
     index = EmbeddingIndex(
         d_proj=cfg.d_proj,
         fingerprint=fingerprint_params(params, cfg.d_proj),
-        pair_ids=np.asarray(ids, dtype=np.uint64),
-        source_tags=np.asarray(tags, dtype=np.uint8),
-        text_vecs=np.asarray(tvecs, dtype=np.float32).reshape(n, cfg.d_proj),
-        image_vecs=np.asarray(ivecs, dtype=np.float32).reshape(n, cfg.d_proj),
-        captions=captions,
+        pair_ids=np.asarray([int(pair.pair_id) for pair in kept], dtype=np.uint64),
+        source_tags=np.asarray(
+            [SOURCE_TAGS.get(pair.source_tag, SOURCE_TAGS["OTHER"]) for pair in kept],
+            dtype=np.uint8),
+        text_vecs=tvecs,
+        image_vecs=ivecs,
+        captions=[pair.caption for pair in kept],
     )
     return index, report
 

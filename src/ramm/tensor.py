@@ -7,6 +7,7 @@ central differences are unreliable in single precision.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Callable
@@ -77,7 +78,10 @@ def load_tensor(path: str | Path) -> Tensor:
     if len(raw) < need:
         raise TruncatedFileError(f"{path}: truncated dimension table")
     dims = struct.unpack(f"<{rank}Q", raw[10:need])
-    count = int(np.prod(dims)) if dims else 1
+    if 0 in dims:
+        raise FormatError(f"{path}: zero dimension in {dims}")
+    # exact integers: a corrupt dimension can overflow a 64-bit product
+    count = math.prod(dims)
     payload = raw[need:]
     if len(payload) < count * prec:
         raise TruncatedFileError(
@@ -85,7 +89,10 @@ def load_tensor(path: str | Path) -> Tensor:
         )
     dtype = np.dtype(_DTYPES[prec]).newbyteorder("<")
     arr = np.frombuffer(payload[: count * prec], dtype=dtype).reshape(dims)
-    return Tensor(arr.astype(_DTYPES[prec]))
+    try:
+        return Tensor(arr.astype(_DTYPES[prec]))
+    except RammError as exc:  # a non-finite value
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def finite_difference_gradient(

@@ -29,7 +29,7 @@ from .objectives import (
 )
 from .retrieval import Mode, retrieve_by_vector
 from .store import (
-    TAG_NAMES, build_store, load_index, save_index, verify_fingerprint,
+    EVAL_BATCH, TAG_NAMES, build_store, load_index, save_index, verify_fingerprint,
 )
 from .synthetic import VQAItem, load_corpus, load_vqa_items
 from .tensor import load_tensor
@@ -187,16 +187,27 @@ def build_index_cmd(checkpoint_dir, data_dir, out_path) -> Path:
 # Fine-tuning
 
 
-class UnimodalCache:
-    """Frozen-encoder states (inference mode), computed once per payload and
-    a batch of payloads at a time. An image is read from disk only when its
-    states are not cached yet."""
+class Stage:
+    """The checkpoint, verified index, answer vocabulary, split items and
+    corpus that fine-tuning and evaluation start from, plus frozen-encoder
+    states (inference mode), computed once per payload and a batch of
+    payloads at a time. An image is read only when its states are not cached."""
 
-    def __init__(self, params, mcfg: ModelConfig, vocab: Vocab, data_dir):
-        self.params = params
-        self.mcfg = mcfg
-        self.vocab = vocab
+    def __init__(self, checkpoint_dir, index_path, data_dir, split: str,
+                 weights: str = "weights"):
+        self.params, self.mcfg = load_checkpoint(checkpoint_dir, weights)
+        self.index = load_index(index_path)
+        verify_fingerprint(self.index, self.params, self.mcfg.d_proj)
         self.data_dir = Path(data_dir)
+        self.vocab = Vocab.load(self.data_dir / "vocab.txt")
+        answers = self.data_dir / "answers.txt"
+        if not answers.exists():
+            raise MissingArtifactError(f"no answer vocabulary at {answers}")
+        self.answers = answers.read_text(encoding="utf-8").splitlines()
+        if self.mcfg.n_answers != len(self.answers):
+            raise ConfigError(f"checkpoint expects {self.mcfg.n_answers} answers, "
+                              f"data has {len(self.answers)}")
+        self.items = load_vqa_items(self.data_dir / f"vqa_{split}.jsonl")
         pairs, self.load_patches = load_corpus(self.data_dir)
         self.pair_by_id = {p.pair_id: p for p in pairs}
         self._texts: dict[str, np.ndarray] = {}
@@ -226,19 +237,21 @@ class UnimodalCache:
         return self.images([it.image_ref for it in items],
                            lambda ref: load_tensor(self.data_dir / ref).array)
 
+    def query_vecs(self, items: list[VQAItem]) -> np.ndarray:
+        """(len(items), d_proj) retrieval query vectors: each item's image
+        CLS state through the frozen ITC image projection."""
+        cls = np.stack([v[0] for v in self.item_images(items)])
+        return project_itc(ops.constant(cls), self.params, "image").value
+
     def streams(self, items: list[VQAItem], selected: list[list[int]]) -> StreamBatch:
         """The fusion streams of a batch of items; selected[b] lists the
         pair ids that item b retrieved."""
         originals = list(zip(self.texts([it.question for it in items]),
                              self.item_images(items)))
         pairs = [self.pair_by_id[pid] for pids in selected for pid in pids]
-        states = list(zip(self.texts([p.caption for p in pairs]),
+        states = iter(zip(self.texts([p.caption for p in pairs]),
                           self.images([p.image_ref for p in pairs], self.load_patches)))
-        retrieved, at = [], 0
-        for pids in selected:
-            retrieved.append(states[at : at + len(pids)])
-            at += len(pids)
-        return batch_streams(originals, retrieved)
+        return batch_streams(originals, [[next(states) for _ in pids] for pids in selected])
 
 
 def answer_logits(params, mcfg: ModelConfig, text0: ops.Node, image0: ops.Node,
@@ -248,13 +261,6 @@ def answer_logits(params, mcfg: ModelConfig, text0: ops.Node, image0: ops.Node,
     wl, vl = fuse(params, mcfg, text0, image0, streams.retrieved, dctx,
                   streams.text_masks, streams.stream_mask)
     return vqa_head(params, cls_rows(wl), cls_rows(vl))
-
-
-def _load_answers(data_dir) -> list[str]:
-    path = Path(data_dir) / "answers.txt"
-    if not path.exists():
-        raise MissingArtifactError(f"no answer vocabulary at {path}")
-    return path.read_text(encoding="utf-8").splitlines()
 
 
 def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
@@ -272,26 +278,15 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     """
     if r < 0:
         raise ConfigError("r must be non-negative")
-    data_dir = Path(data_dir)
-    params, mcfg = load_checkpoint(checkpoint_dir)
-    index = load_index(index_path)
-    verify_fingerprint(index, params, mcfg.d_proj)
-    vocab = Vocab.load(data_dir / "vocab.txt")
-    answers = _load_answers(data_dir)
-    if mcfg.n_answers != len(answers):
-        raise ConfigError(
-            f"checkpoint expects {mcfg.n_answers} answers, data has {len(answers)}")
-    answer_id = {a: i for i, a in enumerate(answers)}
-    items = load_vqa_items(data_dir / "vqa_train.jsonl")
+    stage = Stage(checkpoint_dir, index_path, data_dir, "train")
+    params, mcfg, index, items = stage.params, stage.mcfg, stage.index, stage.items
+    answer_id = {a: i for i, a in enumerate(stage.answers)}
 
     reinit_group(params, "vqa.", _sub_seed(tcfg.seed, "vqa-head"))
-    cache = UnimodalCache(params, mcfg, vocab, data_dir)
-    # frozen retrieval query vector of every item
-    item_cls = np.stack([v[0] for v in cache.item_images(items)])
-    item_qvec = project_itc(ops.constant(item_cls), params, "image").value
+    item_qvec = stage.query_vecs(items)
     if train_unimodal:
-        item_tokens = [tokenize(it.question, vocab, mcfg.max_text_len) for it in items]
-        item_patches = np.stack([load_tensor(data_dir / it.image_ref).array
+        item_tokens = [tokenize(it.question, stage.vocab, mcfg.max_text_len) for it in items]
+        item_patches = np.stack([load_tensor(stage.data_dir / it.image_ref).array
                                  for it in items])
 
     trainable = None if train_unimodal else ("fuse.", "vqa.")
@@ -318,7 +313,7 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
                         q, index, r, Mode.TRAIN,
                         seed=_sub_seed(tcfg.seed, "select", step, it.item_id)).selected]
                     for it, q in zip(batch, item_qvec[idx])]
-            streams = cache.streams(batch, selected)
+            streams = stage.streams(batch, selected)
             if train_unimodal:
                 # live encoder forward so gradients reach the encoders
                 text_in = encode_text(params, mcfg, [item_tokens[i] for i in idx])
@@ -401,10 +396,6 @@ class EvalReport:
         )
 
 
-# items per evaluation graph; bounds the memory of a pass over a large split
-EVAL_BATCH = 64
-
-
 def _acc(flags: list[bool]) -> float:
     return float(np.mean(flags)) if flags else 0.0
 
@@ -413,15 +404,10 @@ def evaluate(checkpoint_dir, index_path, data_dir, r: int, split: str = "test",
              use_ema: bool = True, out_dir=None, seed: int = 0):
     """Deterministic inference-mode evaluation; returns report and details.
     Items are scored EVAL_BATCH at a time, one graph per batch."""
-    data_dir = Path(data_dir)
     use_ema = use_ema and (Path(checkpoint_dir) / "weights_ema").exists()
-    params, mcfg = load_checkpoint(checkpoint_dir, "weights_ema" if use_ema else "weights")
-    index = load_index(index_path)
-    verify_fingerprint(index, params, mcfg.d_proj)
-    vocab = Vocab.load(data_dir / "vocab.txt")
-    answers = _load_answers(data_dir)
-    items = load_vqa_items(data_dir / f"vqa_{split}.jsonl")
-    cache = UnimodalCache(params, mcfg, vocab, data_dir)
+    stage = Stage(checkpoint_dir, index_path, data_dir, split,
+                  "weights_ema" if use_ema else "weights")
+    params, mcfg, index, items = stage.params, stage.mcfg, stage.index, stage.items
 
     details = []
     correct_flags, closed_flags, open_flags, req_flags, notreq_flags = [], [], [], [], []
@@ -429,23 +415,19 @@ def evaluate(checkpoint_dir, index_path, data_dir, r: int, split: str = "test",
         batch = items[b0 : b0 + EVAL_BATCH]
         selected: list[list[tuple[int, float]]] = [[] for _ in batch]
         if r > 0:
-            item_cls = np.stack([v[0] for v in cache.item_images(batch)])
-            qvecs = project_itc(ops.constant(item_cls), params, "image").value
             selected = [retrieve_by_vector(q, index, r, Mode.INFER).selected
-                        for q in qvecs]
-        streams = cache.streams(batch, [[pid for pid, _ in sel] for sel in selected])
+                        for q in stage.query_vecs(batch)]
+        streams = stage.streams(batch, [[pid for pid, _ in sel] for sel in selected])
         logits = answer_logits(params, mcfg, ops.constant(streams.texts[0]),
                                ops.constant(streams.images[0]), streams)
         for it, sel, row in zip(batch, selected, logits.value):
-            retrieved = []
-            for pid, s in sel:
-                retrieved.append({
-                    "pair_id": pid,
-                    "source": TAG_NAMES[int(index.source_tags[index.row_of(pid)])],
-                    "caption": cache.pair_by_id[pid].caption,
-                    "s": s,
-                })
-            pred = answers[int(np.argmax(row))]
+            retrieved = [{
+                "pair_id": pid,
+                "source": TAG_NAMES[int(index.source_tags[index.row_of(pid)])],
+                "caption": stage.pair_by_id[pid].caption,
+                "s": s,
+            } for pid, s in sel]
+            pred = stage.answers[int(np.argmax(row))]
             ok = pred == it.answer
             correct_flags.append(ok)
             (closed_flags if it.closed else open_flags).append(ok)

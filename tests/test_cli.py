@@ -183,3 +183,23 @@ def test_config_file_defaults(pipeline, tmp_path, capsys):
                  str(pipeline["index"]), "--query-tensor", str(query),
                  "--checkpoint", str(pipeline["ckpt"])]) == EXIT_OK
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+
+def test_eval_answer_vocabulary_mismatch(pipeline, tmp_path, capsys):
+    """A checkpoint sized for more answers than answers.txt holds is a
+    configuration error in evaluate, as in finetune."""
+    import shutil
+
+    from ramm.errors import ConfigError
+    from ramm.train import evaluate
+
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    answers = (data / "answers.txt").read_text().splitlines()
+    (data / "answers.txt").write_text("\n".join(answers[:-1]) + "\n")
+    with pytest.raises(ConfigError, match="answers"):
+        evaluate(pipeline["ft"], pipeline["index"], data, 2)
+    assert main(["eval", "--checkpoint", str(pipeline["ft"]), "--index",
+                 str(pipeline["index"]), "--data", str(data),
+                 "--r", "2"]) == EXIT_CONFIG
+    assert "answers" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ramm.corpus import (
@@ -132,3 +133,31 @@ def test_read_articles_rejects_duplicate_figures(tmp_path):
     report = run_harvest(tmp_path, tmp_path / "out")
     assert report.articles_failed == 1
     assert report.pairs_emitted == 0
+
+
+def test_multiline_caption_survives_harvest_and_index(tmp_path):
+    """A harvested caption that spans lines reaches the index as one line
+    and round-trips through save_index/load_index exactly."""
+    from ramm.model import Vocab
+    from ramm.store import build_store, load_index, save_index
+
+    from conftest import micro_config, micro_params
+
+    doc = _doc()
+    doc.figures[0] = ("f1", "  chest radiograph\nshowing right\r\n\tpleural effusion ",
+                      "img/a1_f1.ten")
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    _write_articles(in_dir / "a.jsonl", [doc])
+    run_harvest(in_dir, tmp_path / "out")
+    pairs = read_pairs_jsonl(tmp_path / "out" / "pairs.jsonl")
+    assert pairs[0].caption == "chest radiograph showing right pleural effusion"
+
+    cfg = micro_config()
+    patches = np.ones((cfg.n_patches, cfg.d_patch))
+    index, _ = build_store(pairs, micro_params(cfg), cfg, Vocab(["chest"]),
+                           lambda ref: patches)
+    save_index(index, tmp_path / "i.idx")
+    back = load_index(tmp_path / "i.idx")
+    assert back.captions == [p.caption for p in pairs]
+    assert back.checksum() == index.checksum()

@@ -64,6 +64,47 @@ def test_tensor_truncated(tmp_path, rng):
         load_tensor(tmp_path / "t.ten")
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw.__setitem__(10 + 8 + 7, raw[10 + 8 + 7] ^ 0x40),  # dim 1 overflows
+    lambda raw: raw.__setitem__(slice(10 + 8, 10 + 16), bytes(8)),     # dim 1 is zero
+    lambda raw: raw.__setitem__(slice(34 + 6, 34 + 8), b"\xf0\x7f"),  # an inf or NaN
+])
+def test_tensor_corrupt_dims_or_payload(tmp_path, rng, corrupt):
+    save_tensor(Tensor(rng.normal(size=(3, 4, 2))), tmp_path / "t.ten")
+    raw = bytearray((tmp_path / "t.ten").read_bytes())
+    corrupt(raw)
+    (tmp_path / "t.ten").write_bytes(bytes(raw))
+    with pytest.raises((FormatError, TruncatedFileError)):
+        load_tensor(tmp_path / "t.ten")
+
+
+_FUZZ_TENSOR = np.random.default_rng(6).normal(size=(3, 4, 2))
+
+
+@given(dtype=st.sampled_from([np.float32, np.float64]), flip=st.booleans(),
+       at=st.floats(min_value=0, max_value=1, exclude_max=True),
+       mask=st.integers(min_value=1, max_value=255))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_tensor_fuzz_named_errors_only(tmp_path, dtype, flip, at, mask):
+    """RAMMTEN1 bytes with one byte flipped, or cut at any point, either load
+    or raise FormatError/TruncatedFileError, nothing else."""
+    path = tmp_path / "t.ten"
+    save_tensor(_FUZZ_TENSOR.astype(dtype), path)
+    raw = bytearray(path.read_bytes())
+    pos = int(at * len(raw))
+    if flip:
+        raw[pos] ^= mask
+    else:
+        del raw[pos:]
+    path.write_bytes(bytes(raw))
+    try:
+        back = load_tensor(path)
+    except (FormatError, TruncatedFileError):
+        return
+    assert back.array.size >= 1 and np.all(np.isfinite(back.array))
+
+
 def test_index_roundtrip_bit_exact(tmp_path, rng):
     index = _random_index(rng)
     save_index(index, tmp_path / "i.idx")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ramm.errors import BuildError, ShapeError
-from ramm.model import Vocab
-from ramm.store import build_store
+from ramm.model import Vocab, cls_rows, encode_image, encode_text, project_itc, tokenize
+from ramm.store import EVAL_BATCH, build_store
 
 from conftest import micro_config, micro_params
 
@@ -118,3 +118,42 @@ def test_lookup_shuffled_ids_and_replaced_ids(vocab, rng):
             index.row_of(missing)
     index.pair_ids = index.pair_ids[::-1].copy()
     assert index.row_of(40) == 5
+
+
+def test_batched_build_matches_per_pair_reference(vocab, rng):
+    """Across a chunk boundary, with captions of every length (an empty one
+    too) and one unreadable image, the batched build equals one encoder pass
+    per pair and keeps the skip accounting in input order."""
+    cfg = micro_config()
+    params = micro_params(cfg)
+    pairs = _pairs(cfg, rng, EVAL_BATCH + 2)
+    for i, pair in enumerate(pairs):
+        pair.caption = " ".join(f"w{(i + k) % 10}" for k in range(i % (cfg.max_text_len + 2)))
+    assert pairs[0].caption == ""
+    unreadable = pairs[30]
+    unreadable.patches, unreadable.image_ref = None, "missing.ten"
+
+    def load_patches(ref):
+        raise FileNotFoundError(ref)
+
+    index, report = build_store(pairs, params, cfg, vocab, load_patches)
+    assert report.encoded == EVAL_BATCH + 1 and report.skipped == 1
+    assert report.skipped_ids == [unreadable.pair_id]
+    kept = [p for p in pairs if p is not unreadable]
+    assert index.pair_ids.tolist() == [p.pair_id for p in kept]
+    assert index.captions == [p.caption for p in kept]
+    for row, pair in enumerate(kept):
+        w = encode_text(params, cfg, tokenize(pair.caption, vocab, cfg.max_text_len))
+        v = encode_image(params, cfg, pair.patches)
+        tvec = project_itc(cls_rows(w), params, "text").value[0].astype(np.float32)
+        ivec = project_itc(cls_rows(v), params, "image").value[0].astype(np.float32)
+        assert np.abs(index.text_vecs[row] - tvec).max() < 1e-10
+        assert np.abs(index.image_vecs[row] - ivec).max() < 1e-10
+
+
+def test_build_patch_count_mismatch_names_pair(vocab, rng):
+    cfg = micro_config()
+    pairs = _pairs(cfg, rng, 3)
+    pairs[1].patches = rng.normal(size=(cfg.n_patches + 1, cfg.d_patch))
+    with pytest.raises(ShapeError, match=f"pair_id {pairs[1].pair_id}"):
+        build_store(pairs, micro_params(cfg), cfg, vocab)
