@@ -11,12 +11,13 @@ Exit codes: 0 ok, 2 missing artifact, 3 index fingerprint mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from .errors import (
     ConfigError, FingerprintMismatchError, FormatError, MissingArtifactError,
-    RammError, TruncatedFileError,
+    RammError, ShapeError, TruncatedFileError,
 )
 
 EXIT_OK = 0
@@ -28,6 +29,17 @@ EXIT_FORMAT = 5
 EXIT_CONFIG = 6
 
 VALID_SWEEP_R = (0, 1, 2, 4, 8)
+
+
+def _config_defaults(argv: list[str]) -> dict[str, str]:
+    """The values of the config file that --config names in argv, or {}."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        known, _ = pre.parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ConfigError("--config needs a file path") from exc
+    return {} if known.config is None else _load_config_file(known.config)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -86,10 +98,41 @@ def _train_config(args):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ramm")
+def _coerce(action: argparse.Action, raw: str):
+    if action.type is not None:
+        try:
+            return action.type(raw)
+        except ValueError as exc:
+            raise ConfigError(f"config value {action.dest} = {raw!r}: {exc}") from exc
+    if isinstance(action.const, bool):
+        return raw.lower() in ("1", "true", "yes")
+    return raw
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose flags named in `config` (dest -> raw value)
+    take the coerced value as their default and are no longer required."""
+
+    def __init__(self, *args, config: dict[str, str], **kwargs):
+        self.config = config        # before __init__, which adds -h
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.dest in self.config:
+            action.default = _coerce(action, self.config[action.dest])
+            action.required = False
+        return action
+
+
+def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; `defaults` (flag dest -> raw value, as in a config
+    file) replace the built-in flag defaults."""
+    defaults = defaults or {}
+    parser = _Parser(prog="ramm", config=defaults, allow_abbrev=False)
     parser.add_argument("--config", help="flat key=value file; flags override")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=functools.partial(_Parser, config=defaults))
 
     p = sub.add_parser("gen-synth", help="generate a synthetic corpus and VQA splits")
     p.add_argument("--out", required=True)
@@ -216,8 +259,11 @@ def _cmd_pretrain(args) -> int:
 def _cmd_build_index(args) -> int:
     from .train import build_index_cmd
 
-    out = build_index_cmd(args.checkpoint, args.data, args.out)
-    print(f"index written to {out}")
+    report = build_index_cmd(args.checkpoint, args.data, args.out)
+    print(f"index written to {args.out}: {report.encoded} pairs encoded, "
+          f"{report.skipped} skipped")
+    if report.skipped_ids:
+        print("skipped (image unreadable): " + " ".join(map(str, report.skipped_ids)))
     return EXIT_OK
 
 
@@ -252,11 +298,11 @@ def _cmd_retrieve(args) -> int:
     if args.r < 0:
         print("invalid r: must be non-negative", file=sys.stderr)
         return EXIT_BAD_R
-    from . import ops
-    from .model import project_itc, encode_image
+    from .model import cls_rows, encode_image, project_itc
     from .retrieval import Mode, retrieve_by_vector
-    from .store import load_index
+    from .store import load_index, verify_fingerprint
     from .tensor import load_tensor
+    from .train import load_checkpoint
 
     index = load_index(args.index)
     query = load_tensor(args.query_tensor).array
@@ -266,14 +312,14 @@ def _cmd_retrieve(args) -> int:
         if not args.checkpoint:
             raise ConfigError(
                 "query tensor is not a d_proj vector; pass --checkpoint to encode it")
-        from .train import load_checkpoint
-
         params, mcfg = load_checkpoint(args.checkpoint)
-        from .store import verify_fingerprint
-
         verify_fingerprint(index, params, mcfg.d_proj)
-        v = encode_image(params, mcfg, query)
-        qvec = project_itc(ops.slice_rows(v, 0, 1), params, "image").value[0]
+        expected = (mcfg.n_patches, mcfg.d_patch)
+        if query.shape != expected:
+            raise ShapeError(f"query tensor {args.query_tensor} has shape {query.shape}; "
+                             f"the checkpoint's patch grid and patch dim need {expected}")
+        qvec = project_itc(cls_rows(encode_image(params, mcfg, query)),
+                           params, "image").value[0]
     mode = Mode.TRAIN if args.mode == "train" else Mode.INFER
     result = retrieve_by_vector(qvec, index, args.r, mode, seed=args.seed)
     for rank, ((pid, s), (s_w, s_v)) in enumerate(
@@ -326,24 +372,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # pre-scan for a config file so its values become flag defaults
-        if "--config" in argv:
-            at = argv.index("--config") + 1
-            if at == len(argv):
-                raise ConfigError("--config needs a file path")
-            defaults = _load_config_file(argv[at])
-            parser.set_defaults(**defaults)
-            for action in parser._subparsers._group_actions[0].choices.values():
-                known = {a.dest for a in action._actions}
-                action.set_defaults(**{k: _coerce(action, k, v)
-                                       for k, v in defaults.items() if k in known})
-                for sub_action in action._actions:
-                    if sub_action.dest in defaults:
-                        sub_action.required = False
-        args = parser.parse_args(argv)
+        # a first pass finds the config file, whose values become flag defaults
+        args = build_parser(_config_defaults(argv)).parse_args(argv)
         return _COMMANDS[args.command](args)
     except MissingArtifactError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
@@ -363,18 +395,6 @@ def main(argv: list[str] | None = None) -> int:
     except RammError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-def _coerce(subparser, dest: str, raw: str):
-    for action in subparser._actions:
-        if action.dest == dest and action.type is not None:
-            try:
-                return action.type(raw)
-            except ValueError as exc:
-                raise ConfigError(f"config value {dest} = {raw!r}: {exc}") from exc
-        if action.dest == dest and isinstance(action.const, bool):
-            return raw.lower() in ("1", "true", "yes")
-    return raw
 
 
 if __name__ == "__main__":

@@ -291,23 +291,8 @@ def _mha(params, prefix, x_q: Node, x_kv: Node, n_head: int,
          dctx=None, tag: str = "", mask: np.ndarray | None = None) -> Node:
     """Multi-head attention with output projection, queries from x_q.
     `mask` is an additive (..., n_kv) key mask (see key_mask)."""
-    d = x_q.value.shape[-1]
-    dh = d // n_head
-    q = ops.linear(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k = ops.linear(x_kv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    v = ops.linear(x_kv, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    lead = q.value.shape[:-2]
-    nq, nk = q.value.shape[-2], k.value.shape[-2]
-    # (..., n, d) -> (..., n_head, n, dh); the permutation is its own inverse
-    heads = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    q3 = ops.transpose(ops.reshape(q, lead + (nq, n_head, dh)), heads)
-    k3 = ops.transpose(ops.reshape(k, lead + (nk, n_head, dh)), heads)
-    v3 = ops.transpose(ops.reshape(v, lead + (nk, n_head, dh)), heads)
-    if mask is not None:
-        mask = mask.reshape(lead + (1, 1, nk))
-    out = ops.scaled_dot_attention(q3, k3, v3, mask)
-    out = ops.reshape(ops.transpose(out, heads), lead + (nq, d))
-    out = ops.linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    weights = (params[f"{prefix}.{f}"] for f in ATTN_FIELDS)
+    out = ops.multi_head_attention(x_q, x_kv, *weights, n_head, mask)
     return _maybe_drop(out, dctx, tag or prefix)
 
 

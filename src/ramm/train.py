@@ -29,7 +29,8 @@ from .objectives import (
 )
 from .retrieval import Mode, retrieve_by_vector
 from .store import (
-    EVAL_BATCH, TAG_NAMES, build_store, load_index, save_index, verify_fingerprint,
+    EVAL_BATCH, TAG_NAMES, BuildReport, build_store, load_index, save_index,
+    verify_fingerprint,
 )
 from .synthetic import VQAItem, load_corpus, load_vqa_items
 from .tensor import load_tensor
@@ -173,14 +174,16 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig,
     return out_dir
 
 
-def build_index_cmd(checkpoint_dir, data_dir, out_path) -> Path:
+def build_index_cmd(checkpoint_dir, data_dir, out_path) -> BuildReport:
+    """Encode the corpus of `data_dir` into an index at `out_path`; the report
+    counts the pairs encoded and those skipped for an unreadable image."""
     params, mcfg = load_checkpoint(checkpoint_dir)
     data_dir = Path(data_dir)
     vocab = Vocab.load(data_dir / "vocab.txt")
     pairs, load_patches = load_corpus(data_dir)
     index, report = build_store(pairs, params, mcfg, vocab, load_patches)
     save_index(index, out_path)
-    return Path(out_path)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -203,3 +203,39 @@ def test_eval_answer_vocabulary_mismatch(pipeline, tmp_path, capsys):
                  str(pipeline["index"]), "--data", str(data),
                  "--r", "2"]) == EXIT_CONFIG
     assert "answers" in capsys.readouterr().err
+
+
+def test_build_index_reports_skipped_pairs(pipeline, tmp_path, capsys):
+    """A corpus image that cannot be read is skipped, and build-index says
+    which pair it skipped."""
+    import shutil
+
+    from ramm.store import load_index
+
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    pairs = [json.loads(l) for l in (data / "corpus" / "pairs.jsonl").read_text().splitlines()]
+    gone = pairs[1]
+    (data / "corpus" / gone["image_ref"]).unlink()
+    out = tmp_path / "i.idx"
+    assert main(["build-index", "--checkpoint", str(pipeline["ckpt"]), "--data",
+                 str(data), "--out", str(out)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert f"{len(pairs) - 1} pairs encoded, 1 skipped" in text
+    assert f"skipped (image unreadable): {gone['pair_id']}\n" in text
+    assert len(load_index(out)) == len(pairs) - 1
+
+
+def test_retrieve_rejects_query_with_extra_patch(pipeline, tmp_path, capsys):
+    query = sorted((pipeline["data"] / "vqa_images").glob("test_*.ten"))[0]
+    from ramm.tensor import load_tensor
+
+    patches = load_tensor(query).array
+    extra = np.concatenate([patches, patches[:1]])
+    save_tensor(Tensor(extra), tmp_path / "q.ten")
+    assert main(["retrieve", "--index", str(pipeline["index"]), "--query-tensor",
+                 str(tmp_path / "q.ten"), "--r", "2", "--mode", "infer",
+                 "--checkpoint", str(pipeline["ckpt"])]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert str(tmp_path / "q.ten") in err
+    assert f"need {patches.shape}" in err and str(extra.shape) in err

@@ -438,3 +438,104 @@ def test_weighted_cross_entropy(rng):
     got = float(ops.cross_entropy(logits, targets, weights).value)
     assert abs(got - want) < 1e-12
     _check_grad(lambda n: ops.cross_entropy(n, targets, weights), logits)
+
+
+# ---------------------------------------------------------------------------
+# fused multi-head attention
+
+
+def _mha_inputs(rng, lead, nq, nk, d, dtype=np.float64):
+    """x_q, x_kv, then wq, bq, wk, bk, wv, bv, wo, bo."""
+    shapes = [lead + (nq, d), lead + (nk, d)] + [(d, d), (d,)] * 4
+    return [rng.normal(size=s).astype(dtype) for s in shapes]
+
+
+def _mha_composed(x_q, x_kv, wq, bq, wk, bk, wv, bv, wo, bo, n_head, mask):
+    """Multi-head attention composed from linear, reshape, transpose and
+    scaled_dot_attention, one node per step."""
+    d = x_q.value.shape[-1]
+    dh = d // n_head
+    lead = x_q.value.shape[:-2]
+    heads = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
+
+    def split(x, w, b):
+        y = ops.linear(x, w, b)
+        return ops.transpose(ops.reshape(y, lead + (y.shape[-2], n_head, dh)), heads)
+
+    q, k, v = split(x_q, wq, bq), split(x_kv, wk, bk), split(x_kv, wv, bv)
+    if mask is not None:
+        mask = mask.reshape(lead + (1, 1, k.shape[-2]))
+    out = ops.scaled_dot_attention(q, k, v, mask)
+    out = ops.reshape(ops.transpose(out, heads), lead + (x_q.value.shape[-2], d))
+    return ops.linear(out, wo, bo)
+
+
+# (lead, nq, nk, d, n_head, key lengths or None, x_q is x_kv)
+MHA_CASES = [
+    ((2,), 3, 4, 4, 2, [4, 2], False),     # batched cross-attention, key mask
+    ((), 3, 5, 6, 3, None, False),         # unbatched
+    ((2,), 3, 3, 4, 2, [3, 1], True),      # self-attention, one input node
+    ((3,), 1, 5, 8, 2, [5, 2, 1], False),  # one retrieval query over r+1 CLS rows
+]
+
+
+@pytest.mark.parametrize("case", MHA_CASES[:3])
+def test_multi_head_attention_gradients(case):
+    lead, nq, nk, d, n_head, valid, same = case
+    rng = np.random.default_rng(31)
+    inputs = _mha_inputs(rng, lead, nq, nk, d)
+    mask = None if valid is None else _key_mask(valid, nk)
+    w = rng.normal(size=lead + (nq, d))
+    for i in range(1 if same else 0, 10):
+        def loss(n, i=i):
+            args = [ops.constant(a) for a in inputs]
+            args[i] = n
+            if same:
+                args[0] = args[1]
+            out = ops.multi_head_attention(*args, n_head, mask)
+            return ops.mean_all(ops.mul(out, ops.constant(w)))
+
+        if i != 5:
+            _check_grad(loss, inputs[i])
+            continue
+        # the key bias shifts every score of a row by one amount, which the
+        # softmax cancels: its gradient is zero, where a relative error is noise
+        node = ops.param(inputs[5].copy())
+        ops.backward(loss(node))
+        fd = finite_difference_gradient(lambda a: float(loss(ops.constant(a)).value),
+                                        inputs[5])
+        assert np.abs(node.grad).max() < 1e-12 and np.abs(fd).max() < 1e-9
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", MHA_CASES)
+def test_multi_head_attention_is_bitwise_the_composition(case, dtype):
+    """The fused node gives exactly the value and the ten gradients of the
+    composition it replaces."""
+    lead, nq, nk, d, n_head, valid, same = case
+    rng = np.random.default_rng(47)
+    inputs = _mha_inputs(rng, lead, nq, nk, d, dtype)
+    mask = None if valid is None else _key_mask(valid, nk)
+    w = rng.normal(size=lead + (nq, d)).astype(dtype)
+
+    def run(attention):
+        nodes = [ops.param(a.copy()) for a in inputs]
+        if same:
+            nodes[1] = nodes[0]
+        out = attention(*nodes, n_head, mask)
+        ops.backward(ops.mean_all(ops.mul(out, ops.constant(w))))
+        return [out.value] + [n.grad for n in nodes]
+
+    fused, composed = run(ops.multi_head_attention), run(_mha_composed)
+    assert fused[0].dtype == dtype
+    for got, want in zip(fused, composed):
+        assert np.array_equal(got, want)
+
+
+def test_multi_head_attention_every_key_masked_stays_finite(rng):
+    inputs = _mha_inputs(rng, (2,), 3, 4, 4)
+    nodes = [ops.param(a) for a in inputs]
+    out = ops.multi_head_attention(*nodes, 2, _key_mask([4, 0], 4))
+    ops.backward(ops.mean_all(out))
+    assert np.all(np.isfinite(out.value))
+    assert all(np.all(np.isfinite(n.grad)) for n in nodes)
