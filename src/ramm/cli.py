@@ -2,7 +2,7 @@
 
 Subcommands: gen-synth, harvest, pretrain, build-index, finetune, eval,
 retrieve, stats, sweep-r. A flat key=value config file can supply any flag
-default; explicit flags win.
+default; explicit flags win, and a key that names no flag is a config error.
 
 Exit codes: 0 ok, 2 missing artifact, 3 index fingerprint mismatch,
 4 invalid r, 5 serialization format error, 6 config error, 1 other failure.
@@ -111,14 +111,17 @@ def _coerce(action: argparse.Action, raw: str):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose flags named in `config` (dest -> raw value)
-    take the coerced value as their default and are no longer required."""
+    take the coerced value as their default and are no longer required.
+    The dest of every flag it adds goes into `dests`."""
 
-    def __init__(self, *args, config: dict[str, str], **kwargs):
+    def __init__(self, *args, config: dict[str, str], dests: set[str], **kwargs):
         self.config = config        # before __init__, which adds -h
+        self.dests = dests
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
+        self.dests.add(action.dest)
         if action.dest in self.config:
             action.default = _coerce(action, self.config[action.dest])
             action.required = False
@@ -127,12 +130,15 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentParser:
     """The CLI parser; `defaults` (flag dest -> raw value, as in a config
-    file) replace the built-in flag defaults."""
+    file) replace the built-in flag defaults. A key that names no flag of
+    any subcommand raises ConfigError."""
     defaults = defaults or {}
-    parser = _Parser(prog="ramm", config=defaults, allow_abbrev=False)
+    dests: set[str] = set()
+    parser = _Parser(prog="ramm", config=defaults, dests=dests, allow_abbrev=False)
     parser.add_argument("--config", help="flat key=value file; flags override")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=functools.partial(_Parser, config=defaults))
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(_Parser, config=defaults, dests=dests))
 
     p = sub.add_parser("gen-synth", help="generate a synthetic corpus and VQA splits")
     p.add_argument("--out", required=True)
@@ -207,6 +213,9 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     p.add_argument("--epochs", type=int, default=10)
     _add_train_flags(p)
 
+    unknown = sorted(set(defaults) - dests)
+    if unknown:
+        raise ConfigError(f"config key names no flag: {', '.join(unknown)}")
     return parser
 
 

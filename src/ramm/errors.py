@@ -43,3 +43,7 @@ class BuildError(RammError):
 
 class MissingArtifactError(RammError):
     """A pipeline stage input (checkpoint, index, corpus) is absent."""
+
+
+class DivergenceError(RammError):
+    """Training produced a non-finite gradient; names the step and tensors."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ContractViolation, StructureError
+from .errors import ConfigError, ContractViolation, DivergenceError, StructureError
 from .model import Vocab
 from .ops import Node
 
@@ -171,13 +171,18 @@ def rdrop_loss(logits_a: Node, logits_b: Node, targets, alpha: float,
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive optimizer with linear LR decay to 0."""
+    """Decoupled-weight-decay adaptive optimizer with linear LR decay to 0.
+
+    The trainable tensors, which share one dtype, are copied into one
+    contiguous buffer, and each parameter's `value` becomes a view of it, so
+    a step updates every parameter in place with whole-buffer operations.
+    Anything that must keep a parameter's value across a step copies it; a
+    caller that rebinds a trainable `value` detaches it from the optimizer."""
 
     def __init__(self, params: dict[str, Node], lr: float = 1e-3,
                  betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01, total_steps: int = 1000,
                  trainable_prefixes: tuple[str, ...] | None = None):
-        self.params = params
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
@@ -190,28 +195,65 @@ class AdamW:
             self.names = sorted(
                 n for n in params if n.startswith(trainable_prefixes)
             )
-        self.m = {n: np.zeros_like(params[n].value, dtype=np.float64) for n in self.names}
-        self.v = {n: np.zeros_like(params[n].value, dtype=np.float64) for n in self.names}
+        self._nodes = [params[n] for n in self.names]
+        dtypes = {node.dtype for node in self._nodes}
+        if len(dtypes) > 1:
+            raise ContractViolation(f"trainable tensors mix dtypes {sorted(map(str, dtypes))}")
+        self._sizes = [node.value.size for node in self._nodes]
+        self._flat = np.concatenate([node.value.reshape(-1) for node in self._nodes]
+                                   or [np.zeros(0)])
+        off = 0
+        for node, n in zip(self._nodes, self._sizes):
+            node.value = self._flat[off : off + n].reshape(node.value.shape)
+            off += n
+        self.m = np.zeros(off, dtype=np.float64)
+        self.v = np.zeros(off, dtype=np.float64)
+        self._work = np.zeros((4, off), dtype=np.float64)  # scratch rows g, m, v, u
 
     def current_lr(self) -> float:
         frac = 1.0 - self.t / self.total_steps
         return self.lr * max(0.0, frac)
 
     def step(self) -> float:
+        """One update of every parameter that has a gradient; a parameter
+        whose `grad` is None keeps its value, m and v. Raises
+        DivergenceError, before anything is updated, when a gradient holds
+        a NaN or an infinity."""
+        grads = [node.grad for node in self._nodes]
+        has_grad = np.repeat(np.array([gr is not None for gr in grads], dtype=bool),
+                             self._sizes)
+        g, m, v, u = self._work
+        if grads:
+            np.concatenate([np.zeros(n) if gr is None else gr.reshape(-1)
+                            for gr, n in zip(grads, self._sizes)], out=g)
+        if not np.isfinite(g).all():
+            bad = [name for name, gr in zip(self.names, grads)
+                   if gr is not None and not np.isfinite(gr).all()]
+            more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
+            raise DivergenceError(f"non-finite gradient at optimizer step {self.t} "
+                                  f"in {', '.join(bad[:8])}{more}")
         lr = self.current_lr()
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
-        for name in self.names:
-            node = self.params[name]
-            if node.grad is None:
-                continue
-            g = node.grad.astype(np.float64)
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
-            new = node.value.astype(np.float64) - lr * (
-                update + self.weight_decay * node.value
-            )
-            node.value = new.astype(node.dtype)
+        # The per-tensor update, one operation at a time into the scratch
+        # rows (fresh temporaries of this size each cost a page fault per
+        # page), rounded in the same order and dtypes:
+        #   m' = b1*m + (1-b1)*g        v' = b2*v + (1-b2)*g*g
+        #   u = (m'/bc1) / (sqrt(v'/bc2) + eps)
+        #   value' = float64(value) - lr*(u + weight_decay*value)
+        np.multiply(self.m, self.b1, out=m)
+        m += np.multiply(g, 1 - self.b1, out=u)
+        np.multiply(self.v, self.b2, out=v)
+        np.multiply(g, 1 - self.b2, out=u)
+        v += np.multiply(u, g, out=u)
+        np.sqrt(np.divide(v, bc2, out=u), out=u)
+        u += self.eps
+        np.divide(np.divide(m, bc1, out=g), u, out=u)
+        u += self.weight_decay * self._flat      # the decay term in the parameter dtype
+        u *= lr
+        np.subtract(self._flat, u, out=u)
+        np.copyto(self._flat, u, casting="same_kind", where=has_grad)
+        np.copyto(self.m, m, where=has_grad)
+        np.copyto(self.v, v, where=has_grad)
         return lr

@@ -129,7 +129,9 @@ def complete_scores(pool: list[RetrievalCandidate], query_vec,
 def select_training(pool: list[RetrievalCandidate], r: int, seed: int
                     ) -> RetrievalResult:
     """Sample r distinct pairs, probability proportional to min-shifted
-    scores (p_j ~ s_j - min_pool + eps), sequentially without replacement."""
+    scores (p_j ~ s_j - min_pool + eps), sequentially without replacement.
+    Neither the pool nor its candidates are modified, so one pool can serve
+    any number of draws."""
     if not pool:
         raise ContractViolation("select_training requires a nonempty pool")
     eps = 1e-6
@@ -163,23 +165,32 @@ def _result(mode: Mode, chosen: list[RetrievalCandidate], pool_size: int,
                            flagged, [(c.s_w, c.s_v) for c in chosen])
 
 
-def retrieve_by_vector(query_vec, index: EmbeddingIndex, r: int, mode: Mode,
-                       seed: int = 0, exclude_pair_id: int | None = None
-                       ) -> RetrievalResult:
-    """Dual search + merge + select for an already-projected image vector.
-    A non-unit query is normalized (and counted) once, here."""
-    if r == 0:
-        return RetrievalResult(mode, [], 0)
+def candidate_pool(query_vec, index: EmbeddingIndex, r: int,
+                   exclude_pair_id: int | None = None) -> list[RetrievalCandidate]:
+    """The merged, score-completed pool of both top-r searches for an
+    already-projected image vector, without `exclude_pair_id`. It depends
+    only on the query and the index, so a caller with a frozen index and
+    query may compute it once and select from it many times. A non-unit
+    query is normalized (and counted) once, here. Requires r >= 1."""
     q = _prepare_query(query_vec)
     top_w = search_topr(q, index, "text", r)
     top_v = search_topr(q, index, "image", r)
-    pool = merge_candidates(top_w, top_v)
-    pool = complete_scores(pool, q, index)
+    pool = complete_scores(merge_candidates(top_w, top_v), q, index)
     if exclude_pair_id is not None:
         pool = [c for c in pool if c.pair_id != exclude_pair_id]
-        if not pool:
-            return RetrievalResult(mode, [], 0, flagged=True)
+    return pool
+
+
+def retrieve_by_vector(query_vec, index: EmbeddingIndex, r: int, mode: Mode,
+                       seed: int = 0, exclude_pair_id: int | None = None
+                       ) -> RetrievalResult:
+    """Dual search + merge + select for an already-projected image vector:
+    `candidate_pool`, then `select_training` or `select_inference`."""
+    if r == 0:
+        return RetrievalResult(mode, [], 0)
+    pool = candidate_pool(query_vec, index, r, exclude_pair_id)
+    if not pool and exclude_pair_id is not None:
+        return RetrievalResult(mode, [], 0, flagged=True)
     if mode is Mode.TRAIN:
         return select_training(pool, r, seed)
     return select_inference(pool, r)
-

@@ -27,7 +27,7 @@ from .objectives import (
     AdamW, TrainConfig, ema_update, itc_loss, itc_loss_distilled, itm_loss,
     mask_tokens, mlm_loss, pretrain_loss, rdrop_loss,
 )
-from .retrieval import Mode, retrieve_by_vector
+from .retrieval import Mode, candidate_pool, retrieve_by_vector, select_training
 from .store import (
     EVAL_BATCH, TAG_NAMES, BuildReport, build_store, load_index, save_index,
     verify_fingerprint,
@@ -277,7 +277,8 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     runs fast; pass train_unimodal=True to update them too. feature_noise
     adds fresh Gaussian noise to the instance's image states every step, a
     cheap augmentation that discourages memorizing individual images.
-    Each step builds one graph for its whole batch.
+    Each item's retrieval pool is computed once per run; each step draws
+    from the pools of its batch and builds one graph for the whole batch.
     """
     if r < 0:
         raise ConfigError("r must be non-negative")
@@ -286,7 +287,10 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     answer_id = {a: i for i, a in enumerate(stage.answers)}
 
     reinit_group(params, "vqa.", _sub_seed(tcfg.seed, "vqa-head"))
+    # the frozen query vectors and index fix each item's pool; only the
+    # training draw from it changes from step to step
     item_qvec = stage.query_vecs(items)
+    pools = [candidate_pool(q, index, r) for q in item_qvec] if r > 0 else []
     if train_unimodal:
         item_tokens = [tokenize(it.question, stage.vocab, mcfg.max_text_len) for it in items]
         item_patches = np.stack([load_tensor(stage.data_dir / it.image_ref).array
@@ -312,10 +316,9 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
             selected: list[list[int]] = [[] for _ in batch]
             if r > 0:
                 selected = [
-                    [pid for pid, _ in retrieve_by_vector(
-                        q, index, r, Mode.TRAIN,
-                        seed=_sub_seed(tcfg.seed, "select", step, it.item_id)).selected]
-                    for it, q in zip(batch, item_qvec[idx])]
+                    [pid for pid, _ in select_training(
+                        pools[i], r, _sub_seed(tcfg.seed, "select", step, it.item_id)).selected]
+                    for it, i in zip(batch, idx)]
             streams = stage.streams(batch, selected)
             if train_unimodal:
                 # live encoder forward so gradients reach the encoders

@@ -185,6 +185,38 @@ def test_config_file_defaults(pipeline, tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
 
+def test_exit_config_file_unknown_key(pipeline, tmp_path, capsys):
+    """A key that names no flag is refused, not dropped; a key that names a
+    flag of another subcommand is still accepted."""
+    cfg = tmp_path / "ramm.cfg"
+    query = sorted((pipeline["data"] / "vqa_images").glob("test_*.ten"))[0]
+    argv = ["--config", str(cfg), "retrieve", "--index", str(pipeline["index"]),
+            "--query-tensor", str(query), "--r", "3",
+            "--checkpoint", str(pipeline["ckpt"])]
+    cfg.write_text("rr = 2\nmode = infer\n")
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config key names no flag: rr" in captured.err and captured.out == ""
+    cfg.write_text("epochs = 2\nmode = infer\n")
+    assert main(argv) == EXIT_OK
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+
+def test_exit_diverged_finetune(pipeline, tmp_path, capsys):
+    """A step size that overflows the weights stops fine-tuning at the first
+    non-finite gradient, with a message and no saved weights."""
+    out = tmp_path / "ft"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["finetune", "--checkpoint", str(pipeline["ckpt"]), "--index",
+                     str(pipeline["index"]), "--data", str(pipeline["data"]), "--r", "2",
+                     "--out", str(out), "--epochs", "2", "--batch-size", "4",
+                     "--seed", "0", "--lr", "1e30"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite gradient at optimizer step ")
+    assert "fuse." in err and "Traceback" not in err
+    assert not (out / "weights").exists()
+
+
 def test_eval_answer_vocabulary_mismatch(pipeline, tmp_path, capsys):
     """A checkpoint sized for more answers than answers.txt holds is a
     configuration error in evaluate, as in finetune."""

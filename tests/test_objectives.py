@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ramm import ops
-from ramm.errors import ConfigError, ContractViolation, StructureError
+from ramm.errors import ConfigError, ContractViolation, DivergenceError, StructureError
 from ramm.model import Vocab
 from ramm.objectives import (
     AdamW, TrainConfig, ema_update, itc_loss, itc_loss_distilled, itm_loss,
@@ -258,6 +258,128 @@ def test_adamw_minimizes_quadratic():
         x.grad = 2.0 * x.value
         opt.step()
     assert abs(x.value.item()) < 1e-2
+
+
+class _ReferenceAdamW:
+    """The per-tensor AdamW loop that the flat-buffer optimizer replaced,
+    kept as the bitwise reference."""
+
+    def __init__(self, params, lr, weight_decay, total_steps, trainable_prefixes=None):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
+        self.total_steps, self.t = max(1, total_steps), 0
+        self.names = sorted(n for n in params if trainable_prefixes is None
+                            or n.startswith(trainable_prefixes))
+        self.m = {n: np.zeros_like(params[n].value, dtype=np.float64) for n in self.names}
+        self.v = {n: np.zeros_like(params[n].value, dtype=np.float64) for n in self.names}
+
+    def step(self):
+        lr = self.lr * max(0.0, 1.0 - self.t / self.total_steps)
+        self.t += 1
+        bc1 = 1.0 - self.b1**self.t
+        bc2 = 1.0 - self.b2**self.t
+        for name in self.names:
+            node = self.params[name]
+            if node.grad is None:
+                continue
+            g = node.grad.astype(np.float64)
+            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
+            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
+            update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
+            new = node.value.astype(np.float64) - lr * (
+                update + self.weight_decay * node.value
+            )
+            node.value = new.astype(node.dtype)
+        return lr
+
+
+def _mixed_params(seed, dtype=np.float32):
+    """Tensors of mixed shapes, one dtype."""
+    rng = np.random.default_rng(seed)
+    shapes = {"fuse.w": (3, 4), "fuse.b": (4,), "fuse.k": (2, 3, 2),
+              "vqa.w": (5, 1), "vqa.s": (), "text.e": (6, 2)}
+    return {n: ops.param(rng.normal(size=shape).astype(dtype))
+            for n, shape in shapes.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("prefixes", [None, ("fuse.", "vqa.")])
+@pytest.mark.parametrize("weight_decay", [0.1, 10.0])
+def test_adamw_flat_matches_per_tensor_reference(dtype, prefixes, weight_decay):
+    """Tensors of mixed shapes, some without a gradient on some steps: every
+    value equals the per-tensor loop's exactly, so the moments of a tensor
+    without a gradient were left alone too. With lr * weight_decay = 0.5
+    the decay term's rounding in the parameter dtype shows in the result."""
+    flat_params, ref_params = _mixed_params(0, dtype), _mixed_params(0, dtype)
+    opt = AdamW(flat_params, lr=0.05, weight_decay=weight_decay, total_steps=9,
+                trainable_prefixes=prefixes)
+    ref = _ReferenceAdamW(ref_params, lr=0.05, weight_decay=weight_decay, total_steps=9,
+                          trainable_prefixes=prefixes)
+    assert opt.names == ref.names
+    rng = np.random.default_rng(1)
+    for step in range(7):
+        for name in sorted(flat_params):
+            # fuse.b has no gradient on steps 1 and 4, vqa.s on all but step 4
+            grad = None
+            if not ((name == "fuse.b" and step in (1, 4)) or (name == "vqa.s" and step != 4)):
+                grad = (10.0 ** rng.integers(-3, 3)) * rng.normal(
+                    size=flat_params[name].shape)
+                grad = grad.astype(flat_params[name].dtype)
+            flat_params[name].grad = ref_params[name].grad = grad
+        assert opt.step() == ref.step()
+        for name in flat_params:
+            got, want = flat_params[name].value, ref_params[name].value
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (step, name)
+
+
+def test_adamw_updates_in_place_and_snapshots_hold():
+    """Parameters are updated in place, so a copy taken before a step
+    (clone_params, the EMA's initial values) must not move with them."""
+    from ramm.train import clone_params
+
+    params = _mixed_params(2)
+    opt = AdamW(params, lr=0.1, total_steps=5)
+    view = params["fuse.w"].value
+    clone = clone_params(params)
+    init = {n: params[n].value.astype(np.float64).copy() for n in opt.names}
+    frozen = {n: params[n].value.copy() for n in params}
+    for _ in range(3):
+        for node in params.values():
+            node.grad = np.ones(node.shape, dtype=node.dtype)
+        opt.step()
+    assert params["fuse.w"].value is view
+    for n in params:
+        assert not np.array_equal(params[n].value, frozen[n])
+        assert np.array_equal(clone[n].value, frozen[n])
+        assert np.array_equal(init[n], frozen[n].astype(np.float64))
+
+
+def test_adamw_rejects_mixed_dtypes():
+    params = {"a": ops.param(np.ones(2, dtype=np.float32)),
+              "b": ops.param(np.ones(2, dtype=np.float64))}
+    with pytest.raises(ContractViolation, match="mix dtypes"):
+        AdamW(params)
+    AdamW(params, trainable_prefixes=("a",))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adamw_nonfinite_gradient_raises_before_update(bad):
+    params = _mixed_params(3)
+    opt = AdamW(params, lr=0.1, total_steps=5)
+    for node in params.values():
+        node.grad = np.ones(node.shape, dtype=node.dtype)
+    opt.step()
+    values = {n: p.value.copy() for n, p in params.items()}
+    m, v = opt.m.copy(), opt.v.copy()
+    params["fuse.k"].grad[1, 2, 0] = bad
+    params["vqa.w"].grad[0, 0] = bad
+    with pytest.raises(DivergenceError, match=r"step 1 in fuse\.k, vqa\.w$"):
+        opt.step()
+    assert opt.t == 1
+    assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+    for n, p in params.items():
+        assert np.array_equal(p.value, values[n])
 
 
 def test_train_config_validation():

@@ -9,7 +9,7 @@ import pytest
 from ramm import retrieval
 from ramm.errors import ContractViolation
 from ramm.retrieval import (
-    Mode, RetrievalCandidate, complete_scores, merge_candidates,
+    Mode, RetrievalCandidate, candidate_pool, complete_scores, merge_candidates,
     retrieve_by_vector, search_topr, select_inference, select_training,
 )
 from ramm.store import SCORE_BLOCK, EmbeddingIndex
@@ -316,3 +316,93 @@ def test_retrieval_matches_oracle_across_blocks(rng):
                 assert [s for _, s in res.selected] == pytest.approx(
                     [s for _, s in ref.selected], abs=1e-12)
                 assert np.allclose(res.components, ref.components, atol=1e-12)
+
+
+# -- pools computed once, selected from many times ---------------------------------
+
+def _spanning_index(rng):
+    n = 2 * SCORE_BLOCK + 37
+    return _index(rng, n, d=16, pair_ids=rng.permutation(n) * 3 + 10)
+
+
+def test_retrieve_is_selection_from_candidate_pool(rng):
+    """retrieve_by_vector equals a selector applied to candidate_pool, with
+    and without an excluded pair, over an index of more than two blocks."""
+    index = _spanning_index(rng)
+    n = len(index)
+    for trial in range(4):
+        q = index.image_vecs[n - 1 - trial].astype(np.float64) + 0.3 * rng.normal(size=16)
+        q /= np.linalg.norm(q)
+        for r in (1, 4):
+            for exclude in (None, int(index.pair_ids[n - 1 - trial])):
+                pool = candidate_pool(q, index, r, exclude)
+                assert exclude not in [c.pair_id for c in pool]
+                assert retrieve_by_vector(q, index, r, Mode.INFER, exclude_pair_id=exclude
+                                          ) == select_inference(pool, r)
+                assert retrieve_by_vector(q, index, r, Mode.TRAIN, seed=trial,
+                                          exclude_pair_id=exclude
+                                          ) == select_training(pool, r, trial)
+
+
+def test_retrieve_empty_after_exclusion_is_flagged():
+    index = EmbeddingIndex(
+        d_proj=2, fingerprint=1, pair_ids=np.array([7], dtype=np.uint64),
+        source_tags=np.zeros(1, dtype=np.uint8),
+        text_vecs=np.array([[1.0, 0.0]], dtype=np.float32),
+        image_vecs=np.array([[0.0, 1.0]], dtype=np.float32), captions=["only"])
+    assert candidate_pool(np.array([0.0, 1.0]), index, 2, exclude_pair_id=7) == []
+    for mode in Mode:
+        res = retrieve_by_vector(np.array([0.0, 1.0]), index, 2, mode, exclude_pair_id=7)
+        assert res.selected == [] and res.candidate_pool_size == 0 and res.flagged
+
+
+def test_select_training_leaves_pool_unchanged(rng):
+    """One pool serves every step of a fine-tune, so drawing from it must
+    not reorder the list or change a candidate."""
+    index = _spanning_index(rng)
+    q = rng.normal(size=16)
+    pool = candidate_pool(q / np.linalg.norm(q), index, 4)
+    before = [(c.pair_id, c.s_w, c.s_v) for c in pool]
+    ids = [id(c) for c in pool]
+    for seed in range(20):
+        select_training(pool, 4, seed)
+        select_training(pool, 9, seed)
+    assert [(c.pair_id, c.s_w, c.s_v) for c in pool] == before
+    assert [id(c) for c in pool] == ids
+
+
+def test_finetune_builds_each_pool_once(tmp_path, monkeypatch):
+    """A fine-tune computes one pool per training item and never runs the
+    full per-query pipeline; only the seeded draw happens every step."""
+    from ramm import train
+    from ramm.model import ModelConfig, Vocab
+    from ramm.objectives import TrainConfig
+    from ramm.synthetic import SyntheticSpec, generate, load_vqa_items
+
+    data, ckpt, idx = tmp_path / "data", tmp_path / "ckpt", tmp_path / "index.idx"
+    generate(SyntheticSpec(n_train=12, n_test=4, pairs_per_cluster=2, seed=2), data)
+    answers = (data / "answers.txt").read_text().split()
+    mcfg = ModelConfig(vocab_size=len(Vocab.load(data / "vocab.txt")),
+                       n_answers=len(answers), d=16, n_head=2, l_fuse=1, l_text=1,
+                       l_image=1, d_proj=8, max_text_len=12, patch_grid=2,
+                       d_patch=16, d_ff=32, dropout_rate=0.0)
+    train.pretrain(data, ckpt, mcfg, TrainConfig(seed=0, batch_size=4), steps=2)
+    train.build_index_cmd(ckpt, data, idx)
+
+    calls = {"candidate_pool": 0, "retrieve_by_vector": 0, "select_training": 0}
+
+    def counting(name):
+        fn = getattr(train, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(train, name, counting(name))
+    train.finetune(ckpt, idx, data, 2, TrainConfig(seed=0, batch_size=4),
+                   tmp_path / "ft", epochs=3)
+    n_items = len(load_vqa_items(data / "vqa_train.jsonl"))
+    assert calls == {"candidate_pool": n_items, "retrieve_by_vector": 0,
+                     "select_training": 3 * (n_items // 4) * 4}
