@@ -209,6 +209,7 @@ class AdamW:
         self.m = np.zeros(off, dtype=np.float64)
         self.v = np.zeros(off, dtype=np.float64)
         self._work = np.zeros((4, off), dtype=np.float64)  # scratch rows g, m, v, u
+        self._new = np.empty_like(self._flat)  # the updated values, parameter dtype
 
     def current_lr(self) -> float:
         frac = 1.0 - self.t / self.total_steps
@@ -218,7 +219,8 @@ class AdamW:
         """One update of every parameter that has a gradient; a parameter
         whose `grad` is None keeps its value, m and v. Raises
         DivergenceError, before anything is updated, when a gradient holds
-        a NaN or an infinity."""
+        a NaN or an infinity, or when the update would turn a weight into
+        one (an overflow of the parameter dtype, say)."""
         grads = [node.grad for node in self._nodes]
         has_grad = np.repeat(np.array([gr is not None for gr in grads], dtype=bool),
                              self._sizes)
@@ -227,15 +229,11 @@ class AdamW:
             np.concatenate([np.zeros(n) if gr is None else gr.reshape(-1)
                             for gr, n in zip(grads, self._sizes)], out=g)
         if not np.isfinite(g).all():
-            bad = [name for name, gr in zip(self.names, grads)
-                   if gr is not None and not np.isfinite(gr).all()]
-            more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
-            raise DivergenceError(f"non-finite gradient at optimizer step {self.t} "
-                                  f"in {', '.join(bad[:8])}{more}")
+            raise self._divergence("gradient", ~np.isfinite(g))
         lr = self.current_lr()
-        self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
+        t = self.t + 1
+        bc1 = 1.0 - self.b1**t
+        bc2 = 1.0 - self.b2**t
         # The per-tensor update, one operation at a time into the scratch
         # rows (fresh temporaries of this size each cost a page fault per
         # page), rounded in the same order and dtypes:
@@ -253,7 +251,22 @@ class AdamW:
         u += self.weight_decay * self._flat      # the decay term in the parameter dtype
         u *= lr
         np.subtract(self._flat, u, out=u)
-        np.copyto(self._flat, u, casting="same_kind", where=has_grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.copyto(self._new, u, casting="same_kind")
+        bad = ~np.isfinite(self._new) & has_grad
+        if bad.any():
+            raise self._divergence("weight update", bad)
+        self.t = t
+        np.copyto(self._flat, self._new, where=has_grad)
         np.copyto(self.m, m, where=has_grad)
         np.copyto(self.v, v, where=has_grad)
         return lr
+
+    def _divergence(self, what: str, bad: np.ndarray) -> DivergenceError:
+        """The error for a step whose flat `bad` mask marks non-finite
+        entries, naming the step and up to 8 tensors holding one."""
+        names = [name for name, hit in zip(
+            self.names, np.split(bad, np.cumsum(self._sizes)[:-1])) if hit.any()]
+        more = f" and {len(names) - 8} more" if len(names) > 8 else ""
+        return DivergenceError(f"non-finite {what} at optimizer step {self.t} "
+                               f"in {', '.join(names[:8])}{more}")

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolation
-from .store import EmbeddingIndex
+from .store import SCORE_BLOCK, EmbeddingIndex
 
 log = logging.getLogger(__name__)
 
@@ -62,11 +62,58 @@ def _prepare_query(query_vec: np.ndarray) -> np.ndarray:
     return q
 
 
+def _screen(index: EmbeddingIndex, which: str, q: np.ndarray, k: int
+            ) -> np.ndarray | None:
+    """Ascending rows, found by one float32 product over the family, that
+    include every row whose exact score reaches the k-th largest exact
+    score; None when the screen could overflow or meets a non-finite value.
+
+    Bound. Let S = F_i . q exactly, s64 the float64 score `scores` computes
+    from the float32 row F_i, and s32 = fl32(F_i . fl32(q)) the screen's. A
+    dot product of length d carries an error of at most
+    gamma_d * sum |F_ij q_j|, gamma_d = d*u / (1 - d*u), in any summation
+    order, fused or not (Higham 2002, sec. 3.1), plus under gradual
+    underflow at most half a subnormal spacing per product. Rounding q to
+    float32 adds u32 * |q_j| per term. By Cauchy-Schwarz, with N >= |F_i|
+    from `norm_bound`:
+        |s32 - S| <= ((d+1)*u32 + O(d*u32**2)) * N*|q| + 2**-150 * (d + sqrt(d)*N)
+        |s64 - S| <= (d*u64 + O(d*u64**2)) * N*|q| + d * 2**-1075
+    so |s32 - s64| <= E below. d*u32 < 0.004 for d_proj < 2**16, so the
+    second-order terms, N's own 1 / (1 - gamma_d) and the rounding of E,
+    |q| and T - 2E are far inside E's factor 2.
+
+    Screen. With T the k-th largest s32, k rows have s64 >= T - E, so the
+    k-th largest s64 is at least T - E, and every row reaching it has
+    s32 >= T - 2E. If N*|q| < 2**120, every s32 partial sum stays below
+    float32's largest value and every vector entry is finite.
+    """
+    family = index.family(which)
+    n, d = family.shape
+    bound, q_norm = index.norm_bound(which), float(np.linalg.norm(q))
+    if not bound * q_norm < 2.0**120:  # false for inf and NaN too
+        return None
+    err = (2 * ((d + 1) * 2.0**-24 + d * 2.0**-53) * bound * q_norm
+           + d * (1 + bound) * 2.0**-148)
+    s32 = family @ q.astype(np.float32)
+    # the k-th largest s32 of the first block bounds T from below, so only
+    # the few rows above it are partitioned
+    head = s32[:max(SCORE_BLOCK, k)]
+    top = s32[s32 >= np.partition(head, head.size - k)[head.size - k]]
+    kth = np.partition(top, top.size - k)[top.size - k]
+    # compared in float64 (a Python float next to a float32 array would be
+    # rounded to float32), so the rows kept are exactly those the bound names
+    return np.flatnonzero(s32 >= np.float64(kth) - 2 * err)
+
+
 def search_topr(query_vec, index: EmbeddingIndex, which: str, r: int
                 ) -> list[RetrievalCandidate]:
     """Exact top-r by dot product, descending; ties broken by ascending
     pair_id. Similarities are accumulated at 64-bit over the stored 32-bit
-    vectors. If r exceeds the index size the whole index is returned."""
+    vectors. If r exceeds the index size the whole index is returned.
+
+    A float32 screen (`_screen`) picks the rows that can reach the top r,
+    and only those are scored at 64-bit, with the bits of the whole-family
+    product; where the screen is not finite, every row is scored."""
     if r < 1:
         raise ContractViolation("search_topr requires r >= 1")
     if which not in ("text", "image"):
@@ -74,23 +121,27 @@ def search_topr(query_vec, index: EmbeddingIndex, which: str, r: int
     n = len(index)
     if n == 0:
         return []
-    scores = index.scores(which, _prepare_query(query_vec))
+    q = _prepare_query(query_vec)
     k = min(r, n)
-    if k < n:
+    rows = _screen(index, which, q, k) if k < n else np.arange(n)
+    if rows is None:
+        rows, scores = np.arange(n), index.scores(which, q)
+    else:
+        scores = index.scores_at(which, q, rows)
+    if k < rows.size:
         # superset including every exact tie with the k-th score, so the
         # pair_id tiebreak is applied over all tied candidates
         kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
-        part = np.nonzero(scores >= kth)[0]
-    else:
-        part = np.arange(n)
-    order = part[np.lexsort((index.pair_ids[part], -scores[part]))][:k]
+        keep = scores >= kth
+        rows, scores = rows[keep], scores[keep]
+    order = np.lexsort((index.pair_ids[rows], -scores))[:k]
     out = []
     for i in order:
-        s = float(scores[i])
+        pid, s = int(index.pair_ids[rows[i]]), float(scores[i])
         if which == "text":
-            out.append(RetrievalCandidate(int(index.pair_ids[i]), s_w=s))
+            out.append(RetrievalCandidate(pid, s_w=s))
         else:
-            out.append(RetrievalCandidate(int(index.pair_ids[i]), s_v=s))
+            out.append(RetrievalCandidate(pid, s_v=s))
     return out
 
 
@@ -113,16 +164,16 @@ def complete_scores(pool: list[RetrievalCandidate], query_vec,
     """Fill in whichever similarity component a pool member is missing.
 
     Candidates that surfaced in only one top-r list get the other component
-    computed exactly (one dot product each) so the max-merge never compares
-    against an unknown.
+    computed exactly, with the bits the full-family product and the search
+    give that row, so the max-merge never compares against an unknown.
     """
     q = _prepare_query(query_vec)
-    for cand in pool:
-        row = index.row_of(cand.pair_id)
-        if cand.s_w is None:
-            cand.s_w = float(index.text_vecs[row].astype(np.float64) @ q)
-        if cand.s_v is None:
-            cand.s_v = float(index.image_vecs[row].astype(np.float64) @ q)
+    for which, attr in (("text", "s_w"), ("image", "s_v")):
+        lacking = [c for c in pool if getattr(c, attr) is None]
+        rows = np.array([index.row_of(c.pair_id) for c in lacking], dtype=np.intp)
+        order = np.argsort(rows)
+        for i, s in zip(order, index.scores_at(which, q, rows[order])):
+            setattr(lacking[i], attr, float(s))
     return pool
 
 

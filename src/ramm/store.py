@@ -31,6 +31,11 @@ _REC = np.dtype([("pair_id", "<u8"), ("source_tag", "u1"), ("offset", "<u8")])
 # blocked sums equal the whole-family product bit for bit.
 SCORE_BLOCK = 2048
 
+# Rows per group when only some rows are rescored (`scores_at`). Also a power
+# of two, so a group's rows take the same BLAS code path, and give the same
+# bits, as in the whole-family product.
+CHUNK = 64
+
 # items per inference graph (index building, evaluation); bounds the memory
 # of a pass over a large corpus or split
 EVAL_BATCH = 64
@@ -52,6 +57,11 @@ def fingerprint_params(params: dict[str, Node], d_proj: int) -> int:
 
 @dataclass
 class EmbeddingIndex:
+    """The dual vector store of a corpus. Searching caches facts about the
+    arrays it was given (the `pair_ids` order, each family's largest row
+    norm), keyed on array identity, so a vector or id array is not modified
+    in place once searched: assign a new array instead."""
+
     d_proj: int
     fingerprint: int
     pair_ids: np.ndarray          # (n,) uint64
@@ -62,9 +72,16 @@ class EmbeddingIndex:
     # (pair_ids it was built from, rows in ascending pair_id order)
     _id_order: tuple | None = field(default=None, init=False, repr=False,
                                     compare=False)
+    # which -> (family array it was computed from, its norm bound)
+    _norms: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __len__(self) -> int:
         return int(self.pair_ids.shape[0])
+
+    def family(self, which: str) -> np.ndarray:
+        """The (n, d_proj) float32 vectors of family "text" or "image"."""
+        return {"text": self.text_vecs, "image": self.image_vecs}[which]
 
     def scores(self, which: str, q: np.ndarray) -> np.ndarray:
         """Dot product of every `which` vector with float64 `q`, at 64-bit.
@@ -72,7 +89,7 @@ class EmbeddingIndex:
         Bit-identical to `family.astype(np.float64) @ q`, but casts one block
         of rows at a time instead of copying the whole family.
         """
-        family = {"text": self.text_vecs, "image": self.image_vecs}[which]
+        family = self.family(which)
         n = family.shape[0]
         out = np.empty(n, dtype=np.float64)
         # numpy computes a one-row product as a dot, not with BLAS gemv, and
@@ -83,6 +100,49 @@ class EmbeddingIndex:
             np.matmul(family[a:b].astype(np.float64), q, out=out[a:b])
             a = b
         return out
+
+    def scores_at(self, which: str, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """`scores(which, q)[rows]` for ascending `rows`, bit for bit.
+
+        Casts and multiplies only the aligned CHUNK-row groups holding a
+        requested row, as `scores` does its blocks; a lone last row joins the
+        group before it. Gathering the rows instead would move them within
+        BLAS gemv's row groups, and their sums by an ulp.
+        """
+        out = np.empty(rows.shape[0], dtype=np.float64)
+        if not rows.shape[0]:
+            return out
+        family = self.family(which)
+        last = max(0, (family.shape[0] - 2) // CHUNK)
+        group = np.minimum(rows // CHUNK, last)
+        starts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *starts], [*starts, rows.shape[0]]):
+            a = int(group[lo]) * CHUNK
+            b = family.shape[0] if group[lo] == last else a + CHUNK
+            out[lo:hi] = (family[a:b].astype(np.float64) @ q)[rows[lo:hi] - a]
+        return out
+
+    def norm_bound(self, which: str) -> float:
+        """An upper bound on the largest row norm of a vector family, built on
+        first use and again whenever the family array is replaced. It is inf
+        or NaN when a row is not finite or its squared norm overflows
+        float32.
+
+        Each squared norm is summed in float32, over d rounded squares, so
+        the exact squared norm is at most (c + d * 2**-150) / (1 - gamma_d)
+        for the computed c, gamma_d = d * 2**-24 / (1 - d * 2**-24), and
+        2**-150 the most a square that underflows can lose. The d * 2**-149
+        added here covers the first term; callers of the bound leave room
+        for the factor 1 / (1 - gamma_d).
+        """
+        family = self.family(which)
+        cached = self._norms.get(which)
+        if cached is None or cached[0] is not family:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq = np.einsum("ij,ij->i", family, family).max(initial=0.0)
+            bound = float(np.sqrt(np.float64(sq) + family.shape[1] * 2.0**-149))
+            self._norms[which] = cached = (family, bound)
+        return cached[1]
 
     def id_order(self) -> np.ndarray:
         """Rows sorted by pair_id, built on first use and again whenever

@@ -382,6 +382,29 @@ def test_adamw_nonfinite_gradient_raises_before_update(bad):
         assert np.array_equal(p.value, values[n])
 
 
+def test_adamw_overflowing_update_raises_before_update():
+    """A finite gradient whose update overflows a float32 weight stops the
+    step before it writes anything, so the weight is never saved as inf."""
+    params = _mixed_params(4)
+    params["fuse.w"].value[1, 2] = np.finfo(np.float32).max * np.float32(0.9)
+    opt = AdamW(params, lr=1e38, weight_decay=0.0, total_steps=5)
+    for node in params.values():
+        node.grad = np.ones(node.shape, dtype=node.dtype)
+    params["fuse.w"].grad[1, 2] = -1.0
+    values = {n: p.value.copy() for n, p in params.items()}
+    m, v = opt.m.copy(), opt.v.copy()
+    with pytest.raises(DivergenceError,
+                       match=r"^non-finite weight update at optimizer step 0 in fuse\.w$"):
+        opt.step()
+    assert opt.t == 0
+    assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+    for n, p in params.items():
+        assert np.array_equal(p.value, values[n])
+    params["fuse.w"].grad[1, 2] = 1.0
+    opt.step()
+    assert opt.t == 1 and all(np.isfinite(p.value).all() for p in params.values())
+
+
 def test_train_config_validation():
     TrainConfig(total_steps=10)
     with pytest.raises(ConfigError):

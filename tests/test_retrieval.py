@@ -13,6 +13,7 @@ from ramm.retrieval import (
     retrieve_by_vector, search_topr, select_inference, select_training,
 )
 from ramm.store import SCORE_BLOCK, EmbeddingIndex
+from ramm.store import CHUNK
 
 
 def _unit_rows(rng, n, d):
@@ -406,3 +407,197 @@ def test_finetune_builds_each_pool_once(tmp_path, monkeypatch):
     n_items = len(load_vqa_items(data / "vqa_train.jsonl"))
     assert calls == {"candidate_pool": n_items, "retrieve_by_vector": 0,
                      "select_training": 3 * (n_items // 4) * 4}
+
+
+# -- float32 screen, exact rescoring -------------------------------------------------
+
+def _full_pass_topr(index, which, q, r):
+    """Top-r the way search_topr ranks every row: one 64-bit score per row,
+    the k-th largest by argpartition, ties resolved by lexsort."""
+    scores = index.scores(which, q)
+    n, k = len(index), min(r, len(index))
+    part = np.arange(n)
+    if k < n:
+        part = np.nonzero(scores >= scores[np.argpartition(-scores, k - 1)[k - 1]])[0]
+    order = part[np.lexsort((index.pair_ids[part], -scores[part]))][:k]
+    return [(int(index.pair_ids[i]), scores[i]) for i in order]
+
+
+def _exact_topr(q, family, pair_ids, r):
+    """The brute-force oracle over the whole-family float64 product, for a
+    query search_topr does not renormalize."""
+    scores = family.astype(np.float64) @ q
+    return [(int(pair_ids[i]), scores[i]) for i in np.lexsort((pair_ids, -scores))[:r]]
+
+
+def _found(cands, which):
+    return [(c.pair_id, c.s_w if which == "text" else c.s_v) for c in cands]
+
+
+def _same_bits(got, want):
+    return ([pid for pid, _ in got] == [pid for pid, _ in want]
+            and np.array_equal(np.array([s for _, s in got], dtype=np.float64).view(np.uint64),
+                               np.array([s for _, s in want], dtype=np.float64).view(np.uint64)))
+
+
+@pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1,
+                               2 * SCORE_BLOCK + 3])
+def test_scores_at_bit_identical(rng, n):
+    """Rescoring any subset of rows gives the bits of the blocked full pass."""
+    index = _index(rng, n, d=32)
+    q = rng.normal(size=32)
+    q /= np.linalg.norm(q)
+    subsets = [np.arange(n), np.array([0]), np.array([n - 1]), np.array([n - 2, n - 1]),
+               np.zeros(0, dtype=np.intp)]
+    subsets += [np.sort(rng.choice(n, size=m, replace=False)) for m in (1, min(n, 3), min(n, 40))]
+    for which in ("text", "image"):
+        full = index.scores(which, q)
+        for rows in subsets:
+            got = index.scores_at(which, q, rows)
+            assert got.dtype == np.float64 and got.shape == rows.shape
+            assert np.array_equal(got.view(np.uint64), full[rows].view(np.uint64)), rows
+
+
+def _adversarial_family(rng, n, d, kind):
+    mat = rng.normal(size=(n, d))
+    if kind == "scaled":
+        mat *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    else:
+        mat /= np.linalg.norm(mat, axis=1, keepdims=True)
+    mat = mat.astype(np.float32)
+    src, pick = rng.integers(0, n, size=n), rng.random(n) < 0.5
+    if kind == "duplicate":
+        mat[pick] = mat[src[pick]]
+    elif kind == "ulp":
+        away = np.where(rng.random((pick.sum(), d)) < 0.5, -np.inf, np.inf)
+        mat[pick] = np.nextafter(mat[src[pick]], away.astype(np.float32))
+    return mat
+
+
+@pytest.mark.parametrize("d", [2, 8, 32])
+@pytest.mark.parametrize("kind", ["duplicate", "ulp", "scaled"])
+def test_screened_search_matches_oracle_bits(rng, d, kind):
+    """Duplicate rows, rows 1 ulp apart and rows of norms 1e-3 to 1e3:
+    every top-r, r up to and past the index size, has the oracle's ids and
+    score bits."""
+    for n in (3, CHUNK + 1, 300):
+        pair_ids = rng.permutation(n) * 5 + 2
+        index = EmbeddingIndex(
+            d_proj=d, fingerprint=1, pair_ids=np.asarray(pair_ids, dtype=np.uint64),
+            source_tags=np.zeros(n, dtype=np.uint8),
+            text_vecs=_adversarial_family(rng, n, d, kind),
+            image_vecs=_adversarial_family(rng, n, d, kind), captions=[""] * n)
+        for trial in range(4):
+            if trial % 2:
+                q = index.image_vecs[rng.integers(n)].astype(np.float64)
+            else:
+                q = rng.normal(size=d)
+            q /= np.linalg.norm(q)
+            for r in (1, 2, 4, 8, n, n + 2):
+                for which, family in (("text", index.text_vecs),
+                                      ("image", index.image_vecs)):
+                    got = _found(search_topr(q, index, which, r), which)
+                    want = _exact_topr(q, family, index.pair_ids, r)
+                    assert _same_bits(got, want), (n, r, which)
+
+
+def _counting_scores(monkeypatch):
+    calls = []
+    full = EmbeddingIndex.scores
+
+    def counting(self, which, q):
+        calls.append(which)
+        return full(self, which, q)
+    monkeypatch.setattr(EmbeddingIndex, "scores", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "large"])
+def test_nonfinite_screen_takes_full_pass(rng, monkeypatch, bad):
+    """A NaN or infinite row, or rows of norm 1e30 whose float32 squared
+    norm overflows, make the screen's bound unusable: the search scores every
+    row and ranks them as the full pass does."""
+    n = 2 * SCORE_BLOCK + 3
+    index = _index(rng, n, d=8)
+    vecs = index.text_vecs.copy()
+    rows = rng.choice(n, size=5, replace=False)
+    vecs[rows[0], 3] = {"nan": np.nan, "inf": np.inf}.get(bad, vecs[rows[0], 3])
+    if bad == "large":
+        vecs[rows] *= np.float32(1e30)
+    index.text_vecs = vecs
+    assert not index.norm_bound("text") < np.inf
+    calls = _counting_scores(monkeypatch)
+    for trial in range(3):
+        q = vecs[rows[trial]].astype(np.float64) if trial else rng.normal(size=8)
+        q /= np.linalg.norm(q)
+        for r in (1, 4):
+            got = _found(search_topr(q, index, "text", r), "text")
+            assert calls == ["text"]
+            with np.errstate(invalid="ignore"):
+                want = _full_pass_topr(index, "text", q, r)
+            assert _same_bits(got, want)
+            calls.clear()
+
+
+def test_nonfinite_query_takes_full_pass(rng, monkeypatch):
+    index = _index(rng, 50)
+    calls = _counting_scores(monkeypatch)
+    q = rng.normal(size=8)
+    q[2] = np.nan
+    got = _found(search_topr(q, index, "image", 3), "image")
+    assert calls == ["image"]
+    with np.errstate(invalid="ignore"):
+        want = _full_pass_topr(index, "image", retrieval._prepare_query(q), 3)
+    assert _same_bits(got, want)
+
+
+def test_replaced_family_refreshes_norm_bound(rng):
+    """The norm bound is cached per family array: a new array gets a new
+    bound, and a search over it stays exact."""
+    index = _index(rng, 300, d=8)
+    before = index.norm_bound("text")
+    assert 1.0 <= before < 1.0 + 1e-5
+    assert index.norm_bound("text") == before
+    index.text_vecs = (index.text_vecs * np.float32(1000.0)).astype(np.float32)
+    after = index.norm_bound("text")
+    assert 1000.0 <= after < 1000.0 * (1 + 1e-5)
+    assert index.norm_bound("image") == pytest.approx(before, rel=1e-5)
+    q = rng.normal(size=8)
+    q /= np.linalg.norm(q)
+    got = _found(search_topr(q, index, "text", 4), "text")
+    assert _same_bits(got, _exact_topr(q, index.text_vecs, index.pair_ids, 4))
+
+
+def test_finite_search_never_scores_every_row(rng, monkeypatch):
+    """Over finite families, searches and candidate pools score only the
+    rows the screen keeps."""
+    index = _spanning_index(rng)
+    calls = _counting_scores(monkeypatch)
+    for trial in range(5):
+        q = rng.normal(size=16)
+        q /= np.linalg.norm(q)
+        for r in (1, 4, 8):
+            search_topr(q, index, "text", r)
+            candidate_pool(q, index, r)
+    search_topr(rng.normal(size=8), _index(rng, 3), "image", 5)
+    assert calls == []
+
+
+def test_pool_components_equal_full_family_product(rng):
+    """Every component of every pool member, the one its own search found
+    and the one complete_scores filled in, has the bits of the whole-family
+    float64 product."""
+    index = _spanning_index(rng)
+    s_filled = 0
+    for trial in range(12):
+        q = index.image_vecs[rng.integers(len(index))] + 0.3 * rng.normal(size=16)
+        q /= np.linalg.norm(q)
+        s_w = index.text_vecs.astype(np.float64) @ q
+        s_v = index.image_vecs.astype(np.float64) @ q
+        for r in (1, 4):
+            for cand in candidate_pool(q, index, r):
+                row = index.row_of(cand.pair_id)
+                assert np.float64(cand.s_w).tobytes() == s_w[row].tobytes()
+                assert np.float64(cand.s_v).tobytes() == s_v[row].tobytes()
+                s_filled += 1
+    assert s_filled > 12 * 5
