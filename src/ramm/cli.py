@@ -13,12 +13,17 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+from .corpus import MIN_CHARS, run_harvest
 from .errors import (
     ConfigError, FingerprintMismatchError, FormatError, MissingArtifactError,
     RammError, ShapeError, TruncatedFileError,
 )
+from .model import ModelConfig, Vocab, cls_rows, encode_image, project_itc
+from .objectives import TrainConfig
+from .synthetic import SyntheticSpec, generate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,43 +64,30 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, default=64)
-    p.add_argument("--n-head", type=int, default=4)
-    p.add_argument("--l-fuse", type=int, default=2)
-    p.add_argument("--l-text", type=int, default=2)
-    p.add_argument("--l-image", type=int, default=2)
-    p.add_argument("--d-proj", type=int, default=32)
-    p.add_argument("--d-ff", type=int, default=None)
-    p.add_argument("--d-patch", type=int, default=16)
-    p.add_argument("--patch-grid", type=int, default=2)
-    p.add_argument("--max-text-len", type=int, default=32)
-    p.add_argument("--dropout", type=float, default=0.1)
+# the fields of each config that are flags, in --help order
+MODEL_FIELDS = ("d", "n_head", "l_fuse", "l_text", "l_image", "d_proj", "d_ff",
+                "d_patch", "patch_grid", "max_text_len", "dropout_rate")
+TRAIN_FIELDS = ("seed", "batch_size", "lr", "itc_temperature", "momentum",
+                "ema_decay", "rdrop_alpha", "mask_rate", "distill_weight",
+                "weight_decay")
+SYNTH_FIELDS = ("seed", "n_clusters", "pairs_per_cluster", "n_train", "n_test",
+                "patch_grid", "d_patch", "required_fraction", "closed_fraction")
+_FLAG_DEST = {"dropout_rate": "dropout"}    # field -> flag dest, where they differ
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--itc-temperature", type=float, default=0.07)
-    p.add_argument("--momentum", type=float, default=0.995)
-    p.add_argument("--ema-decay", type=float, default=0.999)
-    p.add_argument("--rdrop-alpha", type=float, default=0.6)
-    p.add_argument("--mask-rate", type=float, default=0.15)
-    p.add_argument("--distill-weight", type=float, default=0.4)
-    p.add_argument("--weight-decay", type=float, default=0.01)
+def _add_fields(p: argparse.ArgumentParser, cls, names: tuple[str, ...]) -> None:
+    """One flag per named field of dataclass `cls`, defaulting to the field's
+    default and typed by it; a field that defaults to None takes an int."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    for name in names:
+        default = defaults[name]
+        p.add_argument("--" + _FLAG_DEST.get(name, name).replace("_", "-"),
+                       type=int if default is None else type(default), default=default)
 
 
-def _train_config(args):
-    from .objectives import TrainConfig
-
-    return TrainConfig(
-        itc_temperature=args.itc_temperature, momentum=args.momentum,
-        ema_decay=args.ema_decay, rdrop_alpha=args.rdrop_alpha,
-        mask_rate=args.mask_rate, distill_weight=args.distill_weight,
-        batch_size=args.batch_size, lr=args.lr,
-        weight_decay=args.weight_decay, seed=args.seed,
-    )
+def _from_fields(cls, names: tuple[str, ...], args, **extra):
+    """`cls` built from the parsed flags of `names` plus `extra`."""
+    return cls(**{n: getattr(args, _FLAG_DEST.get(n, n)) for n in names}, **extra)
 
 
 def _coerce(action: argparse.Action, raw: str):
@@ -142,28 +134,20 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
 
     p = sub.add_parser("gen-synth", help="generate a synthetic corpus and VQA splits")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-clusters", type=int, default=4)
-    p.add_argument("--pairs-per-cluster", type=int, default=5)
-    p.add_argument("--n-train", type=int, default=240)
-    p.add_argument("--n-test", type=int, default=120)
-    p.add_argument("--patch-grid", type=int, default=2)
-    p.add_argument("--d-patch", type=int, default=16)
-    p.add_argument("--required-fraction", type=float, default=0.5)
-    p.add_argument("--closed-fraction", type=float, default=0.2)
+    _add_fields(p, SyntheticSpec, SYNTH_FIELDS)
 
     p = sub.add_parser("harvest", help="extract image-text pairs from case reports")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--patterns", help="file with one regex per line")
-    p.add_argument("--min-chars", type=int, default=200)
+    p.add_argument("--min-chars", type=int, default=MIN_CHARS)
 
     p = sub.add_parser("pretrain", help="run ITC+ITM+MLM pretraining")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=150)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_fields(p, ModelConfig, MODEL_FIELDS)
+    _add_fields(p, TrainConfig, TRAIN_FIELDS)
 
     p = sub.add_parser("build-index", help="encode the corpus into a RAMMIDX1 index")
     p.add_argument("--checkpoint", required=True)
@@ -179,7 +163,7 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--train-unimodal", action="store_true")
     p.add_argument("--feature-noise", type=float, default=0.0)
-    _add_train_flags(p)
+    _add_fields(p, TrainConfig, TRAIN_FIELDS)
 
     p = sub.add_parser("eval", help="evaluate a fine-tuned checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -211,7 +195,7 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     p.add_argument("--out", required=True)
     p.add_argument("--rs", default="0,1,2,4,8")
     p.add_argument("--epochs", type=int, default=10)
-    _add_train_flags(p)
+    _add_fields(p, TrainConfig, TRAIN_FIELDS)
 
     unknown = sorted(set(defaults) - dests)
     if unknown:
@@ -220,23 +204,13 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
 
 
 def _cmd_gen_synth(args) -> int:
-    from .synthetic import SyntheticSpec, generate
-
-    spec = SyntheticSpec(
-        n_clusters=args.n_clusters, pairs_per_cluster=args.pairs_per_cluster,
-        n_train=args.n_train, n_test=args.n_test, patch_grid=args.patch_grid,
-        d_patch=args.d_patch, required_fraction=args.required_fraction,
-        closed_fraction=args.closed_fraction, seed=args.seed,
-    )
-    meta = generate(spec, args.out)
+    meta = generate(_from_fields(SyntheticSpec, SYNTH_FIELDS, args), args.out)
     print(f"wrote {meta['n_corpus_pairs']} corpus pairs to {args.out} "
           f"(fingerprint {meta['fingerprint']})")
     return EXIT_OK
 
 
 def _cmd_harvest(args) -> int:
-    from .corpus import run_harvest
-
     patterns = None
     if args.patterns:
         patterns = [l for l in Path(args.patterns).read_text().splitlines() if l.strip()]
@@ -246,21 +220,15 @@ def _cmd_harvest(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    from .model import ModelConfig, Vocab
     from .train import pretrain
 
     data = Path(args.data)
     vocab = Vocab.load(data / "vocab.txt")
     answers = (data / "answers.txt").read_text(encoding="utf-8").splitlines()
-    mcfg = ModelConfig(
-        vocab_size=len(vocab), n_answers=len(answers), d=args.d,
-        n_head=args.n_head, l_fuse=args.l_fuse, l_text=args.l_text,
-        l_image=args.l_image, d_proj=args.d_proj, d_ff=args.d_ff,
-        max_text_len=args.max_text_len, patch_grid=args.patch_grid,
-        d_patch=args.d_patch, dropout_rate=args.dropout,
-    )
-    tcfg = _train_config(args)
-    out = pretrain(args.data, args.out, mcfg, tcfg, steps=args.steps)
+    mcfg = _from_fields(ModelConfig, MODEL_FIELDS, args,
+                        vocab_size=len(vocab), n_answers=len(answers))
+    out = pretrain(args.data, args.out, mcfg,
+                   _from_fields(TrainConfig, TRAIN_FIELDS, args), steps=args.steps)
     print(f"checkpoint written to {out}")
     return EXIT_OK
 
@@ -277,23 +245,17 @@ def _cmd_build_index(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    if args.r < 0:
-        print("invalid r: must be non-negative", file=sys.stderr)
-        return EXIT_BAD_R
     from .train import finetune
 
     out = finetune(args.checkpoint, args.index, args.data, args.r,
-                   _train_config(args), args.out, epochs=args.epochs,
-                   train_unimodal=args.train_unimodal,
+                   _from_fields(TrainConfig, TRAIN_FIELDS, args), args.out,
+                   epochs=args.epochs, train_unimodal=args.train_unimodal,
                    feature_noise=args.feature_noise)
     print(f"fine-tuned checkpoint written to {out}")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    if args.r < 0:
-        print("invalid r: must be non-negative", file=sys.stderr)
-        return EXIT_BAD_R
     from .train import evaluate
 
     report, _ = evaluate(args.checkpoint, args.index, args.data, args.r,
@@ -304,10 +266,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    if args.r < 0:
-        print("invalid r: must be non-negative", file=sys.stderr)
-        return EXIT_BAD_R
-    from .model import cls_rows, encode_image, project_itc
     from .retrieval import Mode, retrieve_by_vector
     from .store import load_index, verify_fingerprint
     from .tensor import load_tensor
@@ -356,14 +314,12 @@ def _cmd_sweep_r(args) -> int:
             print(f"invalid r {r}: sweep grid is {VALID_SWEEP_R}", file=sys.stderr)
             return EXIT_BAD_R
         rs.append(r)
-    from .train import sweep_r
+    from .train import sweep_r, sweep_table
 
     rows = sweep_r(args.checkpoint, args.index, args.data, rs,
-                   _train_config(args), args.out, epochs=args.epochs)
-    print("r\toverall\topen\tclosed\trequired")
-    for row in rows:
-        print(f"{row['r']}\t{row['overall']:.4f}\t{row['open']:.4f}"
-              f"\t{row['closed']:.4f}\t{row['required']:.4f}")
+                   _from_fields(TrainConfig, TRAIN_FIELDS, args), args.out,
+                   epochs=args.epochs)
+    print(sweep_table(rows), end="")
     return EXIT_OK
 
 
@@ -385,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # a first pass finds the config file, whose values become flag defaults
         args = build_parser(_config_defaults(argv)).parse_args(argv)
+        if getattr(args, "r", 0) < 0:
+            print("invalid r: must be non-negative", file=sys.stderr)
+            return EXIT_BAD_R
         return _COMMANDS[args.command](args)
     except MissingArtifactError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)

@@ -222,7 +222,10 @@ def candidate_pool(query_vec, index: EmbeddingIndex, r: int,
     already-projected image vector, without `exclude_pair_id`. It depends
     only on the query and the index, so a caller with a frozen index and
     query may compute it once and select from it many times. A non-unit
-    query is normalized (and counted) once, here. Requires r >= 1."""
+    query is normalized (and counted) once, here. Requires r >= 1 and a
+    finite query."""
+    if not np.isfinite(query_vec).all():
+        raise ContractViolation("query vector is not finite")
     q = _prepare_query(query_vec)
     top_w = search_topr(q, index, "text", r)
     top_v = search_topr(q, index, "image", r)

@@ -316,6 +316,14 @@ def load_index(path) -> EmbeddingIndex:
     dups = ids[1:][ids[1:] == ids[:-1]]
     if dups.size:
         raise FormatError(f"{path}: duplicate pair_id {int(dups[0])}")
+    # a non-finite row has no score to rank by; a NaN one would silently
+    # drop out of every top-r while still counting in len(index)
+    for which in ("text", "image"):
+        finite = np.isfinite(index.family(which))
+        if not finite.all():
+            row = finite.all(axis=1).argmin()
+            raise FormatError(f"{path}: pair_id {int(index.pair_ids[row])} "
+                              f"has a non-finite {which} vector")
     return index
 
 

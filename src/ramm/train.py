@@ -146,23 +146,25 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig,
     base_plan = DropoutPlan(_sub_seed(tcfg.seed, "dropout"), mcfg.dropout_rate)
     log_lines = []
 
-    for step in range(steps):
-        batch = rng.choice(len(pairs), size=tcfg.batch_size, replace=False)
-        perm = _derangement(len(batch), rng)
-        masked = [mask_tokens(token_ids[bi], tcfg.mask_rate,
-                              _sub_seed(tcfg.seed, step, int(bi)), vocab)
-                  for bi in batch]
-        loss_itc, loss_itm, loss_mlm = pretrain_losses(
-            params, momentum, mcfg, tcfg, [token_ids[bi] for bi in batch],
-            patches[batch], perm, masked, base_plan.at(step))
-        total = pretrain_loss(loss_itc, loss_itm, loss_mlm)
-        ops.zero_grads(params.values())
-        ops.backward(total)
-        lr = opt.step()
-        ema_update(momentum, params, tcfg.momentum)
-        log_lines.append(
-            f"{step}\t{float(loss_itc.value):.6f}\t{float(loss_itm.value):.6f}"
-            f"\t{float(loss_mlm.value):.6f}\t{float(total.value):.6f}\t{lr:.6g}")
+    # a diverging step surfaces as AdamW's DivergenceError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            batch = rng.choice(len(pairs), size=tcfg.batch_size, replace=False)
+            perm = _derangement(len(batch), rng)
+            masked = [mask_tokens(token_ids[bi], tcfg.mask_rate,
+                                  _sub_seed(tcfg.seed, step, int(bi)), vocab)
+                      for bi in batch]
+            loss_itc, loss_itm, loss_mlm = pretrain_losses(
+                params, momentum, mcfg, tcfg, [token_ids[bi] for bi in batch],
+                patches[batch], perm, masked, base_plan.at(step))
+            total = pretrain_loss(loss_itc, loss_itm, loss_mlm)
+            ops.zero_grads(params.values())
+            ops.backward(total)
+            lr = opt.step()
+            ema_update(momentum, params, tcfg.momentum)
+            log_lines.append(
+                f"{step}\t{float(loss_itc.value):.6f}\t{float(loss_itm.value):.6f}"
+                f"\t{float(loss_mlm.value):.6f}\t{float(total.value):.6f}\t{lr:.6g}")
 
     out_dir = Path(out_dir)
     save_checkpoint(out_dir, params, mcfg,
@@ -308,51 +310,54 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     use_rdrop = tcfg.rdrop_alpha > 0.0 and mcfg.dropout_rate > 0.0
     log_lines = []
     step = 0
-    for epoch in range(epochs):
-        order = rng.permutation(len(items))
-        for b0 in range(0, steps_per_epoch * tcfg.batch_size, tcfg.batch_size):
-            idx = order[b0 : b0 + tcfg.batch_size]
-            batch = [items[int(i)] for i in idx]
-            selected: list[list[int]] = [[] for _ in batch]
-            if r > 0:
-                selected = [
-                    [pid for pid, _ in select_training(
-                        pools[i], r, _sub_seed(tcfg.seed, "select", step, it.item_id)).selected]
-                    for it, i in zip(batch, idx)]
-            streams = stage.streams(batch, selected)
-            if train_unimodal:
-                # live encoder forward so gradients reach the encoders
-                text_in = encode_text(params, mcfg, [item_tokens[i] for i in idx])
-                image_in = encode_image(params, mcfg, item_patches[idx])
-            else:
-                text_in = ops.constant(streams.texts[0])
-                image_in = ops.constant(streams.images[0])
-            if feature_noise > 0.0:
-                noise = np.stack([
-                    feature_noise * np.random.default_rng(
-                        _sub_seed(tcfg.seed, "aug", step, it.item_id)
-                    ).normal(size=image_in.value.shape[1:])
-                    for it in batch])
-                image_in = ops.add(image_in, ops.constant(noise))
+    # a diverging step surfaces as AdamW's DivergenceError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(len(items))
+            for b0 in range(0, steps_per_epoch * tcfg.batch_size, tcfg.batch_size):
+                idx = order[b0 : b0 + tcfg.batch_size]
+                batch = [items[int(i)] for i in idx]
+                selected: list[list[int]] = [[] for _ in batch]
+                if r > 0:
+                    selected = [
+                        [pid for pid, _ in select_training(
+                            pools[i], r,
+                            _sub_seed(tcfg.seed, "select", step, it.item_id)).selected]
+                        for it, i in zip(batch, idx)]
+                streams = stage.streams(batch, selected)
+                if train_unimodal:
+                    # live encoder forward so gradients reach the encoders
+                    text_in = encode_text(params, mcfg, [item_tokens[i] for i in idx])
+                    image_in = encode_image(params, mcfg, item_patches[idx])
+                else:
+                    text_in = ops.constant(streams.texts[0])
+                    image_in = ops.constant(streams.images[0])
+                if feature_noise > 0.0:
+                    noise = np.stack([
+                        feature_noise * np.random.default_rng(
+                            _sub_seed(tcfg.seed, "aug", step, it.item_id)
+                        ).normal(size=image_in.value.shape[1:])
+                        for it in batch])
+                    image_in = ops.add(image_in, ops.constant(noise))
 
-            def forward(pass_idx: int) -> ops.Node:
-                return answer_logits(params, mcfg, text_in, image_in, streams,
-                                     base_plan.at(step, pass_idx))
+                def forward(pass_idx: int) -> ops.Node:
+                    return answer_logits(params, mcfg, text_in, image_in, streams,
+                                         base_plan.at(step, pass_idx))
 
-            targets = [answer_id[it.answer] for it in batch]
-            if use_rdrop:
-                total = rdrop_loss(forward(0), forward(1), targets, tcfg.rdrop_alpha)
-            else:
-                total = ops.cross_entropy(forward(0), targets)
-            ops.zero_grads(params.values())
-            ops.backward(total)
-            lr = opt.step()
-            # restrict EMA to the optimized subset; frozen tensors must stay
-            # bitwise identical so the index fingerprint remains valid
-            ema_update({n: ema[n] for n in opt.names},
-                       {n: params[n] for n in opt.names}, tcfg.ema_decay)
-            log_lines.append(f"{step}\t{float(total.value):.6f}\t{lr:.6g}")
-            step += 1
+                targets = [answer_id[it.answer] for it in batch]
+                if use_rdrop:
+                    total = rdrop_loss(forward(0), forward(1), targets, tcfg.rdrop_alpha)
+                else:
+                    total = ops.cross_entropy(forward(0), targets)
+                ops.zero_grads(params.values())
+                ops.backward(total)
+                lr = opt.step()
+                # restrict EMA to the optimized subset; frozen tensors must stay
+                # bitwise identical so the index fingerprint remains valid
+                ema_update({n: ema[n] for n in opt.names},
+                           {n: params[n] for n in opt.names}, tcfg.ema_decay)
+                log_lines.append(f"{step}\t{float(total.value):.6f}\t{lr:.6g}")
+                step += 1
 
     out_dir = Path(out_dir)
     save_checkpoint(out_dir, params, mcfg, extra={
@@ -537,13 +542,17 @@ def sweep_r(checkpoint_dir, index_path, data_dir, rs, tcfg: TrainConfig,
             "closed": report.closed, "required": report.required,
             "seed": tcfg.seed,
         })
-    header = f"# seed={tcfg.seed} epochs={epochs}\nr\toverall\topen\tclosed\trequired\n"
-    body = "".join(
-        f"{row['r']}\t{row['overall']:.4f}\t{row['open']:.4f}"
-        f"\t{row['closed']:.4f}\t{row['required']:.4f}\n"
-        for row in rows)
-    (out_dir / "sweep_report.txt").write_text(header + body, encoding="utf-8")
+    (out_dir / "sweep_report.txt").write_text(
+        f"# seed={tcfg.seed} epochs={epochs}\n" + sweep_table(rows), encoding="utf-8")
     with open(out_dir / "sweep_report.jsonl", "w", encoding="utf-8") as f:
         for row in rows:
             f.write(json.dumps(row, sort_keys=True) + "\n")
     return rows
+
+
+def sweep_table(rows: list[dict]) -> str:
+    """`sweep_r`'s rows as a tab-separated table with a header line."""
+    return "r\toverall\topen\tclosed\trequired\n" + "".join(
+        f"{row['r']}\t{row['overall']:.4f}\t{row['open']:.4f}"
+        f"\t{row['closed']:.4f}\t{row['required']:.4f}\n"
+        for row in rows)

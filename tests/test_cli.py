@@ -1,14 +1,20 @@
 """End-to-end CLI tests over a miniature pipeline."""
 
 import json
+import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from ramm.cli import (
     EXIT_BAD_R, EXIT_CONFIG, EXIT_ERROR, EXIT_FINGERPRINT, EXIT_FORMAT,
-    EXIT_MISSING, EXIT_OK, main,
+    EXIT_MISSING, EXIT_OK, build_parser, main,
 )
+from ramm.errors import ConfigError
+from ramm.model import ModelConfig, Vocab
+from ramm.objectives import TrainConfig
+from ramm.synthetic import SyntheticSpec
 from ramm.tensor import Tensor, save_tensor
 
 MODEL_FLAGS = ["--d", "16", "--n-head", "2", "--l-fuse", "1", "--l-text", "1",
@@ -271,3 +277,91 @@ def test_retrieve_rejects_query_with_extra_patch(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(tmp_path / "q.ten") in err
     assert f"need {patches.shape}" in err and str(extra.shape) in err
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+def test_diverged_run_prints_one_line(pipeline, tmp_path, capsys, stage):
+    """A diverging run ends in its one error line, with no numpy warning
+    ahead of it, though the caller leaves floating-point errors at numpy's
+    defaults."""
+    data = str(pipeline["data"])
+    argv = {
+        "pretrain": ["pretrain", "--data", data, "--steps", "4", *MODEL_FLAGS],
+        "finetune": ["finetune", "--checkpoint", str(pipeline["ckpt"]), "--index",
+                     str(pipeline["index"]), "--data", data, "--r", "2", "--epochs", "2"],
+    }[stage]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(tmp_path / "out"), "--batch-size", "4",
+                     "--seed", "0", "--lr", "1e30"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite ") and err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_retrieve_refuses_nonfinite_index(pipeline, tmp_path, capsys):
+    from ramm.store import load_index, save_index
+
+    index = load_index(pipeline["index"])
+    vecs = index.image_vecs.copy()
+    vecs[2, 0] = np.nan
+    index.image_vecs = vecs
+    save_index(index, tmp_path / "nan.idx")
+    save_tensor(Tensor(vecs[0]), tmp_path / "q.ten")
+    assert main(["retrieve", "--index", str(tmp_path / "nan.idx"), "--query-tensor",
+                 str(tmp_path / "q.ten"), "--r", "2", "--mode", "infer"]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert f"pair_id {int(index.pair_ids[2])} has a non-finite image vector" in err
+
+
+def test_gen_synth_defaults_are_the_spec_defaults(tmp_path):
+    out = tmp_path / "data"
+    assert main(["gen-synth", "--out", str(out), "--n-train", "8", "--n-test", "4",
+                 "--pairs-per-cluster", "1"]) == EXIT_OK
+    spec = json.loads((out / "meta.json").read_text())["spec"]
+    assert spec == {**asdict(SyntheticSpec()), "n_train": 8, "n_test": 4,
+                    "pairs_per_cluster": 1}
+
+
+def test_pretrain_defaults_are_the_model_config_defaults(pipeline, tmp_path):
+    data, out = pipeline["data"], tmp_path / "ckpt"
+    assert main(["pretrain", "--data", str(data), "--out", str(out),
+                 "--steps", "1"]) == EXIT_OK
+    answers = (data / "answers.txt").read_text().splitlines()
+    mcfg = ModelConfig(vocab_size=len(Vocab.load(data / "vocab.txt")),
+                       n_answers=len(answers))
+    assert (out / "config.json").read_text() == mcfg.to_json()
+
+
+_REQUIRED_FLAGS = {
+    "gen-synth": ["--out", "o"],
+    "harvest": ["--in", "i", "--out", "o"],
+    "pretrain": ["--data", "d", "--out", "o"],
+    "build-index": ["--checkpoint", "c", "--data", "d", "--out", "o"],
+    "finetune": ["--checkpoint", "c", "--index", "i", "--data", "d", "--out", "o"],
+    "eval": ["--checkpoint", "c", "--index", "i", "--data", "d"],
+    "retrieve": ["--index", "i", "--query-tensor", "q", "--r", "1", "--mode", "infer"],
+    "stats": ["--details", "d"],
+    "sweep-r": ["--checkpoint", "c", "--index", "i", "--data", "d", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED_FLAGS))
+def test_train_flags_default_to_train_config(command):
+    """Every TrainConfig field a subcommand parses defaults to the field's
+    default; the training subcommands parse all but total_steps."""
+    args = build_parser().parse_args([command, *_REQUIRED_FLAGS[command]])
+    names = [f.name for f in fields(TrainConfig) if hasattr(args, f.name)]
+    assert {n: getattr(args, n) for n in names} == {
+        n: getattr(TrainConfig(), n) for n in names}
+    if command in ("pretrain", "finetune", "sweep-r"):
+        assert set(names) == {f.name for f in fields(TrainConfig)} - {"total_steps"}
+
+
+def test_dropout_is_the_flag_and_key_of_dropout_rate():
+    """The one flag named apart from its field: --dropout, config key
+    dropout, sets ModelConfig.dropout_rate, and dropout_rate is no key."""
+    argv = ["pretrain", *_REQUIRED_FLAGS["pretrain"]]
+    assert build_parser({"dropout": "0.25"}).parse_args(argv).dropout == 0.25
+    with pytest.raises(ConfigError, match="config key names no flag: dropout_rate"):
+        build_parser({"dropout_rate": "0.25"})

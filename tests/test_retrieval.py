@@ -551,6 +551,21 @@ def test_nonfinite_query_takes_full_pass(rng, monkeypatch):
     assert _same_bits(got, want)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_query_is_refused(rng, bad):
+    """A NaN or infinite query has no ranking: the pool and both retrieval
+    modes say so before normalizing (and counting) it."""
+    index = _index(rng, 10, d=4)
+    q = np.array([bad, 0.0, 0.0, 0.0])
+    before = retrieval.non_unit_query_count
+    with pytest.raises(ContractViolation, match="query vector is not finite"):
+        candidate_pool(q, index, 3)
+    for mode in (Mode.TRAIN, Mode.INFER):
+        with pytest.raises(ContractViolation, match="query vector is not finite"):
+            retrieve_by_vector(q, index, 3, mode)
+    assert retrieval.non_unit_query_count == before
+
+
 def test_replaced_family_refreshes_norm_bound(rng):
     """The norm bound is cached per family array: a new array gets a new
     bound, and a search over it stays exact."""

@@ -186,6 +186,17 @@ def test_index_unknown_source_tag(tmp_path, rng):
         load_index(path)
 
 
+@pytest.mark.parametrize("which, value", [("text", np.nan), ("image", np.inf)])
+def test_index_nonfinite_vector(tmp_path, rng, which, value):
+    """A NaN or inf vector would drop its pair out of every top-r while it
+    still counts in len(index): load_index refuses it and names the pair."""
+    index = _random_index(rng, n=10)
+    getattr(index, f"{which}_vecs")[3, 1] = value
+    path, _ = _saved(tmp_path, index)
+    with pytest.raises(FormatError, match=f"pair_id 4 has a non-finite {which} vector"):
+        load_index(path)
+
+
 def test_index_roundtrip_shuffled_ids_and_lookup(tmp_path, rng):
     index = _random_index(rng, n=50)
     index.pair_ids = rng.permutation(np.arange(100, 150, dtype=np.uint64))
