@@ -130,7 +130,8 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     parser.add_argument("--config", help="flat key=value file; flags override")
     sub = parser.add_subparsers(
         dest="command", required=True,
-        parser_class=functools.partial(_Parser, config=defaults, dests=dests))
+        parser_class=functools.partial(_Parser, config=defaults, dests=dests,
+                                       allow_abbrev=False))
 
     p = sub.add_parser("gen-synth", help="generate a synthetic corpus and VQA splits")
     p.add_argument("--out", required=True)
@@ -161,7 +162,6 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     p.add_argument("--out", required=True)
     p.add_argument("--r", type=int, default=4)
     p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--train-unimodal", action="store_true")
     p.add_argument("--feature-noise", type=float, default=0.0)
     _add_fields(p, TrainConfig, TRAIN_FIELDS)
 
@@ -249,8 +249,7 @@ def _cmd_finetune(args) -> int:
 
     out = finetune(args.checkpoint, args.index, args.data, args.r,
                    _from_fields(TrainConfig, TRAIN_FIELDS, args), args.out,
-                   epochs=args.epochs, train_unimodal=args.train_unimodal,
-                   feature_noise=args.feature_noise)
+                   epochs=args.epochs, feature_noise=args.feature_noise)
     print(f"fine-tuned checkpoint written to {out}")
     return EXIT_OK
 

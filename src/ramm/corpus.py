@@ -88,9 +88,7 @@ def extract_case_sections(doc: ArticleDocument,
     return notes
 
 
-def filter_notes(notes: list[PatientNote],
-                 min_chars: int = MIN_CHARS,
-                 max_nonalpha: float = MAX_NONALPHA_FRACTION) -> list[PatientNote]:
+def filter_notes(notes: list[PatientNote], min_chars: int = MIN_CHARS) -> list[PatientNote]:
     """Drop short notes, mostly non-alphabetic notes, and exact duplicates."""
     kept = []
     seen_texts: set[str] = set()
@@ -99,7 +97,7 @@ def filter_notes(notes: list[PatientNote],
         if len(text) < min_chars:
             continue
         nonalpha = sum(1 for ch in text if not ch.isalpha())
-        if nonalpha / max(len(text), 1) > max_nonalpha:
+        if nonalpha / max(len(text), 1) > MAX_NONALPHA_FRACTION:
             continue
         if text in seen_texts:
             continue

@@ -52,10 +52,6 @@ class Vocab:
         return len(self.tokens)
 
     @property
-    def pad_id(self):
-        return self.index[PAD]
-
-    @property
     def cls_id(self):
         return self.index[CLS]
 
@@ -259,7 +255,7 @@ def save_params(params: dict[str, Node], directory) -> None:
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_params(directory, dtype=np.float32) -> dict[str, Node]:
+def load_params(directory) -> dict[str, Node]:
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     if not manifest.exists():
@@ -272,7 +268,7 @@ def load_params(directory, dtype=np.float32) -> dict[str, Node]:
         t = load_tensor(directory / f"{name}.ten")
         if tuple(int(d) for d in dims) != t.shape:
             raise StructureError(f"{name}: manifest shape {dims} != file {t.shape}")
-        params[name] = ops.param(t.array.astype(dtype))
+        params[name] = ops.param(t.array.astype(np.float32))
     return params
 
 

@@ -54,11 +54,19 @@ class RetrievalResult:
 def _prepare_query(query_vec: np.ndarray) -> np.ndarray:
     global non_unit_query_count
     q = np.asarray(query_vec, dtype=np.float64).reshape(-1)
-    norm = np.linalg.norm(q)
+    if not q.any():
+        raise ContractViolation("query vector is zero")
+    with np.errstate(over="ignore"):    # an overflowing norm is handled below
+        norm = np.linalg.norm(q)
     if abs(norm - 1.0) > 1e-3:
         non_unit_query_count += 1
         log.warning("query vector has norm %.6f; normalizing", norm)
-        q = q / max(norm, 1e-12)
+        if norm == 0.0 or np.isinf(norm):
+            # the float64 sum of squares under- or overflowed; the largest
+            # magnitude brings it into range without changing the direction
+            q = q / np.abs(q).max()
+            norm = np.linalg.norm(q)
+        q = q / norm
     return q
 
 
@@ -223,7 +231,7 @@ def candidate_pool(query_vec, index: EmbeddingIndex, r: int,
     only on the query and the index, so a caller with a frozen index and
     query may compute it once and select from it many times. A non-unit
     query is normalized (and counted) once, here. Requires r >= 1 and a
-    finite query."""
+    finite, nonzero query."""
     if not np.isfinite(query_vec).all():
         raise ContractViolation("query vector is not finite")
     q = _prepare_query(query_vec)

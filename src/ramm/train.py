@@ -45,24 +45,22 @@ def _sub_seed(*parts) -> int:
 # Checkpoints
 
 
-def save_checkpoint(directory, params, mcfg: ModelConfig, extra: dict | None = None):
+def save_checkpoint(directory, params, mcfg: ModelConfig, extra: dict):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_params(params, directory / "weights")
     (directory / "config.json").write_text(mcfg.to_json(), encoding="utf-8")
-    if extra:
-        (directory / "meta.json").write_text(
-            json.dumps(extra, sort_keys=True), encoding="utf-8")
+    (directory / "meta.json").write_text(json.dumps(extra, sort_keys=True), encoding="utf-8")
 
 
-def load_checkpoint(directory, weights: str = "weights", dtype=np.float32):
-    """Model config and the parameters in the `weights` subdirectory."""
+def load_checkpoint(directory, weights: str = "weights"):
+    """Model config and the float32 parameters in the `weights` subdirectory."""
     directory = Path(directory)
     cfg_path = directory / "config.json"
     if not cfg_path.exists():
         raise MissingArtifactError(f"no checkpoint at {directory}")
     mcfg = ModelConfig.from_json(cfg_path.read_text(encoding="utf-8"))
-    params = load_params(directory / weights, dtype=dtype)
+    params = load_params(directory / weights)
     return params, mcfg
 
 
@@ -127,8 +125,7 @@ def pretrain_losses(params, momentum, mcfg: ModelConfig, tcfg: TrainConfig,
     return loss_itc, loss_itm, loss_mlm
 
 
-def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig,
-             steps: int, log_path=None) -> Path:
+def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig, steps: int) -> Path:
     """Train ITC + ITM + MLM (unweighted sum) with momentum distillation."""
     data_dir = Path(data_dir)
     vocab = Vocab.load(data_dir / "vocab.txt")
@@ -169,10 +166,8 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig,
     out_dir = Path(out_dir)
     save_checkpoint(out_dir, params, mcfg,
                     extra={"stage": "pretrain", "seed": tcfg.seed, "steps": steps})
-    log_text = "\n".join(log_lines) + "\n"
-    (out_dir / "train_log.tsv").write_text(log_text, encoding="utf-8")
-    if log_path:
-        Path(log_path).write_text(log_text, encoding="utf-8")
+    (out_dir / "train_log.tsv").write_text("\n".join(log_lines) + "\n",
+                                           encoding="utf-8")
     return out_dir
 
 
@@ -269,14 +264,14 @@ def answer_logits(params, mcfg: ModelConfig, text0: ops.Node, image0: ops.Node,
 
 
 def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
-             out_dir, epochs: int = 10, train_unimodal: bool = False,
-             feature_noise: float = 0.0) -> Path:
+             out_dir, epochs: int = 10, feature_noise: float = 0.0) -> Path:
     """Fine-tune VQA classification with r retrieved pairs per instance.
 
-    Retrieval scores come from the frozen pretraining-time encoders via the
-    precomputed index. By default the uni-modal encoders are also frozen as
-    feature extractors (their states are cached), which keeps desk-scale
-    runs fast; pass train_unimodal=True to update them too. feature_noise
+    Only the fusion stack and the VQA head train. The uni-modal encoders and
+    ITC projections stay frozen, bit for bit in both the weights and their
+    EMA, so the index, which holds their features, stays valid for the
+    fine-tuned checkpoint (`evaluate` checks its fingerprint), and the
+    encoder states of every stream are computed once and cached. feature_noise
     adds fresh Gaussian noise to the instance's image states every step, a
     cheap augmentation that discourages memorizing individual images.
     Each item's retrieval pool is computed once per run; each step draws
@@ -293,16 +288,11 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     # training draw from it changes from step to step
     item_qvec = stage.query_vecs(items)
     pools = [candidate_pool(q, index, r) for q in item_qvec] if r > 0 else []
-    if train_unimodal:
-        item_tokens = [tokenize(it.question, stage.vocab, mcfg.max_text_len) for it in items]
-        item_patches = np.stack([load_tensor(stage.data_dir / it.image_ref).array
-                                 for it in items])
 
-    trainable = None if train_unimodal else ("fuse.", "vqa.")
     steps_per_epoch = max(1, len(items) // tcfg.batch_size)
     total_steps = epochs * steps_per_epoch
     opt = AdamW(params, lr=tcfg.lr, weight_decay=tcfg.weight_decay,
-                total_steps=total_steps, trainable_prefixes=trainable)
+                total_steps=total_steps, trainable_prefixes=("fuse.", "vqa."))
     ema = clone_params(params)
     ema_init = {n: params[n].value.astype(np.float64).copy() for n in opt.names}
     base_plan = DropoutPlan(_sub_seed(tcfg.seed, "ft-dropout"), mcfg.dropout_rate)
@@ -325,13 +315,8 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
                             _sub_seed(tcfg.seed, "select", step, it.item_id)).selected]
                         for it, i in zip(batch, idx)]
                 streams = stage.streams(batch, selected)
-                if train_unimodal:
-                    # live encoder forward so gradients reach the encoders
-                    text_in = encode_text(params, mcfg, [item_tokens[i] for i in idx])
-                    image_in = encode_image(params, mcfg, item_patches[idx])
-                else:
-                    text_in = ops.constant(streams.texts[0])
-                    image_in = ops.constant(streams.images[0])
+                text_in = ops.constant(streams.texts[0])
+                image_in = ops.constant(streams.images[0])
                 if feature_noise > 0.0:
                     noise = np.stack([
                         feature_noise * np.random.default_rng(

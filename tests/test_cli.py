@@ -365,3 +365,51 @@ def test_dropout_is_the_flag_and_key_of_dropout_rate():
     assert build_parser({"dropout": "0.25"}).parse_args(argv).dropout == 0.25
     with pytest.raises(ConfigError, match="config key names no flag: dropout_rate"):
         build_parser({"dropout_rate": "0.25"})
+
+
+@pytest.mark.parametrize("flag, value", [("--epoch", "3"), ("--feat", "0.5")])
+def test_subcommand_flags_are_not_abbreviated(flag, value):
+    """A prefix of a subcommand flag is refused, as at the top level, so a
+    new flag cannot silently change what an abbreviation means."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["finetune", *_REQUIRED_FLAGS["finetune"], flag, value])
+    assert exc.value.code == 2
+
+
+def test_finetune_has_one_training_path(tmp_path, capsys):
+    """Fine-tuning always keeps the encoders frozen: --train-unimodal is no
+    flag and train_unimodal no config key."""
+    argv = ["finetune", *_REQUIRED_FLAGS["finetune"]]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, "--train-unimodal"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --train-unimodal" in capsys.readouterr().err
+    cfg = tmp_path / "ramm.cfg"
+    cfg.write_text("train_unimodal = true\n")
+    assert main(["--config", str(cfg), *argv]) == EXIT_CONFIG
+    assert "config key names no flag: train_unimodal" in capsys.readouterr().err
+
+
+def test_finetune_leaves_frozen_tensors_alone(pipeline):
+    """Every tensor outside the fusion stack and the VQA head, in the
+    weights and in their EMA, keeps the pretrain checkpoint's bytes; the
+    trained ones moved."""
+    pretrained = pipeline["ckpt"] / "weights"
+    names = [line.split()[0] for line in
+             (pretrained / "manifest.txt").read_text().splitlines()]
+    trained = [n for n in names if n.startswith(("fuse.", "vqa."))]
+    assert trained and len(trained) < len(names)
+    for weights in ("weights", "weights_ema"):
+        tuned = pipeline["ft"] / weights
+        assert (tuned / "manifest.txt").read_bytes() == (pretrained / "manifest.txt").read_bytes()
+        for name in names:
+            same = (tuned / f"{name}.ten").read_bytes() == (pretrained / f"{name}.ten").read_bytes()
+            assert same == (name not in trained), (weights, name)
+
+
+def test_retrieve_zero_query_is_an_error(pipeline, tmp_path, capsys):
+    save_tensor(Tensor(np.zeros(8, dtype=np.float32)), tmp_path / "q.ten")
+    assert main(["retrieve", "--index", str(pipeline["index"]), "--query-tensor",
+                 str(tmp_path / "q.ten"), "--r", "2", "--mode", "infer"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: query vector is zero\n" and captured.out == ""

@@ -566,6 +566,52 @@ def test_nonfinite_query_is_refused(rng, bad):
     assert retrieval.non_unit_query_count == before
 
 
+def test_zero_query_is_refused(rng):
+    """A zero query has no direction: every entry point names it before
+    counting it."""
+    index = _index(rng, 10, d=4)
+    q = np.zeros(4)
+    before = retrieval.non_unit_query_count
+    with pytest.raises(ContractViolation, match="query vector is zero"):
+        candidate_pool(q, index, 3)
+    with pytest.raises(ContractViolation, match="query vector is zero"):
+        search_topr(q, index, "text", 3)
+    for mode in (Mode.TRAIN, Mode.INFER):
+        with pytest.raises(ContractViolation, match="query vector is zero"):
+            retrieve_by_vector(q, index, 3, mode)
+    assert retrieval.non_unit_query_count == before
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_query_with_out_of_range_norm_keeps_its_direction(rng, caplog, scale):
+    """A finite query whose float64 norm overflows or underflows retrieves
+    exactly as its unit direction, and is warned about and counted once."""
+    index = _index(rng, 10, d=4)
+    want = candidate_pool(np.array([1.0, 0.0, 0.0, 0.0]), index, 3)
+    before = retrieval.non_unit_query_count
+    with caplog.at_level(logging.WARNING, logger="ramm.retrieval"):
+        got = candidate_pool(np.array([scale, 0.0, 0.0, 0.0]), index, 3)
+    assert got == want
+    assert retrieval.non_unit_query_count == before + 1
+    assert len([r for r in caplog.records if "norm" in r.getMessage()]) == 1
+    assert retrieval._prepare_query(np.array([3 * scale, 4 * scale, 0.0])).tolist() == \
+        retrieval._prepare_query(np.array([0.75, 1.0, 0.0])).tolist()
+
+
+def test_finite_query_is_divided_by_its_norm_once(rng):
+    """A unit query is used as it is; a query of any other finite nonzero
+    norm, however small, is divided by that norm and counted once per pool."""
+    index = _index(rng, 10)
+    q = _unit_rows(rng, 1, 8)[0].astype(np.float64)
+    assert retrieval._prepare_query(q).tobytes() == q.tobytes()
+    for scaled in (3.0 * q, 1e-100 * q, 1e100 * q):
+        assert retrieval._prepare_query(scaled).tobytes() == \
+            (scaled / np.linalg.norm(scaled)).tobytes()
+        before = retrieval.non_unit_query_count
+        candidate_pool(scaled, index, 3)
+        assert retrieval.non_unit_query_count == before + 1
+
+
 def test_replaced_family_refreshes_norm_bound(rng):
     """The norm bound is cached per family array: a new array gets a new
     bound, and a search over it stays exact."""
