@@ -6,6 +6,11 @@ Retrieval-attention runs single-query multi-head attention from the original
 stream's CLS over the CLS rows of all streams and residually updates only the
 original CLS; every other row of every stream passes through untouched.
 
+The original stream runs on its own; the r retrieved streams are stacked on
+one extra axis, (r, n, d) or (B, r, n, d), so each fusion sublayer runs them
+as one node whatever r is. fuse returns only the original stream, so the
+last layer skips the retrieved streams' feed-forward.
+
 Every forward pass takes one item, with (n, d) states, or a batch, with
 (B, n, d) states: the unbatched case is the same code without the leading
 axis. In a batch, text is padded to its longest sequence and padded
@@ -244,13 +249,19 @@ def reinit_group(params: dict[str, Node], prefix: str, seed: int) -> None:
 
 
 def save_params(params: dict[str, Node], directory) -> None:
-    """Directory of RAMMTEN1 files plus a plain-text manifest."""
+    """Directory of RAMMTEN1 files plus a plain-text manifest. A tensor with
+    a value that is not finite in float32 raises ContractViolation before
+    anything is written."""
+    with np.errstate(over="ignore"):
+        arrays = {name: params[name].value.astype(np.float32) for name in sorted(params)}
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ContractViolation(f"{name}: not finite in float32, checkpoint not written")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = []
-    for name in sorted(params):
-        arr = params[name].value
-        save_tensor(arr.astype(np.float32), directory / f"{name}.ten")
+    for name, arr in arrays.items():
+        save_tensor(arr, directory / f"{name}.ten")
         lines.append(name + " " + " ".join(str(d) for d in arr.shape))
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -277,10 +288,11 @@ def load_params(directory) -> dict[str, Node]:
 
 
 def key_mask(lengths) -> np.ndarray:
-    """Additive key-padding mask (B, max length): 0 on the first lengths[b]
-    positions of item b, MASKED on its padding."""
+    """Additive key-padding mask (..., max length) of an array of sequence
+    lengths: 0 on the first lengths[b] positions of sequence b, MASKED on
+    its padding."""
     lengths = np.asarray(lengths)
-    return np.where(np.arange(lengths.max()) < lengths[:, None], 0.0, MASKED)
+    return np.where(np.arange(lengths.max()) < lengths[..., None], 0.0, MASKED)
 
 
 def _mha(params, prefix, x_q: Node, x_kv: Node, n_head: int,
@@ -368,12 +380,16 @@ def project_itc(cls_row: Node, params, modality: str) -> Node:
 
 @dataclass
 class FusionState:
-    """(r+1) parallel dual-stream hidden states; stream 0 is the original.
+    """Dual-stream hidden states: stream 0, the original pair, then the r
+    retrieved pairs.
 
-    For a batch, every stream is (B, n, d). text_masks holds each text
-    stream's additive key mask (B, n) and stream_mask (B, r+1) drops the
-    retrieved streams an item lacks from retrieval-attention; None masks
-    nothing."""
+    text_streams[0] and image_streams[0] are stream 0, (n, d), or (B, n, d)
+    for a batch. Each later entry is one retrieved stream shaped like
+    stream 0, or a stack of k retrieved streams with one more axis,
+    (..., k, n, d); fuse holds all r of them in one stack. text_masks holds
+    the additive key mask of each text entry, (B, n) or (..., k, n), and
+    stream_mask (B, r+1) drops the retrieved streams an item lacks from
+    retrieval-attention; None masks nothing."""
 
     text_streams: list[Node]
     image_streams: list[Node]
@@ -383,7 +399,18 @@ class FusionState:
 
     @property
     def r(self) -> int:
-        return len(self.text_streams) - 1
+        rank = self.text_streams[0].value.ndim
+        return sum(s.value.shape[-3] if s.value.ndim > rank else 1
+                   for s in self.text_streams[1:])
+
+
+def _cls_of(entry: Node, rank: int) -> Node:
+    """The CLS rows of a stream entry as (..., k, d): k = 1 for a stream of
+    `rank` axes, k streams for a stack with one more axis."""
+    cls = ops.slice_rows(entry, 0, 1, axis=-2)
+    if entry.value.ndim > rank:
+        cls = ops.reshape(cls, cls.value.shape[:-2] + cls.value.shape[-1:])
+    return cls
 
 
 def retrieval_attention(state: FusionState, params, cfg: ModelConfig,
@@ -397,8 +424,8 @@ def retrieval_attention(state: FusionState, params, cfg: ModelConfig,
         raise ContractViolation("retrieval_attention requires r >= 1 streams")
 
     def per_modality(streams: list[Node], sub: str, ln_name: str) -> list[Node]:
-        cls = ops.concat_rows([ops.slice_rows(s, 0, 1, axis=-2) for s in streams],
-                              axis=-2)
+        rank = streams[0].value.ndim
+        cls = ops.concat_rows([_cls_of(s, rank) for s in streams], axis=-2)
         keys = _ln(params, f"fuse.{layer}.{ln_name}", cls)
         query = ops.slice_rows(keys, 0, 1, axis=-2)
         out = _mha(params, f"fuse.{layer}.{sub}", query, keys, cfg.n_head,
@@ -412,28 +439,39 @@ def retrieval_attention(state: FusionState, params, cfg: ModelConfig,
     )
 
 
+# dropout-mask tag suffixes of stream 0 and of the retrieved stack
+_STREAM_TAGS = ("s0", "sr")
+
+
 def fusion_layer(state: FusionState, params, cfg: ModelConfig,
                  retrieval_enabled: bool, dctx: DropoutPlan | None = None) -> FusionState:
     """One dual-stream layer: self-attention, cross-attention, optional
     retrieval-attention, then per-modality feed-forward; residual + pre-norm
-    around every sublayer. Streams share weights and are processed
-    independently until retrieval-attention couples their CLS rows."""
+    around every sublayer. Streams share weights and are independent until
+    retrieval-attention couples their CLS rows. `state` holds stream 0 and
+    at most one retrieved entry, the stack fuse builds, and each entry runs
+    through a sublayer as one node. The last layer (layer_index l_fuse - 1)
+    returns stream 0 alone: nothing reads the retrieved streams after it,
+    so their feed-forward is skipped."""
+    if len(state.text_streams) > 2:
+        raise ContractViolation("fusion_layer takes stream 0 and one stack of "
+                                "retrieved streams; fuse stacks them")
     i = state.layer_index
     masks = state.text_masks or [None] * len(state.text_streams)
     texts, images = [], []
-    for j, (w, v, m) in enumerate(zip(state.text_streams, state.image_streams, masks)):
+    for w, v, m, tag in zip(state.text_streams, state.image_streams, masks, _STREAM_TAGS):
         wn = _ln(params, f"fuse.{i}.ln_sw", w)
         w1 = ops.add(w, _mha(params, f"fuse.{i}.self_w", wn, wn, cfg.n_head,
-                             dctx, f"fuse.{i}.self_w.s{j}", m))
+                             dctx, f"fuse.{i}.self_w.{tag}", m))
         vn = _ln(params, f"fuse.{i}.ln_sv", v)
         v1 = ops.add(v, _mha(params, f"fuse.{i}.self_v", vn, vn, cfg.n_head,
-                             dctx, f"fuse.{i}.self_v.s{j}"))
+                             dctx, f"fuse.{i}.self_v.{tag}"))
         wc = _ln(params, f"fuse.{i}.ln_cw", w1)
         vc = _ln(params, f"fuse.{i}.ln_cv", v1)
         w2 = ops.add(w1, _mha(params, f"fuse.{i}.cross_w", wc, vc, cfg.n_head,
-                              dctx, f"fuse.{i}.cross_w.s{j}"))
+                              dctx, f"fuse.{i}.cross_w.{tag}"))
         v2 = ops.add(v1, _mha(params, f"fuse.{i}.cross_v", vc, wc, cfg.n_head,
-                              dctx, f"fuse.{i}.cross_v.s{j}", m))
+                              dctx, f"fuse.{i}.cross_v.{tag}", m))
         texts.append(w2)
         images.append(v2)
 
@@ -441,15 +479,43 @@ def fusion_layer(state: FusionState, params, cfg: ModelConfig,
     if retrieval_enabled and mid.r >= 1:
         mid = retrieval_attention(mid, params, cfg, i, dctx)
 
+    keep = 1 if i == cfg.l_fuse - 1 else len(texts)
     texts2, images2 = [], []
-    for j, (w, v) in enumerate(zip(mid.text_streams, mid.image_streams)):
+    for w, v, tag in zip(mid.text_streams[:keep], mid.image_streams[:keep], _STREAM_TAGS):
         w3 = ops.add(w, _ffn(params, f"fuse.{i}.ffn_w", _ln(params, f"fuse.{i}.ln_fw", w),
-                             dctx, f"fuse.{i}.ffn_w.s{j}"))
+                             dctx, f"fuse.{i}.ffn_w.{tag}"))
         v3 = ops.add(v, _ffn(params, f"fuse.{i}.ffn_v", _ln(params, f"fuse.{i}.ln_fv", v),
-                             dctx, f"fuse.{i}.ffn_v.s{j}"))
+                             dctx, f"fuse.{i}.ffn_v.{tag}"))
         texts2.append(w3)
         images2.append(v3)
-    return replace(mid, text_streams=texts2, image_streams=images2, layer_index=i + 1)
+    return replace(mid, text_streams=texts2, image_streams=images2,
+                   text_masks=state.text_masks and state.text_masks[:keep],
+                   layer_index=i + 1)
+
+
+def _stack(retrieved: list[tuple[Node, Node]], rank: int):
+    """The retrieved (text, image) streams as one stacked pair, texts
+    zero-padded to the longest, plus the stack's key mask (None when no
+    text is padded). A single pair that is already stacked is returned as
+    it is."""
+    if len(retrieved) == 1 and retrieved[0][0].value.ndim > rank:
+        return (*retrieved[0], None)
+    lengths = [t.value.shape[-2] for t, _ in retrieved]
+    n = max(lengths)
+
+    def as_slot(x: Node, rows: int) -> Node:
+        shape = x.value.shape
+        if shape[-2] < rows:
+            pad = np.zeros(shape[:-2] + (rows - shape[-2], shape[-1]), x.dtype)
+            x = ops.concat_rows([x, pad], axis=-2)
+        return ops.reshape(x, shape[:-2] + (1, rows, shape[-1]))
+
+    text = ops.concat_rows([as_slot(t, n) for t, _ in retrieved], axis=-3)
+    image = ops.concat_rows([as_slot(v, v.value.shape[-2]) for _, v in retrieved], axis=-3)
+    mask = None
+    if min(lengths) < n:
+        mask = np.broadcast_to(key_mask(lengths), text.value.shape[:-1])
+    return text, image, mask
 
 
 def fuse(params, cfg: ModelConfig, text0: Node, image0: Node,
@@ -458,36 +524,50 @@ def fuse(params, cfg: ModelConfig, text0: Node, image0: Node,
          stream_mask: np.ndarray | None = None) -> tuple[Node, Node]:
     """Run the full fusion stack; returns final stream-0 representations.
 
-    With no retrieved pairs the retrieval-attention sublayer is skipped
-    entirely, so the r=0 path is the plain co-attention model bit-for-bit.
-    For a batch, text_masks and stream_mask are as in FusionState (see
-    StreamBatch).
+    `retrieved` lists (text, image) node pairs: one per retrieved stream,
+    shaped like stream 0 and with texts of any length, which are stacked
+    here once; or one pair that is already stacked (see FusionState), as
+    StreamBatch.retrieved gives. With no retrieved pairs the
+    retrieval-attention sublayer is skipped entirely, so the r=0 path is the
+    plain co-attention model bit-for-bit. For a batch, text_masks holds
+    stream 0's key mask and, for a stacked pair, the stack's; stream_mask is
+    as in FusionState (see StreamBatch).
     """
-    state = FusionState(
-        [text0] + [t for t, _ in retrieved],
-        [image0] + [v for _, v in retrieved],
-        text_masks=text_masks,
-        stream_mask=stream_mask,
-    )
-    enabled = len(retrieved) > 0
+    texts, images, masks = [text0], [image0], list(text_masks or [None])
+    if retrieved:
+        text, image, mask = _stack(retrieved, text0.value.ndim)
+        texts.append(text)
+        images.append(image)
+        if len(masks) == 1:
+            masks.append(mask)
+    state = FusionState(texts, images, text_masks=masks, stream_mask=stream_mask)
     for _ in range(cfg.l_fuse):
-        state = fusion_layer(state, params, cfg, enabled, dctx)
+        state = fusion_layer(state, params, cfg, bool(retrieved), dctx)
     return state.text_streams[0], state.image_streams[0]
 
 
 @dataclass
 class StreamBatch:
-    """The r+1 fusion streams of a batch as constant arrays, ready for fuse."""
+    """The fusion streams of a batch as constant arrays, ready for fuse:
+    stream 0 on its own and the r retrieved streams in one stack."""
 
-    texts: list[np.ndarray]               # r+1 text states (B, n_j, d), padded
-    images: list[np.ndarray]              # r+1 image states (B, n_patches + 1, d)
-    text_masks: list[np.ndarray]          # r+1 additive key masks (B, n_j)
+    text0: np.ndarray                     # (B, n0, d), padded
+    image0: np.ndarray                    # (B, n_patches + 1, d)
+    text0_mask: np.ndarray                # additive key mask (B, n0)
+    texts: np.ndarray | None              # (B, r, n, d), padded; None when r = 0
+    images: np.ndarray | None             # (B, r, n_patches + 1, d)
+    text_mask: np.ndarray | None          # additive key mask (B, r, n)
     stream_mask: np.ndarray | None        # additive (B, r+1); None when r = 0
 
     @property
     def retrieved(self) -> list[tuple[Node, Node]]:
-        return [(ops.constant(t), ops.constant(v))
-                for t, v in zip(self.texts[1:], self.images[1:])]
+        if self.texts is None:
+            return []
+        return [(ops.constant(self.texts), ops.constant(self.images))]
+
+    @property
+    def text_masks(self) -> list[np.ndarray]:
+        return [self.text0_mask] + ([] if self.text_mask is None else [self.text_mask])
 
 
 def _pad(states: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -504,28 +584,32 @@ def batch_streams(originals: list[tuple[np.ndarray, np.ndarray]],
                   retrieved: list[list[tuple[np.ndarray, np.ndarray]]]) -> StreamBatch:
     """Stack B items' (text, image) states and their retrieved pairs' states.
 
-    Text is padded to the longest sequence of each stream. An item with
-    fewer retrieved pairs than the batch's widest gets a one-row zero
-    placeholder in each missing slot, masked out of retrieval-attention by
-    stream_mask, so it fuses exactly as it would alone. Every item keeps at
-    least one retrieved pair when any item has one (retrieval returns
-    min(r, index size) pairs or more for every query).
+    Stream 0's text is padded to its longest sequence, and every retrieved
+    text to the longest retrieved one. An item with fewer retrieved pairs
+    than the batch's widest gets a one-row zero placeholder in each missing
+    slot, masked out of retrieval-attention by stream_mask, so it fuses
+    exactly as it would alone. Every item keeps at least one retrieved pair
+    when any item has one (retrieval returns min(r, index size) pairs or
+    more for every query).
     """
+    text0, mask0 = _pad([t for t, _ in originals])
+    image0 = np.stack([v for _, v in originals])
     width = max(len(pairs) for pairs in retrieved)
-    streams = [[orig] + pairs for orig, pairs in zip(originals, retrieved)]
-    text0, image0 = originals[0]
-    blank = (np.zeros((1, text0.shape[-1]), text0.dtype), np.zeros_like(image0))
-    texts, masks, images = [], [], []
-    for j in range(width + 1):
-        slot = [s[j] if j < len(s) else blank for s in streams]
-        text, mask = _pad([t for t, _ in slot])
-        texts.append(text)
-        masks.append(mask)
-        images.append(np.stack([v for _, v in slot]))
-    stream_mask = None
-    if width:
-        stream_mask = key_mask([len(s) for s in streams])
-    return StreamBatch(texts, images, masks, stream_mask)
+    if not width:
+        return StreamBatch(text0, image0, mask0, None, None, None, None)
+    flat = [pair for pairs in retrieved for pair in pairs]
+    shape = (len(retrieved), width)
+    texts = np.zeros(shape + (max(len(t) for t, _ in flat), text0.shape[-1]),
+                     np.result_type(*{t.dtype for t, _ in flat}))
+    images = np.zeros(shape + image0.shape[1:], np.result_type(*{v.dtype for _, v in flat}))
+    lengths = np.ones(shape, dtype=np.int64)
+    for b, pairs in enumerate(retrieved):
+        for j, (t, v) in enumerate(pairs):
+            texts[b, j, : len(t)] = t
+            images[b, j] = v
+            lengths[b, j] = len(t)
+    return StreamBatch(text0, image0, mask0, texts, images, key_mask(lengths),
+                       key_mask([1 + len(pairs) for pairs in retrieved]))
 
 
 def _cls_pair(w_cls: Node, v_cls: Node) -> Node:

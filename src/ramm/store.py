@@ -42,13 +42,14 @@ EVAL_BATCH = 64
 
 
 def fingerprint_params(params: dict[str, Node], d_proj: int) -> int:
-    """64-bit hash of the frozen projection-head weights plus d_proj.
+    """64-bit hash of the frozen encoders and projection heads (every
+    text.*, image.* and proj.* tensor, in sorted name order) plus d_proj.
 
     An index answers queries only for the exact encoders that built it;
     this makes a silent encoder swap a loud error instead.
     """
     h = hashlib.blake2b(digest_size=8)
-    for name in ("proj.text.w", "proj.text.b", "proj.image.w", "proj.image.b"):
+    for name in sorted(n for n in params if n.startswith(("text.", "image.", "proj."))):
         h.update(name.encode())
         h.update(params[name].value.astype("<f4").tobytes())
     h.update(struct.pack("<H", d_proj))

@@ -189,9 +189,10 @@ def build_index_cmd(checkpoint_dir, data_dir, out_path) -> BuildReport:
 
 class Stage:
     """The checkpoint, verified index, answer vocabulary, split items and
-    corpus that fine-tuning and evaluation start from, plus frozen-encoder
-    states (inference mode), computed once per payload and a batch of
-    payloads at a time. An image is read only when its states are not cached."""
+    corpus (holding every pair of the index) that fine-tuning and evaluation
+    start from, plus frozen-encoder states (inference mode), computed once
+    per payload and a batch of payloads at a time. An image is read only
+    when its states are not cached."""
 
     def __init__(self, checkpoint_dir, index_path, data_dir, split: str,
                  weights: str = "weights"):
@@ -210,6 +211,11 @@ class Stage:
         self.items = load_vqa_items(self.data_dir / f"vqa_{split}.jsonl")
         pairs, self.load_patches = load_corpus(self.data_dir)
         self.pair_by_id = {p.pair_id: p for p in pairs}
+        for pid in self.index.pair_ids.tolist():
+            if pid not in self.pair_by_id:
+                raise MissingArtifactError(
+                    f"index pair_id {pid} is not in the corpus "
+                    f"{self.data_dir / 'corpus' / 'pairs.jsonl'}")
         self._texts: dict[str, np.ndarray] = {}
         self._images: dict[str, np.ndarray] = {}
 
@@ -315,8 +321,8 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
                             _sub_seed(tcfg.seed, "select", step, it.item_id)).selected]
                         for it, i in zip(batch, idx)]
                 streams = stage.streams(batch, selected)
-                text_in = ops.constant(streams.texts[0])
-                image_in = ops.constant(streams.images[0])
+                text_in = ops.constant(streams.text0)
+                image_in = ops.constant(streams.image0)
                 if feature_noise > 0.0:
                     noise = np.stack([
                         feature_noise * np.random.default_rng(
@@ -414,8 +420,8 @@ def evaluate(checkpoint_dir, index_path, data_dir, r: int, split: str = "test",
             selected = [retrieve_by_vector(q, index, r, Mode.INFER).selected
                         for q in stage.query_vecs(batch)]
         streams = stage.streams(batch, [[pid for pid, _ in sel] for sel in selected])
-        logits = answer_logits(params, mcfg, ops.constant(streams.texts[0]),
-                               ops.constant(streams.images[0]), streams)
+        logits = answer_logits(params, mcfg, ops.constant(streams.text0),
+                               ops.constant(streams.image0), streams)
         for it, sel, row in zip(batch, selected, logits.value):
             retrieved = [{
                 "pair_id": pid,

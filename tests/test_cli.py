@@ -413,3 +413,29 @@ def test_retrieve_zero_query_is_an_error(pipeline, tmp_path, capsys):
                  str(tmp_path / "q.ten"), "--r", "2", "--mode", "infer"]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.err == "error: query vector is zero\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command,r", [("eval", "2"), ("finetune", "4")])
+def test_index_pair_missing_from_corpus(pipeline, tmp_path, capsys, command, r):
+    """An index pair that the corpus no longer holds is a missing artifact
+    naming the pair and the corpus file, found before any training."""
+    import re
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    corpus = data / "corpus" / "pairs.jsonl"
+    lines = corpus.read_text().splitlines()
+    dropped = {json.loads(l)["pair_id"] for l in lines[::3]}
+    corpus.write_text("\n".join(lines[1::3] + lines[2::3]) + "\n")
+    out = tmp_path / "out"
+    args = [command, "--checkpoint", str(pipeline["ft" if command == "eval" else "ckpt"]),
+            "--index", str(pipeline["index"]), "--data", str(data), "--r", r,
+            "--out", str(out)]
+    if command == "finetune":
+        args += ["--epochs", "1", "--batch-size", "4"]
+    assert main(args) == EXIT_MISSING
+    err = capsys.readouterr().err
+    assert str(corpus) in err
+    assert int(re.search(r"pair_id (\d+)", err).group(1)) in dropped
+    assert not out.exists()

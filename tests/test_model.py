@@ -314,6 +314,127 @@ def test_padded_finetune_batch_matches_items(rng):
     _assert_same_grads(_grads(params), want)
 
 
+# -- stacked retrieved streams equal the per-stream fusion --------------------
+
+def _per_stream_fuse(params, cfg, text0, image0, retrieved, text_masks, stream_mask):
+    """Reference: the fusion stack with every retrieved stream run through
+    every sublayer on its own, the last layer's retrieved feed-forward
+    included. `retrieved` and `text_masks` hold one (B, n_j, d) text,
+    image and key mask per stream (text_masks[0] is stream 0's)."""
+    texts = [text0] + [t for t, _ in retrieved]
+    images = [image0] + [v for _, v in retrieved]
+    for i in range(cfg.l_fuse):
+        mid_w, mid_v = [], []
+        for j, (w, v, m) in enumerate(zip(texts, images, text_masks)):
+            wn = model._ln(params, f"fuse.{i}.ln_sw", w)
+            w1 = ops.add(w, model._mha(params, f"fuse.{i}.self_w", wn, wn, cfg.n_head,
+                                       mask=m))
+            vn = model._ln(params, f"fuse.{i}.ln_sv", v)
+            v1 = ops.add(v, model._mha(params, f"fuse.{i}.self_v", vn, vn, cfg.n_head))
+            wc = model._ln(params, f"fuse.{i}.ln_cw", w1)
+            vc = model._ln(params, f"fuse.{i}.ln_cv", v1)
+            mid_w.append(ops.add(w1, model._mha(params, f"fuse.{i}.cross_w", wc, vc,
+                                                cfg.n_head)))
+            mid_v.append(ops.add(v1, model._mha(params, f"fuse.{i}.cross_v", vc, wc,
+                                                cfg.n_head, mask=m)))
+        for streams, sub, ln_name in ((mid_w, "ret_w", "ln_rw"), (mid_v, "ret_v", "ln_rv")):
+            cls = ops.concat_rows([ops.slice_rows(s, 0, 1, axis=-2) for s in streams],
+                                  axis=-2)
+            keys = model._ln(params, f"fuse.{i}.{ln_name}", cls)
+            out = model._mha(params, f"fuse.{i}.{sub}", ops.slice_rows(keys, 0, 1, axis=-2),
+                             keys, cfg.n_head, mask=stream_mask)
+            streams[0] = ops.add_to_rows(streams[0], out)
+        texts = [ops.add(w, model._ffn(params, f"fuse.{i}.ffn_w",
+                                       model._ln(params, f"fuse.{i}.ln_fw", w)))
+                 for w in mid_w]
+        images = [ops.add(v, model._ffn(params, f"fuse.{i}.ffn_v",
+                                        model._ln(params, f"fuse.{i}.ln_fv", v)))
+                  for v in mid_v]
+    return texts[0], images[0]
+
+
+def test_stacked_fusion_matches_per_stream_fusion(rng):
+    """Loss and every parameter gradient of the stacked fusion equal the
+    per-stream reference at 64-bit, over two layers (so the stacked
+    retrieved feed-forward of layer 0 runs), retrieved texts of different
+    lengths (up to 10 tokens) and one flagged item with a missing slot."""
+    from ramm.model import _pad, batch_streams
+    from ramm.train import answer_logits
+
+    cfg = micro_config(l_fuse=2)
+    params = micro_params(cfg)
+    n_img = cfg.patch_grid**2
+    ids = [[1, 4, 5, 6], [1, 7], [1, 8, 9, 10, 11]]
+    patches = rng.normal(size=(3, n_img, cfg.d_patch))
+    retrieved = [
+        [(rng.normal(size=(n, cfg.d)), rng.normal(size=(n_img + 1, cfg.d)))
+         for n in lengths]
+        for lengths in ([3, 9], [4, 1], [10])]
+    targets = [2, 0, 1]
+
+    # reference input: one zero-padded array per slot, the flagged item's
+    # missing slot a one-row zero placeholder
+    blank = (np.zeros((1, cfg.d)), np.zeros((n_img + 1, cfg.d)))
+    slots, masks = [], []
+    for j in range(2):
+        slot = [pairs[j] if j < len(pairs) else blank for pairs in retrieved]
+        text, mask = _pad([t for t, _ in slot])
+        slots.append((ops.constant(text), ops.constant(np.stack([v for _, v in slot]))))
+        masks.append(mask)
+    stream_mask = model.key_mask([3, 3, 2])
+    wf, vf = _per_stream_fuse(params, cfg, encode_text(params, cfg, ids),
+                              encode_image(params, cfg, patches), slots,
+                              [model.key_mask([len(seq) for seq in ids])] + masks,
+                              stream_mask)
+    want_loss = ops.cross_entropy(vqa_head(params, model.cls_rows(wf), model.cls_rows(vf)),
+                                  targets)
+    ops.backward(want_loss)
+    want = _grads(params)
+
+    ops.zero_grads(params.values())
+    originals = [(np.zeros((len(seq), cfg.d)), np.zeros((n_img + 1, cfg.d))) for seq in ids]
+    streams = batch_streams(originals, retrieved)
+    assert streams.texts.shape == (3, 2, 10, cfg.d)
+    assert np.array_equal(streams.stream_mask, stream_mask)
+    logits = answer_logits(params, cfg, encode_text(params, cfg, ids),
+                           encode_image(params, cfg, patches), streams)
+    got_loss = ops.cross_entropy(logits, targets)
+    ops.backward(got_loss)
+    assert abs(got_loss.value.item() - want_loss.value.item()) < 1e-10 * want_loss.value.item()
+    _assert_same_grads(_grads(params), want)
+
+
+def test_answer_logits_nodes_do_not_grow_with_r(rng, monkeypatch):
+    """Each sublayer runs the retrieved streams as one node, so a forward
+    pass builds as many nodes at r = 4 as at r = 1."""
+    from ramm.model import batch_streams
+    from ramm.train import answer_logits
+
+    cfg = micro_config(l_fuse=2)
+    params = micro_params(cfg)
+    n_img = cfg.patch_grid**2
+    count = [0]
+    init = ops.Node.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    def nodes(r: int) -> int:
+        originals = [(rng.normal(size=(3, cfg.d)), rng.normal(size=(n_img + 1, cfg.d)))
+                     for _ in range(2)]
+        retrieved = [[(rng.normal(size=(2 + j, cfg.d)), rng.normal(size=(n_img + 1, cfg.d)))
+                      for j in range(r)] for _ in range(2)]
+        streams = batch_streams(originals, retrieved)
+        count[0] = 0
+        answer_logits(params, cfg, ops.constant(streams.text0),
+                      ops.constant(streams.image0), streams)
+        return count[0]
+
+    monkeypatch.setattr(ops.Node, "__init__", counting)
+    assert nodes(1) == nodes(4)
+
+
 def test_pretrain_losses_batch_matches_items(rng):
     """ITC (distilled), ITM and MLM of one padded batch, and the gradient of
     their sum, equal the per-pair construction at 64-bit."""

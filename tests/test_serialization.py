@@ -283,3 +283,27 @@ def test_weights_manifest_roundtrip(tmp_path):
     assert set(back) == set(params)
     for name in params:
         assert np.array_equal(back[name].value, params[name].value)
+
+
+def test_fingerprint_covers_encoders(rng):
+    """A change to one frozen-encoder value, not only to the projection
+    heads, makes the index fingerprint a mismatch."""
+    cfg = micro_config()
+    params = micro_params(cfg, seed=1)
+    index = _random_index(rng, n=3, d_proj=cfg.d_proj)
+    index.fingerprint = fingerprint_params(params, cfg.d_proj)
+    params["image.0.attn.wq"].value[0, 0] += 1e-3
+    with pytest.raises(FingerprintMismatchError):
+        verify_fingerprint(index, params, cfg.d_proj)
+
+
+def test_save_params_refuses_value_not_finite_in_float32(tmp_path):
+    from ramm.errors import ContractViolation
+    from ramm.model import save_params
+
+    cfg = micro_config()
+    params = micro_params(cfg, seed=3, dtype=np.float64)
+    params["vqa.b2"].value[1] = 1e39   # finite in float64, inf in float32
+    with pytest.raises(ContractViolation, match="vqa.b2"):
+        save_params(params, tmp_path / "w")
+    assert not (tmp_path / "w").exists()
