@@ -570,46 +570,81 @@ class StreamBatch:
         return [self.text0_mask] + ([] if self.text_mask is None else [self.text_mask])
 
 
+class StateRows:
+    """Encoder states of up to capacity - 1 sequences of at most n
+    positions, stored by key: each is a row of a zero-padded (capacity, n,
+    d) array, with its length. Row 0, zero and one position long, stands in
+    for a retrieved stream an item lacks."""
+
+    def __init__(self, capacity: int, n: int):
+        self.shape = (capacity, n)
+        self.values: np.ndarray | None = None    # allocated by the first store
+        self.lengths = np.ones(capacity, dtype=np.int64)
+        self.row_of: dict = {}
+
+    def rows(self, keys: list, encode) -> list[int]:
+        """The row of each key; `encode(missing)` gives the (n_i, d) states
+        of the keys not stored yet, all in one call."""
+        missing = [k for k in dict.fromkeys(keys) if k not in self.row_of]
+        if missing:
+            states = encode(missing)
+            if self.values is None:
+                self.values = np.zeros(self.shape + states[0].shape[-1:],
+                                       np.result_type(*states))
+            for row, (key, a) in enumerate(zip(missing, states), 1 + len(self.row_of)):
+                self.values[row, : len(a)] = a
+                self.lengths[row] = len(a)
+                self.row_of[key] = row
+        return [self.row_of[k] for k in keys]
+
+    def gather(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The states of `rows`, an index array of any shape, cut to the
+        longest of them, and their additive key mask."""
+        lengths = self.lengths[rows]
+        return self.values[rows, : lengths.max()], key_mask(lengths)
+
+
 def _pad(states: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(n_b, d) arrays zero-padded into one (B, max n_b, d) array, plus its key mask."""
-    lengths = [len(a) for a in states]
-    out = np.zeros((len(states), max(lengths), states[0].shape[-1]),
-                   dtype=np.result_type(*states))
-    for b, a in enumerate(states):
-        out[b, : len(a)] = a
-    return out, key_mask(lengths)
+    table = StateRows(1 + len(states), max(map(len, states)))
+    return table.gather(table.rows(range(len(states)), lambda _: states))
+
+
+def gather_streams(texts: StateRows, images: StateRows, originals: list[tuple[int, int]],
+                   retrieved: list[list[tuple[int, int]]]) -> StreamBatch:
+    """The streams of B items whose states are rows of `texts` and `images`:
+    originals[b] holds item b's (text row, image row) and retrieved[b] those
+    of its retrieved pairs. Stream 0's text is padded to its longest
+    sequence, and every retrieved text to the longest retrieved one. An item
+    with fewer retrieved pairs than the batch's widest gets row 0, a one-row
+    zero placeholder, in each missing slot, masked out of
+    retrieval-attention by stream_mask, so it fuses exactly as it would
+    alone. Every item keeps at least one retrieved pair when any item has
+    one (retrieval returns min(r, index size) pairs or more for every query).
+    """
+    text0, mask0 = texts.gather([t for t, _ in originals])
+    image0 = images.gather([v for _, v in originals])[0]
+    width = max(len(pairs) for pairs in retrieved)
+    if not width:
+        return StreamBatch(text0, image0, mask0, None, None, None, None)
+    slots = np.array([pairs + [(0, 0)] * (width - len(pairs)) for pairs in retrieved])
+    text, text_mask = texts.gather(slots[..., 0])
+    return StreamBatch(text0, image0, mask0, text, images.gather(slots[..., 1])[0], text_mask,
+                       key_mask([1 + len(pairs) for pairs in retrieved]))
 
 
 def batch_streams(originals: list[tuple[np.ndarray, np.ndarray]],
                   retrieved: list[list[tuple[np.ndarray, np.ndarray]]]) -> StreamBatch:
-    """Stack B items' (text, image) states and their retrieved pairs' states.
-
-    Stream 0's text is padded to its longest sequence, and every retrieved
-    text to the longest retrieved one. An item with fewer retrieved pairs
-    than the batch's widest gets a one-row zero placeholder in each missing
-    slot, masked out of retrieval-attention by stream_mask, so it fuses
-    exactly as it would alone. Every item keeps at least one retrieved pair
-    when any item has one (retrieval returns min(r, index size) pairs or
-    more for every query).
-    """
-    text0, mask0 = _pad([t for t, _ in originals])
-    image0 = np.stack([v for _, v in originals])
-    width = max(len(pairs) for pairs in retrieved)
-    if not width:
-        return StreamBatch(text0, image0, mask0, None, None, None, None)
-    flat = [pair for pairs in retrieved for pair in pairs]
-    shape = (len(retrieved), width)
-    texts = np.zeros(shape + (max(len(t) for t, _ in flat), text0.shape[-1]),
-                     np.result_type(*{t.dtype for t, _ in flat}))
-    images = np.zeros(shape + image0.shape[1:], np.result_type(*{v.dtype for _, v in flat}))
-    lengths = np.ones(shape, dtype=np.int64)
-    for b, pairs in enumerate(retrieved):
-        for j, (t, v) in enumerate(pairs):
-            texts[b, j, : len(t)] = t
-            images[b, j] = v
-            lengths[b, j] = len(t)
-    return StreamBatch(text0, image0, mask0, texts, images, key_mask(lengths),
-                       key_mask([1 + len(pairs) for pairs in retrieved]))
+    """Stack B items' (text, image) states and their retrieved pairs' states
+    (see gather_streams) by storing them as rows and gathering those."""
+    flat = [*originals, *(pair for pairs in retrieved for pair in pairs)]
+    keys = range(len(flat))
+    texts = StateRows(1 + len(flat), max(len(t) for t, _ in flat))
+    images = StateRows(1 + len(flat), max(len(v) for _, v in flat))
+    rows = iter(zip(texts.rows(keys, lambda _: [t for t, _ in flat]),
+                    images.rows(keys, lambda _: [v for _, v in flat])))
+    return gather_streams(texts, images, [next(rows) for _ in originals],
+                          [[next(rows) for _ in pairs] for pairs in retrieved])
 
 
 def _cls_pair(w_cls: Node, v_cls: Node) -> Node:

@@ -3,6 +3,7 @@ R-Drop), token masking, and the optimizer."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +38,10 @@ class TrainConfig:
             raise ConfigError("mask_rate must lie in (0, 1)")
         if not (0.0 <= self.distill_weight <= 1.0):
             raise ConfigError("distill_weight must lie in [0, 1]")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be at least 1")
+        if not (0.0 <= self.lr < math.inf and 0.0 <= self.weight_decay < math.inf):
+            raise ConfigError("lr and weight_decay must be finite and non-negative")
 
 
 def itc_loss(text_proj: Node, image_proj: Node, temperature: float) -> Node:
@@ -142,7 +147,8 @@ def pretrain_loss(itc: Node, itm: Node, mlm: Node) -> Node:
 
 
 def ema_update(target: dict[str, Node], online: dict[str, Node], decay: float) -> None:
-    """target <- decay * target + (1 - decay) * online, every tensor in place."""
+    """target <- decay * target + (1 - decay) * online, every tensor in place;
+    one entry can be a whole buffer of views (see AdamW.views)."""
     if set(target) != set(online):
         missing = set(target) ^ set(online)
         raise StructureError(f"parameter manifests differ: {sorted(missing)[:5]}")
@@ -150,7 +156,8 @@ def ema_update(target: dict[str, Node], online: dict[str, Node], decay: float) -
         o = online[name]
         if t.value.shape != o.value.shape:
             raise StructureError(f"{name}: shape {t.value.shape} != {o.value.shape}")
-        t.value = decay * t.value + (1.0 - decay) * o.value
+        t.value *= decay
+        t.value += (1.0 - decay) * o.value
 
 
 def rdrop_loss(logits_a: Node, logits_b: Node, targets, alpha: float,
@@ -202,14 +209,19 @@ class AdamW:
         self._sizes = [node.value.size for node in self._nodes]
         self._flat = np.concatenate([node.value.reshape(-1) for node in self._nodes]
                                    or [np.zeros(0)])
-        off = 0
-        for node, n in zip(self._nodes, self._sizes):
-            node.value = self._flat[off : off + n].reshape(node.value.shape)
-            off += n
-        self.m = np.zeros(off, dtype=np.float64)
-        self.v = np.zeros(off, dtype=np.float64)
-        self._work = np.zeros((4, off), dtype=np.float64)  # scratch rows g, m, v, u
+        for node, view in zip(self._nodes, self.views(self._flat).values()):
+            node.value = view
+        self.buffer = ops.constant(self._flat)  # for a whole-buffer ema_update
+        self.m, self.v, self._g, self._m, self._v, self._u = np.zeros((6, self._flat.size))
         self._new = np.empty_like(self._flat)  # the updated values, parameter dtype
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each trainable tensor's view of `flat`, laid out like the buffer."""
+        out, off = {}, 0
+        for name, node, n in zip(self.names, self._nodes, self._sizes):
+            out[name] = flat[off : off + n].reshape(node.value.shape)
+            off += n
+        return out
 
     def current_lr(self) -> float:
         frac = 1.0 - self.t / self.total_steps
@@ -222,9 +234,8 @@ class AdamW:
         a NaN or an infinity, or when the update would turn a weight into
         one (an overflow of the parameter dtype, say)."""
         grads = [node.grad for node in self._nodes]
-        has_grad = np.repeat(np.array([gr is not None for gr in grads], dtype=bool),
-                             self._sizes)
-        g, m, v, u = self._work
+        missing = [gr is None for gr in grads]
+        g, m, v, u = self._g, self._m, self._v, self._u
         if grads:
             np.concatenate([np.zeros(n) if gr is None else gr.reshape(-1)
                             for gr, n in zip(grads, self._sizes)], out=g)
@@ -235,7 +246,7 @@ class AdamW:
         bc1 = 1.0 - self.b1**t
         bc2 = 1.0 - self.b2**t
         # The per-tensor update, one operation at a time into the scratch
-        # rows (fresh temporaries of this size each cost a page fault per
+        # buffers (fresh temporaries of this size each cost a page fault per
         # page), rounded in the same order and dtypes:
         #   m' = b1*m + (1-b1)*g        v' = b2*v + (1-b2)*g*g
         #   u = (m'/bc1) / (sqrt(v'/bc2) + eps)
@@ -253,13 +264,18 @@ class AdamW:
         np.subtract(self._flat, u, out=u)
         with np.errstate(over="ignore", invalid="ignore"):
             np.copyto(self._new, u, casting="same_kind")
-        bad = ~np.isfinite(self._new) & has_grad
+        bad = ~np.isfinite(self._new)
+        if any(missing):   # a tensor without a gradient keeps its value, m and v
+            keep = np.repeat(missing, self._sizes)
+            bad &= ~keep
+            for new, old in ((self._new, self._flat), (m, self.m), (v, self.v)):
+                np.copyto(new, old, where=keep)
         if bad.any():
             raise self._divergence("weight update", bad)
         self.t = t
-        np.copyto(self._flat, self._new, where=has_grad)
-        np.copyto(self.m, m, where=has_grad)
-        np.copyto(self.v, v, where=has_grad)
+        np.copyto(self._flat, self._new)
+        # the scratch moments become the moments
+        self.m, self._m, self.v, self._v = m, self.m, v, self.v
         return lr
 
     def _divergence(self, what: str, bad: np.ndarray) -> DivergenceError:

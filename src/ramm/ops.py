@@ -273,29 +273,35 @@ def multi_head_attention(x_q, x_kv, wq, bq, wk, bk, wv, bv, wo, bo, n_head: int,
     return Node(out, parents, vjp)
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """np.mean(a, axis=-1, keepdims=True) by the same ufunc calls, a sum and
+    an in-place division by the intp count, without the wrapper's cost."""
+    out = np.add.reduce(a, axis=-1, keepdims=True)
+    out /= np.intp(a.shape[-1])
+    return out
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Node:
-    """Per-row standardization over the last axis, then affine."""
+    """Per-row standardization over the last axis, then affine; the
+    variance is np.var's, the mean of the squared centred rows."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     x, gain, bias = as_node(x), as_node(gain), as_node(bias)
     d = x.value.shape[-1]
     if gain.value.shape != (d,) or bias.value.shape != (d,):
         raise ShapeError(f"gain/bias must be ({d},)")
-    mu = x.value.mean(axis=-1, keepdims=True)
-    var = x.value.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.value - mu) * inv
+    centred = x.value - _row_mean(x.value)
+    inv = 1.0 / np.sqrt(_row_mean(centred * centred) + eps)
+    xhat = centred * inv
     y = xhat * gain.value + bias.value
 
     def vjp(g):
         lead = tuple(range(x.value.ndim - 1))
-        gxhat = g * gain.value
-        gx = inv * (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        gx = None
+        if x.requires_grad:
+            gxhat = g * gain.value
+            gx = inv * (gxhat - _row_mean(gxhat) - xhat * _row_mean(gxhat * xhat))
+        return gx, np.add.reduce(g * xhat, axis=lead), np.add.reduce(g, axis=lead)
 
     return Node(y, (x, gain, bias), vjp)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -185,29 +186,39 @@ def complete_scores(pool: list[RetrievalCandidate], query_vec,
     return pool
 
 
+class CandidatePool(list):
+    """A query's pool of RetrievalCandidate. Its draw table is built by the
+    first training draw and kept, so a pool must not change once drawn from."""
+
+    @cached_property
+    def draw_table(self) -> tuple[list[RetrievalCandidate], np.ndarray]:
+        """The candidates by ascending pair_id, and weights s - min_pool + eps."""
+        ordered = sorted(self, key=lambda c: c.pair_id)
+        scores = np.array([c.s for c in ordered], dtype=np.float64)
+        return ordered, scores - scores.min() + 1e-6
+
+
 def select_training(pool: list[RetrievalCandidate], r: int, seed: int
                     ) -> RetrievalResult:
     """Sample r distinct pairs, probability proportional to min-shifted
     scores (p_j ~ s_j - min_pool + eps), sequentially without replacement.
     Neither the pool nor its candidates are modified, so one pool can serve
-    any number of draws."""
+    any number of draws. Each draw is `rng.choice(len(live), p=w / w.sum())`
+    over the live weights w, computed as that method does, with the
+    uniforms drawn at once; so the picks are choice's."""
     if not pool:
         raise ContractViolation("select_training requires a nonempty pool")
-    eps = 1e-6
-    rng = np.random.default_rng(seed)
-    remaining = sorted(pool, key=lambda c: c.pair_id)
-    scores = np.array([c.s for c in remaining], dtype=np.float64)
-    weights = scores - scores.min() + eps
+    if not isinstance(pool, CandidatePool):
+        pool = CandidatePool(pool)
+    ordered, weights = pool.draw_table
+    live = list(range(len(ordered)))
     chosen: list[RetrievalCandidate] = []
-    flagged = len(remaining) < r
-    take = min(r, len(remaining))
-    idx = list(range(len(remaining)))
-    for _ in range(take):
-        w = weights[idx]
-        probs = w / w.sum()
-        pick = rng.choice(len(idx), p=probs)
-        chosen.append(remaining[idx.pop(int(pick))])
-    return _result(Mode.TRAIN, chosen, len(pool), flagged)
+    for u in np.random.default_rng(seed).random(min(r, len(ordered))):
+        w = weights[live]
+        cdf = np.cumsum(w / w.sum())
+        cdf /= cdf[-1]
+        chosen.append(ordered[live.pop(int(cdf.searchsorted(u, side="right")))])
+    return _result(Mode.TRAIN, chosen, len(pool), len(ordered) < r)
 
 
 def select_inference(pool: list[RetrievalCandidate], r: int) -> RetrievalResult:
@@ -225,7 +236,7 @@ def _result(mode: Mode, chosen: list[RetrievalCandidate], pool_size: int,
 
 
 def candidate_pool(query_vec, index: EmbeddingIndex, r: int,
-                   exclude_pair_id: int | None = None) -> list[RetrievalCandidate]:
+                   exclude_pair_id: int | None = None) -> CandidatePool:
     """The merged, score-completed pool of both top-r searches for an
     already-projected image vector, without `exclude_pair_id`. It depends
     only on the query and the index, so a caller with a frozen index and
@@ -238,9 +249,7 @@ def candidate_pool(query_vec, index: EmbeddingIndex, r: int,
     top_w = search_topr(q, index, "text", r)
     top_v = search_topr(q, index, "image", r)
     pool = complete_scores(merge_candidates(top_w, top_v), q, index)
-    if exclude_pair_id is not None:
-        pool = [c for c in pool if c.pair_id != exclude_pair_id]
-    return pool
+    return CandidatePool(c for c in pool if c.pair_id != exclude_pair_id)
 
 
 def retrieve_by_vector(query_vec, index: EmbeddingIndex, r: int, mode: Mode,

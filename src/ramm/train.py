@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,8 +19,8 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, MissingArtifactError
 from .model import (
-    _TOKEN_RE, DropoutPlan, ModelConfig, StreamBatch, Vocab, batch_streams,
-    cls_rows, encode_image, encode_text, fuse, init_params, itm_head,
+    _TOKEN_RE, DropoutPlan, ModelConfig, StateRows, StreamBatch, Vocab, cls_rows,
+    encode_image, encode_text, fuse, gather_streams, init_params, itm_head,
     key_mask, load_params, project_itc, reinit_group, save_params, tokenize,
     vqa_head,
 )
@@ -127,6 +128,8 @@ def pretrain_losses(params, momentum, mcfg: ModelConfig, tcfg: TrainConfig,
 
 def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig, steps: int) -> Path:
     """Train ITC + ITM + MLM (unweighted sum) with momentum distillation."""
+    if steps < 1:
+        raise ConfigError("steps must be at least 1")
     data_dir = Path(data_dir)
     vocab = Vocab.load(data_dir / "vocab.txt")
     pairs, load_patches = load_corpus(data_dir)
@@ -136,9 +139,11 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig, steps: int
     patches = np.stack([load_patches(p.image_ref) for p in pairs])
 
     params = init_params(mcfg, tcfg.seed)
-    momentum = clone_params(params)
     opt = AdamW(params, lr=tcfg.lr, weight_decay=tcfg.weight_decay,
                 total_steps=steps)
+    # the momentum teacher: a copy of the optimizer's buffer, viewed per tensor
+    momentum_flat = ops.param(opt.buffer.value.copy())
+    momentum = {n: ops.param(v) for n, v in opt.views(momentum_flat.value).items()}
     rng = np.random.default_rng(_sub_seed(tcfg.seed, "pretrain"))
     base_plan = DropoutPlan(_sub_seed(tcfg.seed, "dropout"), mcfg.dropout_rate)
     log_lines = []
@@ -158,7 +163,7 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig, steps: int
             ops.zero_grads(params.values())
             ops.backward(total)
             lr = opt.step()
-            ema_update(momentum, params, tcfg.momentum)
+            ema_update({"": momentum_flat}, {"": opt.buffer}, tcfg.momentum)
             log_lines.append(
                 f"{step}\t{float(loss_itc.value):.6f}\t{float(loss_itm.value):.6f}"
                 f"\t{float(loss_mlm.value):.6f}\t{float(total.value):.6f}\t{lr:.6g}")
@@ -208,7 +213,10 @@ class Stage:
         if self.mcfg.n_answers != len(self.answers):
             raise ConfigError(f"checkpoint expects {self.mcfg.n_answers} answers, "
                               f"data has {len(self.answers)}")
-        self.items = load_vqa_items(self.data_dir / f"vqa_{split}.jsonl")
+        split_path = self.data_dir / f"vqa_{split}.jsonl"
+        self.items = load_vqa_items(split_path)
+        if not self.items:
+            raise MissingArtifactError(f"no items in {split_path}")
         pairs, self.load_patches = load_corpus(self.data_dir)
         self.pair_by_id = {p.pair_id: p for p in pairs}
         for pid in self.index.pair_ids.tolist():
@@ -216,38 +224,38 @@ class Stage:
                 raise MissingArtifactError(
                     f"index pair_id {pid} is not in the corpus "
                     f"{self.data_dir / 'corpus' / 'pairs.jsonl'}")
-        self._texts: dict[str, np.ndarray] = {}
-        self._images: dict[str, np.ndarray] = {}
+        # a row for each distinct text and image the stage can meet
+        texts = {it.question for it in self.items} | {p.caption for p in pairs}
+        images = {it.image_ref for it in self.items} | {p.image_ref for p in pairs}
+        self._texts = StateRows(1 + len(texts), self.mcfg.max_text_len)
+        self._images = StateRows(1 + len(images), self.mcfg.n_patches + 1)
 
-    def texts(self, raws: list[str]) -> list[np.ndarray]:
-        """(n, d) states of each text, keyed by the text itself."""
-        missing = [t for t in dict.fromkeys(raws) if t not in self._texts]
-        if missing:
+    def texts(self, raws: list[str]) -> list[int]:
+        """Rows of the text table holding each text's (n, d) states."""
+        def encode(missing):
             ids = [tokenize(t, self.vocab, self.mcfg.max_text_len) for t in missing]
             states = encode_text(self.params, self.mcfg, ids).value
-            for t, seq, w in zip(missing, ids, states):
-                self._texts[t] = w[: len(seq)]
-        return [self._texts[t] for t in raws]
+            return [w[: len(seq)] for seq, w in zip(ids, states)]
+        return self._texts.rows(raws, encode)
 
-    def images(self, refs: list[str], load) -> list[np.ndarray]:
-        """(n_patches + 1, d) states of each image; `load(ref)` reads the
-        patches of an image not cached yet."""
-        missing = [ref for ref in dict.fromkeys(refs) if ref not in self._images]
-        if missing:
+    def images(self, refs: list[str], load) -> list[int]:
+        """Rows of the image table holding each image's (n_patches + 1, d)
+        states; `load(ref)` reads the patches of an image not stored yet."""
+        def encode(missing):
             patches = np.stack([load(ref) for ref in missing])
-            for ref, v in zip(missing, encode_image(self.params, self.mcfg, patches).value):
-                self._images[ref] = v
-        return [self._images[ref] for ref in refs]
+            return encode_image(self.params, self.mcfg, patches).value
+        return self._images.rows(refs, encode)
 
-    def item_images(self, items: list[VQAItem]) -> list[np.ndarray]:
+    def item_images(self, items: list[VQAItem]) -> list[int]:
         return self.images([it.image_ref for it in items],
                            lambda ref: load_tensor(self.data_dir / ref).array)
 
     def query_vecs(self, items: list[VQAItem]) -> np.ndarray:
         """(len(items), d_proj) retrieval query vectors: each item's image
         CLS state through the frozen ITC image projection."""
-        cls = np.stack([v[0] for v in self.item_images(items)])
-        return project_itc(ops.constant(cls), self.params, "image").value
+        rows = self.item_images(items)
+        return project_itc(ops.constant(self._images.values[rows, 0]), self.params,
+                           "image").value
 
     def streams(self, items: list[VQAItem], selected: list[list[int]]) -> StreamBatch:
         """The fusion streams of a batch of items; selected[b] lists the
@@ -255,9 +263,10 @@ class Stage:
         originals = list(zip(self.texts([it.question for it in items]),
                              self.item_images(items)))
         pairs = [self.pair_by_id[pid] for pids in selected for pid in pids]
-        states = iter(zip(self.texts([p.caption for p in pairs]),
-                          self.images([p.image_ref for p in pairs], self.load_patches)))
-        return batch_streams(originals, [[next(states) for _ in pids] for pids in selected])
+        rows = iter(zip(self.texts([p.caption for p in pairs]),
+                        self.images([p.image_ref for p in pairs], self.load_patches)))
+        return gather_streams(self._texts, self._images, originals,
+                              [[next(rows) for _ in pids] for pids in selected])
 
 
 def answer_logits(params, mcfg: ModelConfig, text0: ops.Node, image0: ops.Node,
@@ -285,6 +294,8 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     """
     if r < 0:
         raise ConfigError("r must be non-negative")
+    if epochs < 1 or not 0.0 <= feature_noise < math.inf:
+        raise ConfigError("epochs must be at least 1, feature_noise finite and >= 0")
     stage = Stage(checkpoint_dir, index_path, data_dir, "train")
     params, mcfg, index, items = stage.params, stage.mcfg, stage.index, stage.items
     answer_id = {a: i for i, a in enumerate(stage.answers)}
@@ -299,8 +310,8 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     total_steps = epochs * steps_per_epoch
     opt = AdamW(params, lr=tcfg.lr, weight_decay=tcfg.weight_decay,
                 total_steps=total_steps, trainable_prefixes=("fuse.", "vqa."))
-    ema = clone_params(params)
-    ema_init = {n: params[n].value.astype(np.float64).copy() for n in opt.names}
+    ema_flat = ops.param(opt.buffer.value.copy())  # the EMA of the trainable tensors
+    ema_init = opt.buffer.value.astype(np.float64)
     base_plan = DropoutPlan(_sub_seed(tcfg.seed, "ft-dropout"), mcfg.dropout_rate)
     rng = np.random.default_rng(_sub_seed(tcfg.seed, "ft-order"))
     use_rdrop = tcfg.rdrop_alpha > 0.0 and mcfg.dropout_rate > 0.0
@@ -343,10 +354,7 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
                 ops.zero_grads(params.values())
                 ops.backward(total)
                 lr = opt.step()
-                # restrict EMA to the optimized subset; frozen tensors must stay
-                # bitwise identical so the index fingerprint remains valid
-                ema_update({n: ema[n] for n in opt.names},
-                           {n: params[n] for n in opt.names}, tcfg.ema_decay)
+                ema_update({"": ema_flat}, {"": opt.buffer}, tcfg.ema_decay)
                 log_lines.append(f"{step}\t{float(total.value):.6f}\t{lr:.6g}")
                 step += 1
 
@@ -359,11 +367,11 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     # which dominates short runs unless the decay^T leakage is divided out
     leak = tcfg.ema_decay ** max(step, 1)
     if leak < 1.0:
-        for n in opt.names:
-            corrected = (ema[n].value.astype(np.float64)
-                         - leak * ema_init[n]) / (1.0 - leak)
-            ema[n].value = corrected.astype(ema[n].value.dtype)
-    save_params(ema, out_dir / "weights_ema")
+        ema_flat.value[...] = (ema_flat.value.astype(np.float64)
+                               - leak * ema_init) / (1.0 - leak)
+    # frozen tensors stay bitwise the checkpoint's, so the index fingerprint holds
+    save_params({**params, **{n: ops.param(v) for n, v in opt.views(ema_flat.value).items()}},
+                out_dir / "weights_ema")
     (out_dir / "train_log.tsv").write_text("\n".join(log_lines) + "\n",
                                            encoding="utf-8")
     return out_dir

@@ -439,3 +439,76 @@ def test_index_pair_missing_from_corpus(pipeline, tmp_path, capsys, command, r):
     assert str(corpus) in err
     assert int(re.search(r"pair_id (\d+)", err).group(1)) in dropped
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, flags, message", [
+    ("finetune", ["--batch-size", "0"], "batch_size"),
+    ("finetune", ["--batch-size", "-2"], "batch_size"),
+    ("pretrain", ["--batch-size", "0"], "batch_size"),
+    ("finetune", ["--epochs", "-1"], "epochs"),
+    ("finetune", ["--epochs", "0"], "epochs"),
+    ("pretrain", ["--steps", "-3"], "steps"),
+    ("pretrain", ["--steps", "0"], "steps"),
+    ("finetune", ["--feature-noise", "-1"], "feature_noise"),
+    ("finetune", ["--feature-noise", "nan"], "feature_noise"),
+    ("finetune", ["--feature-noise", "inf"], "feature_noise"),
+    ("finetune", ["--lr", "nan"], "lr"),
+    ("pretrain", ["--lr", "inf"], "lr"),
+    ("finetune", ["--lr", "-0.001"], "lr"),
+    ("finetune", ["--weight-decay", "nan"], "weight_decay"),
+    ("pretrain", ["--weight-decay", "-0.01"], "weight_decay"),
+])
+def test_settings_that_cannot_train_exit_config(pipeline, tmp_path, capsys, stage, flags,
+                                               message):
+    """A setting that cannot train is a config error (exit 6) before any
+    work: one line, no traceback, no checkpoint."""
+    data = str(pipeline["data"])
+    argv = {
+        "pretrain": ["pretrain", "--data", data, "--steps", "2", *MODEL_FLAGS],
+        "finetune": ["finetune", "--checkpoint", str(pipeline["ckpt"]), "--index",
+                     str(pipeline["index"]), "--data", data, "--r", "2", "--epochs", "1"],
+    }[stage]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--batch-size", "4", "--seed", "0",
+                 *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, split", [("finetune", "train"), ("eval", "test")])
+def test_empty_split_is_a_missing_artifact(pipeline, tmp_path, capsys, command, split):
+    """A split file without items exits 2 and names the file, instead of a
+    traceback (finetune) or an all-zero report (eval)."""
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    (data / f"vqa_{split}.jsonl").write_text("\n")
+    checkpoint = pipeline["ckpt" if command == "finetune" else "ft"]
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(checkpoint), "--index", str(pipeline["index"]),
+                 "--data", str(data), "--r", "2", "--out", str(out)]) == EXIT_MISSING
+    captured = capsys.readouterr()
+    assert captured.err == f"missing artifact: no items in {data / f'vqa_{split}.jsonl'}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["inf", "nan"])
+def test_eval_checkpoint_with_nonfinite_tensor_exits_format(pipeline, tmp_path, capsys, kind):
+    """A checkpoint tensor whose payload holds an infinity or a NaN (every
+    exponent bit of one entry set) is a format error, exit 5, naming it."""
+    import shutil
+
+    ckpt = tmp_path / "ft"
+    shutil.copytree(pipeline["ft"], ckpt)
+    path = ckpt / "weights" / "vqa.w2.ten"
+    raw = bytearray(path.read_bytes())
+    bits = np.frombuffer(raw, dtype="<u4", offset=10 + 8 * raw[9])   # the float32 payload
+    entry = int(bits[-1]) | 0x7F800000
+    bits[-1] = entry & ~0x007FFFFF if kind == "inf" else entry | 1
+    path.write_bytes(bytes(raw))
+    assert main(["eval", "--checkpoint", str(ckpt), "--index", str(pipeline["index"]),
+                 "--data", str(pipeline["data"]), "--r", "2", "--no-ema"]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith("format error: ") and "vqa.w2.ten" in err and "non-finite" in err

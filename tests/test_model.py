@@ -518,3 +518,78 @@ def test_batched_evaluate_matches_items(tmp_path, monkeypatch):
     assert [d["pred"] for d in batched] == [d["pred"] for d in single]
     assert ([[s["pair_id"] for s in d["retrieved"]] for d in batched]
             == [[s["pair_id"] for s in d["retrieved"]] for d in single])
+
+
+# -- gathered stream batches equal the per-item copy loops ------------------------
+
+def _copy_loop_streams(originals, retrieved):
+    """batch_streams as it was before the states became gathered rows, kept
+    as the bitwise reference: zero-padded copies, item by item."""
+    def pad(states):
+        lengths = [len(a) for a in states]
+        out = np.zeros((len(states), max(lengths), states[0].shape[-1]),
+                       dtype=np.result_type(*states))
+        for b, a in enumerate(states):
+            out[b, : len(a)] = a
+        return out, model.key_mask(lengths)
+
+    text0, mask0 = pad([t for t, _ in originals])
+    image0 = np.stack([v for _, v in originals])
+    width = max(len(pairs) for pairs in retrieved)
+    if not width:
+        return text0, image0, mask0, None, None, None, None
+    flat = [pair for pairs in retrieved for pair in pairs]
+    shape = (len(retrieved), width)
+    texts = np.zeros(shape + (max(len(t) for t, _ in flat), text0.shape[-1]),
+                     np.result_type(*{t.dtype for t, _ in flat}))
+    images = np.zeros(shape + image0.shape[1:], np.result_type(*{v.dtype for _, v in flat}))
+    lengths = np.ones(shape, dtype=np.int64)
+    for b, pairs in enumerate(retrieved):
+        for j, (t, v) in enumerate(pairs):
+            texts[b, j, : len(t)] = t
+            images[b, j] = v
+            lengths[b, j] = len(t)
+    return (text0, image0, mask0, texts, images, model.key_mask(lengths),
+            model.key_mask([1 + len(pairs) for pairs in retrieved]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("r", [0, 1, 4])
+def test_gathered_streams_equal_copy_loops(rng, dtype, r):
+    """batch_streams, and gather_streams over tables filled lazily in several
+    keyed batches (as Stage fills them), equal the copy loops array for array,
+    with texts of 1 to 12 tokens, a repeated pair and a flagged item that
+    lacks a slot."""
+    d, n_img = 8, 5
+    pool = [(rng.normal(size=(int(rng.integers(1, 13)), d)).astype(dtype),
+             rng.normal(size=(n_img, d)).astype(dtype)) for _ in range(12)]
+    items = [0, 1, 2, 3]
+    chosen = [[int(k) for k in rng.choice(range(4, 12), size=r, replace=False)]
+              for _ in items]
+    if r:
+        chosen[1][0] = chosen[0][0]        # two items retrieved the same pair
+        chosen[3] = chosen[3][:-1]         # flagged: one slot short
+    want = _copy_loop_streams([pool[i] for i in items],
+                              [[pool[k] for k in ks] for ks in chosen])
+
+    texts = model.StateRows(len(pool) + 1, 12)
+    images = model.StateRows(len(pool) + 1, n_img)
+
+    def rows(keys):
+        return list(zip(texts.rows(keys, lambda missing: [pool[k][0] for k in missing]),
+                        images.rows(keys, lambda missing: [pool[k][1] for k in missing])))
+
+    rows([7, 2, 9])                         # earlier steps filled some rows
+    got = [model.batch_streams([pool[i] for i in items],
+                               [[pool[k] for k in ks] for ks in chosen]),
+           model.gather_streams(texts, images, rows(items),
+                                [rows(ks) for ks in chosen])]
+    fields = ("text0", "image0", "text0_mask", "texts", "images", "text_mask",
+              "stream_mask")
+    for streams in got:
+        for name, a in zip(fields, want):
+            b = getattr(streams, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert np.array_equal(a, b), name

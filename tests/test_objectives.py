@@ -333,6 +333,62 @@ def test_adamw_flat_matches_per_tensor_reference(dtype, prefixes, weight_decay):
             assert np.array_equal(got, want), (step, name)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("prefixes", [None, ("fuse.", "vqa.")])
+def test_adamw_swap_and_masked_paths_match_reference(dtype, prefixes):
+    """Steps where every trainable tensor has a gradient (no masks) alternate
+    with steps where some have none (their entries restored by a mask):
+    every value equals the per-tensor loop's exactly."""
+    flat_params, ref_params = _mixed_params(5, dtype), _mixed_params(5, dtype)
+    opt = AdamW(flat_params, lr=0.05, weight_decay=0.1, total_steps=12,
+                trainable_prefixes=prefixes)
+    ref = _ReferenceAdamW(ref_params, lr=0.05, weight_decay=0.1, total_steps=12,
+                          trainable_prefixes=prefixes)
+    rng = np.random.default_rng(2)
+    for step in range(10):
+        partial = step in (2, 3, 7)
+        for name in sorted(flat_params):
+            grad = None
+            if not (partial and name in ("fuse.b", "vqa.s")):
+                grad = ((10.0 ** rng.integers(-3, 3))
+                        * rng.normal(size=flat_params[name].shape)).astype(dtype)
+            flat_params[name].grad = ref_params[name].grad = grad
+        assert partial == any(flat_params[n].grad is None for n in opt.names)
+        assert opt.step() == ref.step()
+        for name in flat_params:
+            assert np.array_equal(flat_params[name].value, ref_params[name].value), (step, name)
+
+
+def test_flat_ema_equals_dict_ema():
+    """One ema_update over a whole buffer whose views are the tensors equals
+    the per-tensor dict ema_update over 30 steps, bit for bit, and leaves
+    the online tensors alone."""
+    online = _mixed_params(6)
+    opt = AdamW(online, trainable_prefixes=("fuse.", "vqa."))
+    flat = ops.param(opt.buffer.value.copy())
+    shadow = {n: ops.param(v) for n, v in opt.views(flat.value).items()}
+    per_tensor = {n: ops.param(p.value.copy()) for n, p in online.items()}
+    # the expression ema_update evaluated out of place before it updated in place
+    formula = {n: p.value.copy() for n, p in online.items()}
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        for name in opt.names:
+            online[name].value[...] = rng.normal(size=online[name].shape)
+        before = {n: p.value.copy() for n, p in online.items()}
+        ema_update({"": flat}, {"": opt.buffer}, 0.9)
+        ema_update({n: per_tensor[n] for n in opt.names},
+                   {n: online[n] for n in opt.names}, 0.9)
+        for name in opt.names:
+            formula[name] = 0.9 * formula[name] + (1.0 - 0.9) * online[name].value
+        for name in opt.names:
+            assert np.array_equal(shadow[name].value, per_tensor[name].value), name
+            assert np.array_equal(shadow[name].value, formula[name]), name
+        for name in online:
+            assert np.array_equal(online[name].value, before[name])
+    assert all(np.shares_memory(shadow[n].value, flat.value) for n in opt.names)
+    assert not any(np.shares_memory(shadow[n].value, online[n].value) for n in opt.names)
+
+
 def test_adamw_updates_in_place_and_snapshots_hold():
     """Parameters are updated in place, so a copy taken before a step
     (clone_params, the EMA's initial values) must not move with them."""

@@ -372,6 +372,46 @@ def test_select_training_leaves_pool_unchanged(rng):
     assert [id(c) for c in pool] == ids
 
 
+def _choice_loop_selection(pool, r, seed):
+    """The draw loop that the per-pool draw tables replaced, kept as the
+    bitwise reference: one `rng.choice` per draw over the live weights."""
+    rng = np.random.default_rng(seed)
+    remaining = sorted(pool, key=lambda c: c.pair_id)
+    scores = np.array([c.s for c in remaining], dtype=np.float64)
+    weights = scores - scores.min() + 1e-6
+    idx = list(range(len(remaining)))
+    chosen = []
+    for _ in range(min(r, len(remaining))):
+        w = weights[idx]
+        chosen.append(remaining[idx.pop(int(rng.choice(len(idx), p=w / w.sum())))])
+    return [(c.pair_id, c.s) for c in chosen]
+
+
+def test_draw_table_picks_equal_choice_loop():
+    """Over 20,000 random pools of 1-8 candidates and 1-4 draws, with equal
+    scores, scores within 1e-6 of each other and scores scaled by 1e3, the
+    table draw picks exactly what the rng.choice loop picks, for plain list
+    pools and for CandidatePool ones drawn from twice."""
+    rng = np.random.default_rng(20)
+    for trial in range(20_000):
+        n, r = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        kind = trial % 3
+        if kind == 0:
+            scores = np.full(n, rng.normal())
+        elif kind == 1:
+            scores = 0.3 + 1e-6 * rng.random(n)
+        else:
+            scores = 1e3 * rng.normal(size=n)
+        ids = rng.permutation(50)[:n] + 1
+        pool = [RetrievalCandidate(int(i), s_w=float(s)) if trial % 2
+                else RetrievalCandidate(int(i), s_v=float(s)) for i, s in zip(ids, scores)]
+        want = _choice_loop_selection(pool, r, trial)
+        assert select_training(pool, r, trial).selected == want, trial
+        table_pool = retrieval.CandidatePool(pool)
+        for _ in range(2):
+            assert select_training(table_pool, r, trial).selected == want, trial
+
+
 def test_finetune_builds_each_pool_once(tmp_path, monkeypatch):
     """A fine-tune computes one pool per training item and never runs the
     full per-query pipeline; only the seeded draw happens every step."""

@@ -105,6 +105,28 @@ def test_tensor_fuzz_named_errors_only(tmp_path, dtype, flip, at, mask):
     assert back.array.size >= 1 and np.all(np.isfinite(back.array))
 
 
+@pytest.mark.parametrize("dtype, uint", [(np.float32, "<u4"), (np.float64, "<u8")])
+@pytest.mark.parametrize("entry", [0, 11, 23])
+@pytest.mark.parametrize("kind", ["inf", "nan"])
+def test_tensor_nonfinite_payload_is_a_format_error(tmp_path, dtype, uint, entry, kind):
+    """Every exponent bit of the first, a middle or the last payload entry
+    set, with the mantissa cleared (an infinity) or not (a NaN): the case a
+    one-byte fuzz flip rarely hits is a FormatError."""
+    path = tmp_path / "t.ten"
+    save_tensor(_FUZZ_TENSOR.astype(dtype), path)
+    raw = bytearray(path.read_bytes())
+    bits = np.frombuffer(raw, dtype=uint, offset=10 + 8 * raw[9])
+    info = np.finfo(dtype)
+    mantissa = (1 << info.nmant) - 1
+    value = int(bits[entry]) | (((1 << info.nexp) - 1) << info.nmant)
+    bits[entry] = value & ~mantissa if kind == "inf" else value | 1
+    check = getattr(np, "is" + kind)
+    assert check(bits.view(dtype)[entry]) and bits.size == _FUZZ_TENSOR.size
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="non-finite"):
+        load_tensor(path)
+
+
 def test_index_roundtrip_bit_exact(tmp_path, rng):
     index = _random_index(rng)
     save_index(index, tmp_path / "i.idx")

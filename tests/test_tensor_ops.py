@@ -165,6 +165,51 @@ def test_layer_norm_random_vs_oracle(rng):
     assert np.allclose(ops.layer_norm(x, gain, bias, eps).value, expected)
 
 
+def _reference_layer_norm(x, gain, bias, g, eps=1e-5):
+    """The np.mean / np.var layer norm that the reduce-based kernel
+    replaced, kept as the bitwise reference: output and (x, gain, bias)
+    gradients for upstream gradient g."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    lead = tuple(range(x.ndim - 1))
+    gxhat = g * gain
+    gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gain + bias, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8), (2, 4, 5, 32)])
+def test_layer_norm_bitwise_equals_mean_var_formula(rng, dtype, shape):
+    """Value and every gradient equal the np.mean / np.var formula bit for
+    bit, zero rows and rows of widely spread scale included."""
+    x = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape[:-1] + (1,)))
+    x[..., 1, :] = 0.0
+    x, gain, bias, g = (a.astype(dtype) for a in (
+        x, rng.normal(size=shape[-1]), rng.normal(size=shape[-1]), rng.normal(size=shape)))
+    xn, gn, bn = ops.param(x), ops.param(gain), ops.param(bias)
+    out = ops.layer_norm(xn, gn, bn)
+    got = [out.value, *out.vjp(g)]
+    want = _reference_layer_norm(x, gain, bias, g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_layer_norm_constant_input_gets_no_gradient(rng):
+    """An input that needs no gradient gets None; gain and bias still get theirs."""
+    x = rng.normal(size=(3, 4, 6)).astype(np.float32)
+    gain, bias = (ops.param(rng.normal(size=6).astype(np.float32)) for _ in range(2))
+    out = ops.layer_norm(ops.constant(x), gain, bias)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    gx, ggain, gbias = out.vjp(g)
+    assert gx is None
+    want = _reference_layer_norm(x, gain.value, bias.value, g)
+    assert np.array_equal(ggain, want[2]) and np.array_equal(gbias, want[3])
+
+
 def test_cross_entropy_confident_and_uniform():
     logits = np.array([[100.0, 0.0, 0.0]])
     assert float(ops.cross_entropy(logits, [0]).value) < 1e-6
