@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ContractViolation, MissingArtifactError, StructureError
+from .errors import ConfigError, ContractViolation, FormatError, MissingArtifactError, StructureError
 from .ops import Node
 from .tensor import load_tensor, save_tensor
 
@@ -157,7 +157,7 @@ def _maybe_drop(x: Node, dctx: DropoutPlan | None, tag: str) -> Node:
 # ---------------------------------------------------------------------------
 # Parameters
 
-ATTN_FIELDS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+ATTN_FIELDS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")  # no key bias: softmax cancels q·bk
 
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Node]:
@@ -172,8 +172,9 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Node
         p[name] = np.full(n, value, dtype=np.float64)
 
     def attn(prefix):
-        for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv"), ("wo", "bo")):
+        for w in ("wq", "wk", "wv", "wo"):
             mat(f"{prefix}.{w}", cfg.d, cfg.d)
+        for b in ("bq", "bv", "bo"):
             vec(f"{prefix}.{b}", cfg.d)
 
     def ln(prefix):
@@ -266,18 +267,25 @@ def save_params(params: dict[str, Node], directory) -> None:
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_params(directory) -> dict[str, Node]:
+def load_params(directory, shapes: dict[str, tuple] | None = None) -> dict[str, Node]:
+    """The float32 tensors of a save_params directory. A manifest whose names
+    or shapes differ from `shapes`, if given, raises FormatError first."""
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     if not manifest.exists():
         raise MissingArtifactError(f"no weights manifest at {manifest}")
+    rows = [line.split() for line in manifest.read_text(encoding="utf-8").splitlines()]
+    listed = {row[0]: tuple(int(d) for d in row[1:]) for row in rows if row}
+    if shapes is not None:
+        for name in sorted(listed.keys() | shapes.keys()):
+            if listed.get(name) != shapes.get(name):
+                raise FormatError(f"{directory}: tensor {name} has shape "
+                                  f"{listed.get(name, 'absent')} in the manifest, "
+                                  f"{shapes.get(name, 'absent')} in the config")
     params: dict[str, Node] = {}
-    for line in manifest.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        name, *dims = line.split()
+    for name, dims in listed.items():
         t = load_tensor(directory / f"{name}.ten")
-        if tuple(int(d) for d in dims) != t.shape:
+        if dims != t.shape:
             raise StructureError(f"{name}: manifest shape {dims} != file {t.shape}")
         params[name] = ops.param(t.array.astype(np.float32))
     return params

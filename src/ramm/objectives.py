@@ -186,13 +186,12 @@ class AdamW:
     Anything that must keep a parameter's value across a step copies it; a
     caller that rebinds a trainable `value` detaches it from the optimizer."""
 
+    B1, B2, EPS = 0.9, 0.999, 1e-8   # the moment decay rates and the denominator floor
+
     def __init__(self, params: dict[str, Node], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01, total_steps: int = 1000,
                  trainable_prefixes: tuple[str, ...] | None = None):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.total_steps = max(1, total_steps)
         self.t = 0
@@ -243,21 +242,21 @@ class AdamW:
             raise self._divergence("gradient", ~np.isfinite(g))
         lr = self.current_lr()
         t = self.t + 1
-        bc1 = 1.0 - self.b1**t
-        bc2 = 1.0 - self.b2**t
+        bc1 = 1.0 - self.B1**t
+        bc2 = 1.0 - self.B2**t
         # The per-tensor update, one operation at a time into the scratch
         # buffers (fresh temporaries of this size each cost a page fault per
         # page), rounded in the same order and dtypes:
-        #   m' = b1*m + (1-b1)*g        v' = b2*v + (1-b2)*g*g
-        #   u = (m'/bc1) / (sqrt(v'/bc2) + eps)
+        #   m' = B1*m + (1-B1)*g        v' = B2*v + (1-B2)*g*g
+        #   u = (m'/bc1) / (sqrt(v'/bc2) + EPS)
         #   value' = float64(value) - lr*(u + weight_decay*value)
-        np.multiply(self.m, self.b1, out=m)
-        m += np.multiply(g, 1 - self.b1, out=u)
-        np.multiply(self.v, self.b2, out=v)
-        np.multiply(g, 1 - self.b2, out=u)
+        np.multiply(self.m, self.B1, out=m)
+        m += np.multiply(g, 1 - self.B1, out=u)
+        np.multiply(self.v, self.B2, out=v)
+        np.multiply(g, 1 - self.B2, out=u)
         v += np.multiply(u, g, out=u)
         np.sqrt(np.divide(v, bc2, out=u), out=u)
-        u += self.eps
+        u += self.EPS
         np.divide(np.divide(m, bc1, out=g), u, out=u)
         u += self.weight_decay * self._flat      # the decay term in the parameter dtype
         u *= lr

@@ -215,7 +215,7 @@ def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None) -> Node:
     return matmul(softmax_rows(scores, mask), v)
 
 
-def multi_head_attention(x_q, x_kv, wq, bq, wk, bk, wv, bv, wo, bo, n_head: int,
+def multi_head_attention(x_q, x_kv, wq, bq, wk, wv, bv, wo, bo, n_head: int,
                          mask: np.ndarray | None = None) -> Node:
     """Multi-head attention with its four projections as one node: queries
     from x_q, keys and values from x_kv (both (..., n, d) with equal leading
@@ -225,13 +225,13 @@ def multi_head_attention(x_q, x_kv, wq, bq, wk, bk, wv, bv, wo, bo, n_head: int,
     order, as linear -> split heads -> scaled_dot_attention -> merge heads ->
     linear built from the ops above, so the value and every gradient are
     bitwise those of that composition."""
-    parents = [as_node(a) for a in (x_q, x_kv, wq, bq, wk, bk, wv, bv, wo, bo)]
-    xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo = (p.value for p in parents)
+    parents = [as_node(a) for a in (x_q, x_kv, wq, bq, wk, wv, bv, wo, bo)]
+    xq, xkv, wq, bq, wk, wv, bv, wo, bo = (p.value for p in parents)
     d = xq.shape[-1]
     lead, nq, nk = xq.shape[:-2], xq.shape[-2], xkv.shape[-2]
     if (xkv.shape[:-2] != lead or xkv.shape[-1] != d or d % n_head
             or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
-            or any(b.shape != (d,) for b in (bq, bk, bv, bo))):
+            or any(b.shape != (d,) for b in (bq, bv, bo))):
         raise ShapeError(f"attention shape mismatch: {xq.shape} x {xkv.shape}, {n_head} "
                          f"heads, weights {[p.shape for p in parents[2:]]}")
     dh = d // n_head
@@ -240,10 +240,10 @@ def multi_head_attention(x_q, x_kv, wq, bq, wk, bk, wv, bv, wo, bo, n_head: int,
     heads = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
     xq2, xkv2 = xq.reshape(-1, d), xkv.reshape(-1, d)
 
-    def split(x2, w, b, n):
-        return np.transpose((x2 @ w + b).reshape(lead + (n, n_head, dh)), heads)
+    def split(y, n):
+        return np.transpose(y.reshape(lead + (n, n_head, dh)), heads)
 
-    q, k, v = split(xq2, wq, bq, nq), split(xkv2, wk, bk, nk), split(xkv2, wv, bv, nk)
+    q, k, v = split(xq2 @ wq + bq, nq), split(xkv2 @ wk, nk), split(xkv2 @ wv + bv, nk)
     z = (q @ _swap(k)) * s
     if mask is not None:
         z = (z + mask.reshape(lead + (1, 1, nk))).astype(z.dtype, copy=False)
@@ -266,8 +266,7 @@ def multi_head_attention(x_q, x_kv, wq, bq, wk, bk, wv, bv, wo, bo, n_head: int,
             gxq, gxkv = gxq + gxkv + (gv @ wv.T).reshape(xkv.shape), None
         else:
             gxkv = gxkv + (gv @ wv.T).reshape(xkv.shape)
-        return (gxq, gxkv,
-                xq2.T @ gq, gq.sum(axis=0), xkv2.T @ gk, gk.sum(axis=0),
+        return (gxq, gxkv, xq2.T @ gq, gq.sum(axis=0), xkv2.T @ gk,
                 xkv2.T @ gv, gv.sum(axis=0), m2.T @ g2, g2.sum(axis=0))
 
     return Node(out, parents, vjp)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, MissingArtifactError
+from .errors import ConfigError, FormatError, MissingArtifactError
 from .model import (
     _TOKEN_RE, DropoutPlan, ModelConfig, StateRows, StreamBatch, Vocab, cls_rows,
     encode_image, encode_text, fuse, gather_streams, init_params, itm_head,
@@ -55,14 +55,18 @@ def save_checkpoint(directory, params, mcfg: ModelConfig, extra: dict):
 
 
 def load_checkpoint(directory, weights: str = "weights"):
-    """Model config and the float32 parameters in the `weights` subdirectory."""
+    """Model config and the float32 parameters in the `weights` subdirectory;
+    FormatError if config.json is no ModelConfig or the weights not its tensors."""
     directory = Path(directory)
     cfg_path = directory / "config.json"
     if not cfg_path.exists():
         raise MissingArtifactError(f"no checkpoint at {directory}")
-    mcfg = ModelConfig.from_json(cfg_path.read_text(encoding="utf-8"))
-    params = load_params(directory / weights)
-    return params, mcfg
+    try:
+        mcfg = ModelConfig.from_json(cfg_path.read_text(encoding="utf-8"))
+    except (ValueError, TypeError) as exc:   # not JSON, or a key ModelConfig lacks
+        raise FormatError(f"{cfg_path}: {exc}") from exc
+    shapes = {name: p.shape for name, p in init_params(mcfg, 0).items()}
+    return load_params(directory / weights, shapes), mcfg
 
 
 def clone_params(params: dict[str, ops.Node]) -> dict[str, ops.Node]:
@@ -75,8 +79,6 @@ def clone_params(params: dict[str, ops.Node]) -> dict[str, ops.Node]:
 
 def _derangement(n: int, rng: np.random.Generator) -> np.ndarray:
     """Permutation with no fixed point (mismatched caption assignment)."""
-    if n < 2:
-        raise ConfigError("need at least 2 samples to build mismatches")
     while True:
         perm = rng.permutation(n)
         if not np.any(perm == np.arange(n)):
@@ -130,6 +132,8 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig, steps: int
     """Train ITC + ITM + MLM (unweighted sum) with momentum distillation."""
     if steps < 1:
         raise ConfigError("steps must be at least 1")
+    if tcfg.batch_size < 2:   # ITC and ITM contrast each pair with the batch's others
+        raise ConfigError(f"pretrain needs batch_size of at least 2, got {tcfg.batch_size}")
     data_dir = Path(data_dir)
     vocab = Vocab.load(data_dir / "vocab.txt")
     pairs, load_patches = load_corpus(data_dir)

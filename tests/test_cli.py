@@ -512,3 +512,139 @@ def test_eval_checkpoint_with_nonfinite_tensor_exits_format(pipeline, tmp_path, 
                  "--data", str(pipeline["data"]), "--r", "2", "--no-ema"]) == EXIT_FORMAT
     err = capsys.readouterr().err
     assert err.startswith("format error: ") and "vqa.w2.ten" in err and "non-finite" in err
+
+
+def _count_load_tensor(monkeypatch) -> list:
+    """Count the RAMMTEN1 reads of every module that binds load_tensor."""
+    import ramm.model
+    import ramm.synthetic
+    import ramm.tensor
+    import ramm.train
+
+    calls = []
+
+    def counting(path, _read=ramm.tensor.load_tensor):
+        calls.append(path)
+        return _read(path)
+
+    for module in (ramm.model, ramm.synthetic, ramm.tensor, ramm.train):
+        monkeypatch.setattr(module, "load_tensor", counting)
+    return calls
+
+
+def test_pretrain_batch_of_one_exits_config_before_reading(pipeline, tmp_path, capsys,
+                                                          monkeypatch):
+    """ITC and ITM need a second pair in the batch: pretrain refuses
+    --batch-size 1 by name (exit 6) before it reads any corpus image."""
+    calls = _count_load_tensor(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["pretrain", "--data", str(pipeline["data"]), "--out", str(out),
+                 "--steps", "2", "--batch-size", "1", *MODEL_FLAGS]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "batch_size" in err and err.count("\n") == 1
+    assert calls == [] and not out.exists()
+
+
+def _add_key_bias(weights):
+    """What a checkpoint written while attention had a key bias also holds."""
+    save_tensor(np.zeros(16, dtype=np.float32), weights / "fuse.0.self_w.bk.ten")
+    with open(weights / "manifest.txt", "a", encoding="utf-8") as f:
+        f.write("fuse.0.self_w.bk 16\n")
+
+
+@pytest.mark.parametrize("command", ["build-index", "finetune", "eval", "retrieve"])
+def test_checkpoint_with_key_bias_exits_format(pipeline, tmp_path, capsys, monkeypatch,
+                                               command):
+    """A checkpoint holding a key bias, as every checkpoint written before
+    attention lost it does, exits 5 naming that tensor, before any tensor
+    of it is read."""
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(pipeline["ft" if command == "eval" else "ckpt"], ckpt)
+    for weights in ckpt.glob("weights*"):
+        _add_key_bias(weights)
+    data, index, out = str(pipeline["data"]), str(pipeline["index"]), tmp_path / "out"
+    query = sorted((pipeline["data"] / "vqa_images").glob("test_*.ten"))[0]
+    argv = {
+        "build-index": ["--data", data, "--out", str(out)],
+        "finetune": ["--index", index, "--data", data, "--r", "2", "--out", str(out),
+                     "--epochs", "1", "--batch-size", "4"],
+        "eval": ["--index", index, "--data", data, "--r", "2", "--out", str(out)],
+        "retrieve": ["--index", index, "--query-tensor", str(query), "--r", "2",
+                     "--mode", "infer"],
+    }[command]
+    calls = _count_load_tensor(monkeypatch)
+    assert main([command, "--checkpoint", str(ckpt), *argv]) == EXIT_FORMAT
+    weights = ckpt / ("weights_ema" if command == "eval" else "weights")
+    assert capsys.readouterr().err == (
+        f"format error: {weights}: tensor fuse.0.self_w.bk has shape (16,) in the "
+        f"manifest, absent in the config\n")
+    assert [p for p in calls if str(ckpt) in str(p)] == [] and not out.exists()
+
+
+def _drop_line(weights, name):
+    lines = (weights / "manifest.txt").read_text().splitlines()
+    (weights / "manifest.txt").write_text(
+        "".join(l + "\n" for l in lines if l.split()[0] != name))
+
+
+def _extra_tensor(weights, name):
+    save_tensor(np.zeros(3, dtype=np.float32), weights / f"{name}.ten")
+    with open(weights / "manifest.txt", "a", encoding="utf-8") as f:
+        f.write(f"{name} 3\n")
+
+
+def _wrong_shape(weights, name):
+    _drop_line(weights, name)
+    _extra_tensor(weights, name)
+
+
+@pytest.mark.parametrize("edit, name, message", [
+    (_drop_line, "vqa.w2", "has shape absent in the manifest, (16, 2) in the config"),
+    (_extra_tensor, "vqa.w3", "has shape (3,) in the manifest, absent in the config"),
+    (_wrong_shape, "text.lnf.g", "has shape (3,) in the manifest, (16,) in the config"),
+])
+def test_checkpoint_tensors_not_the_config_exit_format(pipeline, tmp_path, capsys,
+                                                       monkeypatch, edit, name, message):
+    """A manifest missing a tensor the config builds, listing one it does
+    not build, or listing one at another shape exits 5 with one line naming
+    the tensor, before any tensor is read."""
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(pipeline["ckpt"], ckpt)
+    edit(ckpt / "weights", name)
+    n_answers = len((pipeline["data"] / "answers.txt").read_text().splitlines())
+    message = message.replace("(16, 2)", f"(16, {n_answers})")
+    calls = _count_load_tensor(monkeypatch)
+    out = tmp_path / "index.idx"
+    assert main(["build-index", "--checkpoint", str(ckpt), "--data", str(pipeline["data"]),
+                 "--out", str(out)]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err == f"format error: {ckpt / 'weights'}: tensor {name} {message}\n"
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("{", "Expecting property name"),
+    ("unknown key", "unexpected keyword argument 'rr'"),
+])
+def test_checkpoint_config_not_a_model_config_exits_format(pipeline, tmp_path, capsys,
+                                                           monkeypatch, content, message):
+    """A config.json that is not JSON, or holds a key ModelConfig does not
+    have, exits 5 with one line naming it, before any tensor is read."""
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(pipeline["ckpt"], ckpt)
+    if content == "unknown key":
+        content = json.dumps({**json.loads((ckpt / "config.json").read_text()), "rr": 2})
+    (ckpt / "config.json").write_text(content)
+    calls = _count_load_tensor(monkeypatch)
+    out = tmp_path / "index.idx"
+    assert main(["build-index", "--checkpoint", str(ckpt), "--data", str(pipeline["data"]),
+                 "--out", str(out)]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith(f"format error: {ckpt / 'config.json'}: ") and message in err
+    assert err.count("\n") == 1 and calls == [] and not out.exists()

@@ -254,6 +254,23 @@ def test_full_model_gradient_check(rng):
                 assert err < 1e-3, f"{name}: directional rel err {err:.3e}"
 
 
+@pytest.mark.parametrize("l_text, l_image, l_fuse", [(1, 1, 1), (2, 3, 2)])
+def test_init_params_has_no_key_bias(l_text, l_image, l_fuse):
+    """Softmax cancels a key bias (it adds q·b_k to each score of a query's
+    row), so no attention has one: l_text + l_image + 6 * l_fuse tensors
+    fewer than the 16 per encoder block, 72 per fusion layer and 24 others
+    of an attention with all four biases."""
+    cfg = micro_config(l_text=l_text, l_image=l_image, l_fuse=l_fuse)
+    params = model.init_params(cfg, seed=0)
+    n_attn = l_text + l_image + 6 * l_fuse
+    assert not [n for n in params if n.endswith(".bk")]
+    assert len([n for n in params if n.endswith(".wk")]) == n_attn
+    assert len(params) == 16 * (l_text + l_image) + 72 * l_fuse + 24 - n_attn
+    if (l_text, l_image, l_fuse) == (1, 1, 1):   # the criterion-07 depth
+        assert len(params) == 120
+        assert len([n for n in params if n.startswith(("fuse.", "vqa."))]) == 70
+
+
 # -- one padded batch equals its items run one at a time ----------------------
 
 def _grads(params):
@@ -263,12 +280,7 @@ def _grads(params):
 
 def _assert_same_grads(got, want, tol=1e-10):
     for name in want:
-        if name.endswith(".bk"):
-            # softmax ignores a shift shared by all keys, so a key bias has
-            # true gradient 0 and both sides hold only rounding noise
-            assert np.abs(got[name] - want[name]).max() < tol, name
-        else:
-            assert relative_error(got[name], want[name]) < tol, name
+        assert relative_error(got[name], want[name]) < tol, name
 
 
 def test_padded_finetune_batch_matches_items(rng):

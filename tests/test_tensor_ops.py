@@ -490,14 +490,15 @@ def test_weighted_cross_entropy(rng):
 
 
 def _mha_inputs(rng, lead, nq, nk, d, dtype=np.float64):
-    """x_q, x_kv, then wq, bq, wk, bk, wv, bv, wo, bo."""
-    shapes = [lead + (nq, d), lead + (nk, d)] + [(d, d), (d,)] * 4
+    """x_q, x_kv, then wq, bq, wk, wv, bv, wo, bo."""
+    shapes = [lead + (nq, d), lead + (nk, d), (d, d), (d,), (d, d)] + [(d, d), (d,)] * 2
     return [rng.normal(size=s).astype(dtype) for s in shapes]
 
 
-def _mha_composed(x_q, x_kv, wq, bq, wk, bk, wv, bv, wo, bo, n_head, mask):
+def _mha_composed(x_q, x_kv, wq, bq, wk, wv, bv, wo, bo, n_head, mask, bk=None):
     """Multi-head attention composed from linear, reshape, transpose and
-    scaled_dot_attention, one node per step."""
+    scaled_dot_attention, one node per step; the key projection adds `bk`,
+    a constant zero bias unless given."""
     d = x_q.value.shape[-1]
     dh = d // n_head
     lead = x_q.value.shape[:-2]
@@ -507,12 +508,25 @@ def _mha_composed(x_q, x_kv, wq, bq, wk, bk, wv, bv, wo, bo, n_head, mask):
         y = ops.linear(x, w, b)
         return ops.transpose(ops.reshape(y, lead + (y.shape[-2], n_head, dh)), heads)
 
+    if bk is None:
+        bk = ops.constant(np.zeros(d, dtype=wk.value.dtype))
     q, k, v = split(x_q, wq, bq), split(x_kv, wk, bk), split(x_kv, wv, bv)
     if mask is not None:
         mask = mask.reshape(lead + (1, 1, k.shape[-2]))
     out = ops.scaled_dot_attention(q, k, v, mask)
     out = ops.reshape(ops.transpose(out, heads), lead + (x_q.value.shape[-2], d))
     return ops.linear(out, wo, bo)
+
+
+def _mha_run(attention, inputs, same, n_head, mask, w):
+    """Value and input gradients of mean(attention(*inputs) * w); with `same`
+    one node is both x_q and x_kv."""
+    nodes = [ops.param(a.copy()) for a in inputs]
+    if same:
+        nodes[1] = nodes[0]
+    out = attention(*nodes, n_head, mask)
+    ops.backward(ops.mean_all(ops.mul(out, ops.constant(w))))
+    return [out.value] + [n.grad for n in nodes]
 
 
 # (lead, nq, nk, d, n_head, key lengths or None, x_q is x_kv)
@@ -531,7 +545,7 @@ def test_multi_head_attention_gradients(case):
     inputs = _mha_inputs(rng, lead, nq, nk, d)
     mask = None if valid is None else _key_mask(valid, nk)
     w = rng.normal(size=lead + (nq, d))
-    for i in range(1 if same else 0, 10):
+    for i in range(1 if same else 0, 9):
         def loss(n, i=i):
             args = [ops.constant(a) for a in inputs]
             args[i] = n
@@ -540,22 +554,13 @@ def test_multi_head_attention_gradients(case):
             out = ops.multi_head_attention(*args, n_head, mask)
             return ops.mean_all(ops.mul(out, ops.constant(w)))
 
-        if i != 5:
-            _check_grad(loss, inputs[i])
-            continue
-        # the key bias shifts every score of a row by one amount, which the
-        # softmax cancels: its gradient is zero, where a relative error is noise
-        node = ops.param(inputs[5].copy())
-        ops.backward(loss(node))
-        fd = finite_difference_gradient(lambda a: float(loss(ops.constant(a)).value),
-                                        inputs[5])
-        assert np.abs(node.grad).max() < 1e-12 and np.abs(fd).max() < 1e-9
+        _check_grad(loss, inputs[i])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", MHA_CASES)
 def test_multi_head_attention_is_bitwise_the_composition(case, dtype):
-    """The fused node gives exactly the value and the ten gradients of the
+    """The fused node gives exactly the value and the nine gradients of the
     composition it replaces."""
     lead, nq, nk, d, n_head, valid, same = case
     rng = np.random.default_rng(47)
@@ -563,15 +568,8 @@ def test_multi_head_attention_is_bitwise_the_composition(case, dtype):
     mask = None if valid is None else _key_mask(valid, nk)
     w = rng.normal(size=lead + (nq, d)).astype(dtype)
 
-    def run(attention):
-        nodes = [ops.param(a.copy()) for a in inputs]
-        if same:
-            nodes[1] = nodes[0]
-        out = attention(*nodes, n_head, mask)
-        ops.backward(ops.mean_all(ops.mul(out, ops.constant(w))))
-        return [out.value] + [n.grad for n in nodes]
-
-    fused, composed = run(ops.multi_head_attention), run(_mha_composed)
+    fused = _mha_run(ops.multi_head_attention, inputs, same, n_head, mask, w)
+    composed = _mha_run(_mha_composed, inputs, same, n_head, mask, w)
     assert fused[0].dtype == dtype
     for got, want in zip(fused, composed):
         assert np.array_equal(got, want)
@@ -584,3 +582,21 @@ def test_multi_head_attention_every_key_masked_stays_finite(rng):
     ops.backward(ops.mean_all(out))
     assert np.all(np.isfinite(out.value))
     assert all(np.all(np.isfinite(n.grad)) for n in nodes)
+
+
+@pytest.mark.parametrize("case", MHA_CASES)
+def test_multi_head_attention_ignores_a_key_bias(case):
+    """A key bias adds q·b_k to every score of a query's row, which the
+    softmax cancels: the composition with a random key bias gives the fused
+    op's value and gradients to float64 rounding."""
+    lead, nq, nk, d, n_head, valid, same = case
+    rng = np.random.default_rng(53)
+    inputs = _mha_inputs(rng, lead, nq, nk, d)
+    bk = ops.constant(rng.normal(size=d))
+    mask = None if valid is None else _key_mask(valid, nk)
+    w = rng.normal(size=lead + (nq, d))
+
+    fused = _mha_run(ops.multi_head_attention, inputs, same, n_head, mask, w)
+    biased = _mha_run(lambda *args: _mha_composed(*args, bk=bk), inputs, same, n_head, mask, w)
+    for got, want in zip(fused, biased):
+        assert np.abs(got - want).max() < 1e-12
