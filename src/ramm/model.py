@@ -268,14 +268,22 @@ def save_params(params: dict[str, Node], directory) -> None:
 
 
 def load_params(directory, shapes: dict[str, tuple] | None = None) -> dict[str, Node]:
-    """The float32 tensors of a save_params directory. A manifest whose names
-    or shapes differ from `shapes`, if given, raises FormatError first."""
+    """The float32 tensors of a save_params directory. A manifest line whose
+    dimensions are not integers, or a manifest whose names or shapes differ
+    from `shapes`, if given, raises FormatError first."""
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     if not manifest.exists():
         raise MissingArtifactError(f"no weights manifest at {manifest}")
-    rows = [line.split() for line in manifest.read_text(encoding="utf-8").splitlines()]
-    listed = {row[0]: tuple(int(d) for d in row[1:]) for row in rows if row}
+    listed = {}
+    for number, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+        row = line.split()
+        try:
+            if row:
+                listed[row[0]] = tuple(int(d) for d in row[1:])
+        except ValueError:
+            raise FormatError(f"{manifest} line {number}: dimensions of "
+                              f"{line!r} are not integers") from None
     if shapes is not None:
         for name in sorted(listed.keys() | shapes.keys()):
             if listed.get(name) != shapes.get(name):
@@ -579,31 +587,17 @@ class StreamBatch:
 
 
 class StateRows:
-    """Encoder states of up to capacity - 1 sequences of at most n
-    positions, stored by key: each is a row of a zero-padded (capacity, n,
-    d) array, with its length. Row 0, zero and one position long, stands in
-    for a retrieved stream an item lacks."""
+    """Encoder states of sequences of at most n positions as the rows of a
+    zero-padded (1 + len(states), n, d) array, with their lengths: states[i]
+    is row i + 1. Row 0, zero and one position long, stands in for a
+    retrieved stream an item lacks."""
 
-    def __init__(self, capacity: int, n: int):
-        self.shape = (capacity, n)
-        self.values: np.ndarray | None = None    # allocated by the first store
-        self.lengths = np.ones(capacity, dtype=np.int64)
-        self.row_of: dict = {}
-
-    def rows(self, keys: list, encode) -> list[int]:
-        """The row of each key; `encode(missing)` gives the (n_i, d) states
-        of the keys not stored yet, all in one call."""
-        missing = [k for k in dict.fromkeys(keys) if k not in self.row_of]
-        if missing:
-            states = encode(missing)
-            if self.values is None:
-                self.values = np.zeros(self.shape + states[0].shape[-1:],
-                                       np.result_type(*states))
-            for row, (key, a) in enumerate(zip(missing, states), 1 + len(self.row_of)):
-                self.values[row, : len(a)] = a
-                self.lengths[row] = len(a)
-                self.row_of[key] = row
-        return [self.row_of[k] for k in keys]
+    def __init__(self, states: list[np.ndarray]):
+        self.lengths = np.array([1, *map(len, states)], dtype=np.int64)
+        self.values = np.zeros((len(self.lengths), self.lengths.max(), states[0].shape[-1]),
+                               np.result_type(*{a.dtype for a in states}))
+        for row, a in enumerate(states, 1):
+            self.values[row, : len(a)] = a
 
     def gather(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """The states of `rows`, an index array of any shape, cut to the
@@ -614,31 +608,31 @@ class StateRows:
 
 def _pad(states: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(n_b, d) arrays zero-padded into one (B, max n_b, d) array, plus its key mask."""
-    table = StateRows(1 + len(states), max(map(len, states)))
-    return table.gather(table.rows(range(len(states)), lambda _: states))
+    return StateRows(states).gather(np.arange(1, len(states) + 1))
 
 
-def gather_streams(texts: StateRows, images: StateRows, originals: list[tuple[int, int]],
-                   retrieved: list[list[tuple[int, int]]]) -> StreamBatch:
-    """The streams of B items whose states are rows of `texts` and `images`:
-    originals[b] holds item b's (text row, image row) and retrieved[b] those
-    of its retrieved pairs. Stream 0's text is padded to its longest
-    sequence, and every retrieved text to the longest retrieved one. An item
-    with fewer retrieved pairs than the batch's widest gets row 0, a one-row
-    zero placeholder, in each missing slot, masked out of
-    retrieval-attention by stream_mask, so it fuses exactly as it would
-    alone. Every item keeps at least one retrieved pair when any item has
-    one (retrieval returns min(r, index size) pairs or more for every query).
+def gather_streams(texts: StateRows, images: StateRows, originals: list[int],
+                   retrieved: list[list[int]]) -> StreamBatch:
+    """The streams of B items whose states are rows of `texts` and `images`,
+    a stream's text and image at the same row: originals[b] is item b's row
+    and retrieved[b] those of its retrieved pairs. Stream 0's text is padded
+    to its longest sequence, and every retrieved text to the longest
+    retrieved one. An item with fewer retrieved pairs than the batch's
+    widest gets row 0, a one-row zero placeholder, in each missing slot,
+    masked out of retrieval-attention by stream_mask, so it fuses exactly
+    as it would alone. Every item keeps at least one retrieved pair when any
+    item has one (retrieval returns min(r, index size) pairs or more for
+    every query).
     """
-    text0, mask0 = texts.gather([t for t, _ in originals])
-    image0 = images.gather([v for _, v in originals])[0]
-    width = max(len(pairs) for pairs in retrieved)
+    text0, mask0 = texts.gather(originals)
+    image0 = images.gather(originals)[0]
+    width = max(len(rows) for rows in retrieved)
     if not width:
         return StreamBatch(text0, image0, mask0, None, None, None, None)
-    slots = np.array([pairs + [(0, 0)] * (width - len(pairs)) for pairs in retrieved])
-    text, text_mask = texts.gather(slots[..., 0])
-    return StreamBatch(text0, image0, mask0, text, images.gather(slots[..., 1])[0], text_mask,
-                       key_mask([1 + len(pairs) for pairs in retrieved]))
+    slots = np.array([rows + [0] * (width - len(rows)) for rows in retrieved])
+    text, text_mask = texts.gather(slots)
+    return StreamBatch(text0, image0, mask0, text, images.gather(slots)[0], text_mask,
+                       key_mask([1 + len(rows) for rows in retrieved]))
 
 
 def batch_streams(originals: list[tuple[np.ndarray, np.ndarray]],
@@ -646,12 +640,9 @@ def batch_streams(originals: list[tuple[np.ndarray, np.ndarray]],
     """Stack B items' (text, image) states and their retrieved pairs' states
     (see gather_streams) by storing them as rows and gathering those."""
     flat = [*originals, *(pair for pairs in retrieved for pair in pairs)]
-    keys = range(len(flat))
-    texts = StateRows(1 + len(flat), max(len(t) for t, _ in flat))
-    images = StateRows(1 + len(flat), max(len(v) for _, v in flat))
-    rows = iter(zip(texts.rows(keys, lambda _: [t for t, _ in flat]),
-                    images.rows(keys, lambda _: [v for _, v in flat])))
-    return gather_streams(texts, images, [next(rows) for _ in originals],
+    rows = iter(range(1, len(flat) + 1))
+    return gather_streams(StateRows([t for t, _ in flat]), StateRows([v for _, v in flat]),
+                          [next(rows) for _ in originals],
                           [[next(rows) for _ in pairs] for pairs in retrieved])
 
 
@@ -660,18 +651,13 @@ def _cls_pair(w_cls: Node, v_cls: Node) -> Node:
     return ops.concat_rows([w_cls, v_cls], axis=-1)
 
 
-def _mlp_head(params, prefix, x: Node) -> Node:
-    h = ops.gelu(ops.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return ops.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-
-
 def vqa_head(params, w_cls: Node, v_cls: Node) -> Node:
     """Two-layer MLP over the concatenated fused CLS pair -> answer logits."""
-    return _mlp_head(params, "vqa", _cls_pair(w_cls, v_cls))
+    return _ffn(params, "vqa", _cls_pair(w_cls, v_cls))
 
 
 def itm_head(params, w_cls: Node, v_cls: Node) -> Node:
-    return _mlp_head(params, "itm", _cls_pair(w_cls, v_cls))
+    return _ffn(params, "itm", _cls_pair(w_cls, v_cls))
 
 
 def mlm_head(params, w_states: Node) -> Node:

@@ -18,17 +18,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor
 
 
 class Node:
-    """Value plus optional gradient; the training-time dual of a Tensor."""
+    """Value plus optional gradient."""
 
     __slots__ = ("value", "grad", "parents", "vjp", "requires_grad")
 
     def __init__(self, value, parents=(), vjp=None, requires_grad=None):
-        if isinstance(value, Tensor):
-            value = value.array
         self.value = np.asarray(value)
         self.parents = tuple(parents)
         self.vjp = vjp
@@ -51,16 +48,12 @@ class Node:
 
 def param(value) -> Node:
     """Leaf node that accumulates a gradient."""
-    if isinstance(value, Tensor):
-        value = value.array
     return Node(np.asarray(value), requires_grad=True)
 
 
 def constant(value) -> Node:
     if isinstance(value, Node):
         return value
-    if isinstance(value, Tensor):
-        value = value.array
     return Node(np.asarray(value), requires_grad=False)
 
 

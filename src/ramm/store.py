@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BuildError, FingerprintMismatchError, FormatError, TruncatedFileError
-from .model import ModelConfig, cls_rows, encode_image, encode_text, project_itc, tokenize
-from .ops import Node, ShapeError
+from .model import ModelConfig, encode_image, encode_text, project_itc, tokenize
+from .ops import Node, ShapeError, constant
 
 MAGIC = b"RAMMIDX1"
 VERSION = 1
@@ -173,6 +173,24 @@ class EmbeddingIndex:
         return h.hexdigest()
 
 
+def frozen_texts(params, cfg: ModelConfig, vocab, texts: list[str]) -> list[np.ndarray]:
+    """The frozen-encoder (n_i, d) states (dropout off) of each text, cut to
+    its token count, EVAL_BATCH texts per graph. A text's bits depend on
+    the longest text of its graph."""
+    states = []
+    for a in range(0, len(texts), EVAL_BATCH):
+        ids = [tokenize(t, vocab, cfg.max_text_len) for t in texts[a : a + EVAL_BATCH]]
+        states += [w[: len(seq)] for seq, w in zip(ids, encode_text(params, cfg, ids).value)]
+    return states
+
+
+def frozen_images(params, cfg: ModelConfig, patches: list[np.ndarray]) -> list[np.ndarray]:
+    """The frozen-encoder (n_patches + 1, d) states (dropout off) of each
+    image's patches, EVAL_BATCH images per graph."""
+    return [v for a in range(0, len(patches), EVAL_BATCH)
+            for v in encode_image(params, cfg, np.stack(patches[a : a + EVAL_BATCH])).value]
+
+
 @dataclass
 class BuildReport:
     encoded: int = 0
@@ -218,11 +236,10 @@ def build_store(pairs, params, cfg: ModelConfig, vocab, load_patches=None
     ivecs = np.empty((n, cfg.d_proj), dtype=np.float32)
     for a in range(0, n, EVAL_BATCH):
         chunk = slice(a, a + EVAL_BATCH)
-        w = encode_text(params, cfg, [tokenize(pair.caption, vocab, cfg.max_text_len)
-                                      for pair in kept[chunk]])
-        v = encode_image(params, cfg, np.stack(patches[chunk]))
-        tvecs[chunk] = project_itc(cls_rows(w), params, "text").value
-        ivecs[chunk] = project_itc(cls_rows(v), params, "image").value
+        w = frozen_texts(params, cfg, vocab, [pair.caption for pair in kept[chunk]])
+        v = frozen_images(params, cfg, patches[chunk])
+        tvecs[chunk] = project_itc(constant(np.stack([s[0] for s in w])), params, "text").value
+        ivecs[chunk] = project_itc(constant(np.stack([s[0] for s in v])), params, "image").value
     index = EmbeddingIndex(
         d_proj=cfg.d_proj,
         fingerprint=fingerprint_params(params, cfg.d_proj),

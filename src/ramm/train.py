@@ -30,10 +30,10 @@ from .objectives import (
 )
 from .retrieval import Mode, candidate_pool, retrieve_by_vector, select_training
 from .store import (
-    EVAL_BATCH, TAG_NAMES, BuildReport, build_store, load_index, save_index,
-    verify_fingerprint,
+    EVAL_BATCH, TAG_NAMES, BuildReport, build_store, frozen_images, frozen_texts,
+    load_index, save_index, verify_fingerprint,
 )
-from .synthetic import VQAItem, load_corpus, load_vqa_items
+from .synthetic import load_corpus, load_vqa_items
 from .tensor import load_tensor
 
 
@@ -199,9 +199,10 @@ def build_index_cmd(checkpoint_dir, data_dir, out_path) -> BuildReport:
 class Stage:
     """The checkpoint, verified index, answer vocabulary, split items and
     corpus (holding every pair of the index) that fine-tuning and evaluation
-    start from, plus frozen-encoder states (inference mode), computed once
-    per payload and a batch of payloads at a time. An image is read only
-    when its states are not cached."""
+    start from, plus the frozen-encoder states (inference mode) of all a run
+    reads, each encoded once before any fusion graph is built: the items'
+    images at construction, which give `query_vecs`, then, in `encode`, the
+    questions and the retrieved pairs' captions and images."""
 
     def __init__(self, checkpoint_dir, index_path, data_dir, split: str,
                  weights: str = "weights"):
@@ -228,49 +229,39 @@ class Stage:
                 raise MissingArtifactError(
                     f"index pair_id {pid} is not in the corpus "
                     f"{self.data_dir / 'corpus' / 'pairs.jsonl'}")
-        # a row for each distinct text and image the stage can meet
-        texts = {it.question for it in self.items} | {p.caption for p in pairs}
-        images = {it.image_ref for it in self.items} | {p.image_ref for p in pairs}
-        self._texts = StateRows(1 + len(texts), self.mcfg.max_text_len)
-        self._images = StateRows(1 + len(images), self.mcfg.n_patches + 1)
+        self._item_states = frozen_images(
+            self.params, self.mcfg,
+            [load_tensor(self.data_dir / it.image_ref).array for it in self.items])
+        # (len(items), d_proj): each item's image CLS state through the
+        # frozen ITC image projection
+        self.query_vecs = project_itc(ops.constant(np.stack([v[0] for v in self._item_states])),
+                                      self.params, "image").value
 
-    def texts(self, raws: list[str]) -> list[int]:
-        """Rows of the text table holding each text's (n, d) states."""
-        def encode(missing):
-            ids = [tokenize(t, self.vocab, self.mcfg.max_text_len) for t in missing]
-            states = encode_text(self.params, self.mcfg, ids).value
-            return [w[: len(seq)] for seq, w in zip(ids, states)]
-        return self._texts.rows(raws, encode)
+    def encode(self, pair_ids) -> None:
+        """Build the state tables `streams` gathers from: the caption and
+        image of each pair in `pair_ids`, by ascending pair_id, then each
+        item's question and image. Texts are encoded once each, captions
+        first, then the distinct questions."""
+        pids = sorted(set(pair_ids))
+        pairs = [self.pair_by_id[pid] for pid in pids]
+        questions = list(dict.fromkeys(it.question for it in self.items))
+        texts = frozen_texts(self.params, self.mcfg, self.vocab,
+                             [p.caption for p in pairs] + questions)
+        question = dict(zip(questions, texts[len(pairs):]))
+        self.text_rows = StateRows(texts[: len(pairs)]
+                                   + [question[it.question] for it in self.items])
+        self.image_rows = StateRows(frozen_images(
+            self.params, self.mcfg, [self.load_patches(p.image_ref) for p in pairs])
+            + self._item_states)
+        self._row_of_pair = {pid: row for row, pid in enumerate(pids, 1)}
 
-    def images(self, refs: list[str], load) -> list[int]:
-        """Rows of the image table holding each image's (n_patches + 1, d)
-        states; `load(ref)` reads the patches of an image not stored yet."""
-        def encode(missing):
-            patches = np.stack([load(ref) for ref in missing])
-            return encode_image(self.params, self.mcfg, patches).value
-        return self._images.rows(refs, encode)
-
-    def item_images(self, items: list[VQAItem]) -> list[int]:
-        return self.images([it.image_ref for it in items],
-                           lambda ref: load_tensor(self.data_dir / ref).array)
-
-    def query_vecs(self, items: list[VQAItem]) -> np.ndarray:
-        """(len(items), d_proj) retrieval query vectors: each item's image
-        CLS state through the frozen ITC image projection."""
-        rows = self.item_images(items)
-        return project_itc(ops.constant(self._images.values[rows, 0]), self.params,
-                           "image").value
-
-    def streams(self, items: list[VQAItem], selected: list[list[int]]) -> StreamBatch:
-        """The fusion streams of a batch of items; selected[b] lists the
-        pair ids that item b retrieved."""
-        originals = list(zip(self.texts([it.question for it in items]),
-                             self.item_images(items)))
-        pairs = [self.pair_by_id[pid] for pids in selected for pid in pids]
-        rows = iter(zip(self.texts([p.caption for p in pairs]),
-                        self.images([p.image_ref for p in pairs], self.load_patches)))
-        return gather_streams(self._texts, self._images, originals,
-                              [[next(rows) for _ in pids] for pids in selected])
+    def streams(self, indices, selected: list[list[int]]) -> StreamBatch:
+        """The fusion streams of the split's items at `indices`; selected[b]
+        lists the pair ids that item b retrieved, each one passed to
+        `encode`."""
+        first = 1 + len(self._row_of_pair)
+        return gather_streams(self.text_rows, self.image_rows, [first + i for i in indices],
+                              [[self._row_of_pair[pid] for pid in pids] for pids in selected])
 
 
 def answer_logits(params, mcfg: ModelConfig, text0: ops.Node, image0: ops.Node,
@@ -290,7 +281,8 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     ITC projections stay frozen, bit for bit in both the weights and their
     EMA, so the index, which holds their features, stays valid for the
     fine-tuned checkpoint (`evaluate` checks its fingerprint), and the
-    encoder states of every stream are computed once and cached. feature_noise
+    encoder states of every stream are computed once, before the first
+    step, for the items and the union of their pools. feature_noise
     adds fresh Gaussian noise to the instance's image states every step, a
     cheap augmentation that discourages memorizing individual images.
     Each item's retrieval pool is computed once per run; each step draws
@@ -307,8 +299,8 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     reinit_group(params, "vqa.", _sub_seed(tcfg.seed, "vqa-head"))
     # the frozen query vectors and index fix each item's pool; only the
     # training draw from it changes from step to step
-    item_qvec = stage.query_vecs(items)
-    pools = [candidate_pool(q, index, r) for q in item_qvec] if r > 0 else []
+    pools = [candidate_pool(q, index, r) for q in stage.query_vecs] if r > 0 else []
+    stage.encode(c.pair_id for pool in pools for c in pool)
 
     steps_per_epoch = max(1, len(items) // tcfg.batch_size)
     total_steps = epochs * steps_per_epoch
@@ -335,7 +327,7 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
                             pools[i], r,
                             _sub_seed(tcfg.seed, "select", step, it.item_id)).selected]
                         for it, i in zip(batch, idx)]
-                streams = stage.streams(batch, selected)
+                streams = stage.streams(idx, selected)
                 text_in = ops.constant(streams.text0)
                 image_in = ops.constant(streams.image0)
                 if feature_noise > 0.0:
@@ -410,55 +402,52 @@ class EvalReport:
         )
 
 
-def _acc(flags: list[bool]) -> float:
-    return float(np.mean(flags)) if flags else 0.0
-
-
 def evaluate(checkpoint_dir, index_path, data_dir, r: int, split: str = "test",
              use_ema: bool = True, out_dir=None, seed: int = 0):
     """Deterministic inference-mode evaluation; returns report and details.
-    Items are scored EVAL_BATCH at a time, one graph per batch."""
+    Every item retrieves first, then items are scored EVAL_BATCH at a time,
+    one graph per batch."""
     use_ema = use_ema and (Path(checkpoint_dir) / "weights_ema").exists()
     stage = Stage(checkpoint_dir, index_path, data_dir, split,
                   "weights_ema" if use_ema else "weights")
     params, mcfg, index, items = stage.params, stage.mcfg, stage.index, stage.items
 
+    selected: list[list[tuple[int, float]]] = [[] for _ in items]
+    if r > 0:
+        selected = [retrieve_by_vector(q, index, r, Mode.INFER).selected
+                    for q in stage.query_vecs]
+    stage.encode(pid for sel in selected for pid, _ in sel)
     details = []
-    correct_flags, closed_flags, open_flags, req_flags, notreq_flags = [], [], [], [], []
     for b0 in range(0, len(items), EVAL_BATCH):
-        batch = items[b0 : b0 + EVAL_BATCH]
-        selected: list[list[tuple[int, float]]] = [[] for _ in batch]
-        if r > 0:
-            selected = [retrieve_by_vector(q, index, r, Mode.INFER).selected
-                        for q in stage.query_vecs(batch)]
-        streams = stage.streams(batch, [[pid for pid, _ in sel] for sel in selected])
+        batch = range(b0, min(b0 + EVAL_BATCH, len(items)))
+        streams = stage.streams(batch, [[pid for pid, _ in selected[i]] for i in batch])
         logits = answer_logits(params, mcfg, ops.constant(streams.text0),
                                ops.constant(streams.image0), streams)
-        for it, sel, row in zip(batch, selected, logits.value):
-            retrieved = [{
-                "pair_id": pid,
-                "source": TAG_NAMES[int(index.source_tags[index.row_of(pid)])],
-                "caption": stage.pair_by_id[pid].caption,
-                "s": s,
-            } for pid, s in sel]
+        for i, row in zip(batch, logits.value):
+            it = items[i]
             pred = stage.answers[int(np.argmax(row))]
-            ok = pred == it.answer
-            correct_flags.append(ok)
-            (closed_flags if it.closed else open_flags).append(ok)
-            (req_flags if it.required else notreq_flags).append(ok)
             details.append({
                 "item_id": it.item_id, "gold": it.answer, "pred": pred,
-                "correct": ok, "closed": it.closed, "required": it.required,
-                "retrieved": retrieved,
+                "correct": pred == it.answer, "closed": it.closed, "required": it.required,
+                "retrieved": [{
+                    "pair_id": pid,
+                    "source": TAG_NAMES[int(index.source_tags[index.row_of(pid)])],
+                    "caption": stage.pair_by_id[pid].caption,
+                    "s": s,
+                } for pid, s in selected[i]],
             })
 
-    report = EvalReport(
-        overall=_acc(correct_flags), closed=_acc(closed_flags),
-        open=_acc(open_flags), required=_acc(req_flags),
-        not_required=_acc(notreq_flags), n_total=len(items),
-        n_closed=len(closed_flags), n_open=len(open_flags),
-        n_required=len(req_flags), r=r, seed=seed,
-    )
+    def acc(keep) -> tuple[float, int]:
+        flags = [d["correct"] for d in details if keep(d)]
+        return (float(np.mean(flags)) if flags else 0.0), len(flags)
+
+    overall, n_total = acc(lambda d: True)
+    closed, n_closed = acc(lambda d: d["closed"])
+    open_, n_open = acc(lambda d: not d["closed"])
+    required, n_required = acc(lambda d: d["required"])
+    not_required, _ = acc(lambda d: not d["required"])
+    report = EvalReport(overall, closed, open_, required, not_required, n_total,
+                        n_closed, n_open, n_required, r, seed)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -522,8 +511,20 @@ def retrieval_stats(details: list[dict]) -> RetrievalStats:
 
 
 def load_details(path) -> list[dict]:
+    """The item records of an eval_details.jsonl, whose first line is the
+    report. A record that is not JSON, or that retrieval_stats cannot read,
+    raises FormatError naming the file and the line."""
+    details = []
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [json.loads(l) for l in lines[1:] if l.strip()]
+    for number, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        try:
+            details.append(json.loads(line))
+            retrieval_stats(details[-1:])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise FormatError(f"{path} line {number}: {type(exc).__name__}: {exc}") from None
+    return details
 
 
 # ---------------------------------------------------------------------------

@@ -648,3 +648,101 @@ def test_checkpoint_config_not_a_model_config_exits_format(pipeline, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith(f"format error: {ckpt / 'config.json'}: ") and message in err
     assert err.count("\n") == 1 and calls == [] and not out.exists()
+
+
+def test_manifest_dimension_not_an_integer_exits_format(pipeline, tmp_path, capsys,
+                                                        monkeypatch):
+    """A manifest line whose dimensions are not integers exits 5 with one
+    line naming the manifest and the line, before any tensor is read."""
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(pipeline["ckpt"], ckpt)
+    manifest = ckpt / "weights" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    number = next(i for i, line in enumerate(lines, 1) if line.split()[0] == "vqa.w2")
+    lines[number - 1] = "vqa.w2 32 x8"
+    manifest.write_text("\n".join(lines) + "\n")
+    calls = _count_load_tensor(monkeypatch)
+    out = tmp_path / "index.idx"
+    assert main(["build-index", "--checkpoint", str(ckpt), "--data", str(pipeline["data"]),
+                 "--out", str(out)]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith(f"format error: {manifest} line {number}: ") and "x8" in err
+    assert err.count("\n") == 1 and calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("record, message", [
+    ("{not json", "JSONDecodeError"),
+    ('{"gold": "a", "retrieved": [{"pair_id": 1, "source": "SYNTH", "s": 0.5}]}',
+     "KeyError: 'caption'"),
+])
+def test_stats_on_malformed_details_exits_format(tmp_path, capsys, record, message):
+    """A details record that is not JSON, or a retrieved slot without its
+    caption, exits 5 with one line naming the file and the line."""
+    details = tmp_path / "eval_details.jsonl"
+    good = {"gold": "a", "retrieved": [{"pair_id": 2, "source": "SYNTH", "s": 0.5,
+                                        "caption": "a b"}]}
+    details.write_text("\n".join([json.dumps({"report": {}}), json.dumps(good), record]) + "\n")
+    assert main(["stats", "--details", str(details)]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith(f"format error: {details} line 3: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_frozen_states_are_encoded_before_any_step_or_scoring(pipeline, tmp_path,
+                                                              monkeypatch):
+    """finetune calls no encoder after its first AdamW.step, and evaluate
+    none once it scores its first batch: every frozen state is encoded
+    before."""
+    from ramm import objectives, store, train
+
+    calls = []
+    late = [False]
+
+    def watched(fn):
+        def encode(*args, **kwargs):
+            calls.append(late[0])
+            return fn(*args, **kwargs)
+        return encode
+
+    for module in (train, store):
+        for name in ("encode_text", "encode_image"):
+            monkeypatch.setattr(module, name, watched(getattr(module, name)))
+
+    def after(fn):
+        def call(*args, **kwargs):
+            late[0] = True
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(objectives.AdamW, "step", after(objectives.AdamW.step))
+    tcfg = TrainConfig(seed=0, batch_size=4)
+    train.finetune(pipeline["ckpt"], pipeline["index"], pipeline["data"], 2, tcfg,
+                   tmp_path / "ft", epochs=2)
+    assert calls and not any(calls)
+
+    calls.clear()
+    late[0] = False
+    monkeypatch.setattr(train, "answer_logits", after(train.answer_logits))
+    monkeypatch.setattr(train, "EVAL_BATCH", 2)
+    report, _ = train.evaluate(tmp_path / "ft", pipeline["index"], pipeline["data"], 2)
+    assert report.n_total > 2 and calls and not any(calls)
+
+
+def test_stage_tables_do_not_depend_on_pair_order(pipeline, monkeypatch):
+    """Stage.encode builds the same state tables, bit for bit, from the same
+    pair ids in another order and with repeats, across graph boundaries."""
+    from ramm import store
+    from ramm.train import Stage
+
+    monkeypatch.setattr(store, "EVAL_BATCH", 3)
+    stage = Stage(pipeline["ckpt"], pipeline["index"], pipeline["data"], "train")
+    pids = stage.index.pair_ids.tolist()[:9]
+    tables = []
+    for order in (pids, pids[::-1] + pids[:4]):
+        stage.encode(order)
+        tables.append((stage.text_rows, stage.image_rows))
+    for a, b in zip(*tables):
+        assert a.values.dtype == b.values.dtype
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.lengths, b.lengths)

@@ -568,8 +568,8 @@ def _copy_loop_streams(originals, retrieved):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("r", [0, 1, 4])
 def test_gathered_streams_equal_copy_loops(rng, dtype, r):
-    """batch_streams, and gather_streams over tables filled lazily in several
-    keyed batches (as Stage fills them), equal the copy loops array for array,
+    """batch_streams, and gather_streams over tables built from a pool of
+    states (as Stage builds them), equal the copy loops array for array,
     with texts of 1 to 12 tokens, a repeated pair and a flagged item that
     lacks a slot."""
     d, n_img = 8, 5
@@ -584,18 +584,12 @@ def test_gathered_streams_equal_copy_loops(rng, dtype, r):
     want = _copy_loop_streams([pool[i] for i in items],
                               [[pool[k] for k in ks] for ks in chosen])
 
-    texts = model.StateRows(len(pool) + 1, 12)
-    images = model.StateRows(len(pool) + 1, n_img)
-
-    def rows(keys):
-        return list(zip(texts.rows(keys, lambda missing: [pool[k][0] for k in missing]),
-                        images.rows(keys, lambda missing: [pool[k][1] for k in missing])))
-
-    rows([7, 2, 9])                         # earlier steps filled some rows
+    texts = model.StateRows([t for t, _ in pool])
+    images = model.StateRows([v for _, v in pool])
     got = [model.batch_streams([pool[i] for i in items],
                                [[pool[k] for k in ks] for ks in chosen]),
-           model.gather_streams(texts, images, rows(items),
-                                [rows(ks) for ks in chosen])]
+           model.gather_streams(texts, images, [1 + i for i in items],
+                                [[1 + k for k in ks] for ks in chosen])]
     fields = ("text0", "image0", "text0_mask", "texts", "images", "text_mask",
               "stream_mask")
     for streams in got:
