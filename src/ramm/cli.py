@@ -5,7 +5,8 @@ retrieve, stats, sweep-r. A flat key=value config file can supply any flag
 default; explicit flags win, and a key that names no flag is a config error.
 
 Exit codes: 0 ok, 2 missing artifact, 3 index fingerprint mismatch,
-4 invalid r, 5 serialization format error, 6 config error, 1 other failure.
+4 invalid r, 5 malformed input artifact, 6 config error, 1 other failure (a
+wrong-shaped image, a path of the wrong kind, a diverged run).
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from pathlib import Path
 from .corpus import MIN_CHARS, run_harvest
 from .errors import (
     ConfigError, FingerprintMismatchError, FormatError, MissingArtifactError,
-    RammError, ShapeError, TruncatedFileError,
+    RammError, TruncatedFileError,
 )
 from .model import ModelConfig, Vocab, cls_rows, encode_image, project_itc
 from .objectives import TrainConfig
-from .synthetic import SyntheticSpec, generate
+from .synthetic import SyntheticSpec, generate, load_answers
+from .textio import read_text
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -49,7 +51,7 @@ def _config_defaults(argv: list[str]) -> dict[str, str]:
 
 def _load_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     values = {}
@@ -211,9 +213,8 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_harvest(args) -> int:
-    patterns = None
-    if args.patterns:
-        patterns = [l for l in Path(args.patterns).read_text().splitlines() if l.strip()]
+    patterns = args.patterns and [
+        l for l in read_text(args.patterns, ConfigError).splitlines() if l.strip()]
     report = run_harvest(args.in_dir, args.out, patterns, args.min_chars)
     print(report.as_text(), end="")
     return EXIT_OK
@@ -223,10 +224,9 @@ def _cmd_pretrain(args) -> int:
     from .train import pretrain
 
     data = Path(args.data)
-    vocab = Vocab.load(data / "vocab.txt")
-    answers = (data / "answers.txt").read_text(encoding="utf-8").splitlines()
     mcfg = _from_fields(ModelConfig, MODEL_FIELDS, args,
-                        vocab_size=len(vocab), n_answers=len(answers))
+                        vocab_size=len(Vocab.load(data / "vocab.txt")),
+                        n_answers=len(load_answers(data)))
     out = pretrain(args.data, args.out, mcfg,
                    _from_fields(TrainConfig, TRAIN_FIELDS, args), steps=args.steps)
     print(f"checkpoint written to {out}")
@@ -266,7 +266,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     from .retrieval import Mode, retrieve_by_vector
-    from .store import load_index, verify_fingerprint
+    from .store import check_patches, load_index, verify_fingerprint
     from .tensor import load_tensor
     from .train import load_checkpoint
 
@@ -280,10 +280,7 @@ def _cmd_retrieve(args) -> int:
                 "query tensor is not a d_proj vector; pass --checkpoint to encode it")
         params, mcfg = load_checkpoint(args.checkpoint)
         verify_fingerprint(index, params, mcfg.d_proj)
-        expected = (mcfg.n_patches, mcfg.d_patch)
-        if query.shape != expected:
-            raise ShapeError(f"query tensor {args.query_tensor} has shape {query.shape}; "
-                             f"the checkpoint's patch grid and patch dim need {expected}")
+        check_patches(query, mcfg, f"query tensor {args.query_tensor}")
         qvec = project_itc(cls_rows(encode_image(params, mcfg, query)),
                            params, "image").value[0]
     mode = Mode.TRAIN if args.mode == "train" else Mode.INFER
@@ -359,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except RammError as exc:
+    except (RammError, OSError) as exc:   # OSError: a path of the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

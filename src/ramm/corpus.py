@@ -13,6 +13,9 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import ConfigError
+from .textio import read_jsonl, read_text, write_jsonl
+
 DEFAULT_PATTERNS = [
     r"case report",
     r"case presentation",
@@ -45,7 +48,7 @@ class ImageTextPair:
     article_id: str
     caption: str
     image_ref: str
-    source_tag: str = "PMCPM"
+    source_tag: str = "OTHER"
 
 
 @dataclass
@@ -69,7 +72,10 @@ class PipelineReport:
 
 
 def compile_patterns(patterns: list[str] | None = None) -> list[re.Pattern]:
-    return [re.compile(p, re.IGNORECASE) for p in (patterns or DEFAULT_PATTERNS)]
+    try:
+        return [re.compile(p, re.IGNORECASE) for p in (patterns or DEFAULT_PATTERNS)]
+    except re.error as exc:
+        raise ConfigError(f"pattern {exc.pattern!r} is not a regex: {exc}") from None
 
 
 def pair_id_for(article_id: str, figure_id: str) -> int:
@@ -121,13 +127,14 @@ def pair_figures(doc: ArticleDocument,
             # one line: the index's caption sidecar is newline-separated
             caption=" ".join(caption.split()),
             image_ref=image_ref,
+            source_tag="PMCPM",
         ))
     return pairs
 
 
 def read_articles_jsonl(path, report: PipelineReport) -> list[ArticleDocument]:
     docs = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         report.articles_seen += 1
@@ -151,39 +158,15 @@ def read_articles_jsonl(path, report: PipelineReport) -> list[ArticleDocument]:
     return docs
 
 
-def write_pairs_jsonl(pairs: list[ImageTextPair], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for p in pairs:
-            f.write(json.dumps({
-                "pair_id": p.pair_id,
-                "article_id": p.article_id,
-                "caption": p.caption,
-                "image_ref": p.image_ref,
-                "source_tag": p.source_tag,
-            }, sort_keys=True) + "\n")
-
-
 def read_pairs_jsonl(path) -> list[ImageTextPair]:
-    pairs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        pairs.append(ImageTextPair(
-            pair_id=int(obj["pair_id"]),
-            article_id=str(obj["article_id"]),
-            caption=obj["caption"],
-            image_ref=obj["image_ref"],
-            source_tag=obj.get("source_tag", "OTHER"),
-        ))
-    return pairs
+    return read_jsonl(path, ImageTextPair)
 
 
 def emit_corpus(pairs: list[ImageTextPair], out_dir, report: PipelineReport) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.pairs_emitted = len(pairs)
-    write_pairs_jsonl(pairs, out_dir / "pairs.jsonl")
+    write_jsonl(out_dir / "pairs.jsonl", pairs)
     (out_dir / "report.txt").write_text(report.as_text(), encoding="utf-8")
     return out_dir / "pairs.jsonl"
 

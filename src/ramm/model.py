@@ -32,6 +32,7 @@ from . import ops
 from .errors import ConfigError, ContractViolation, FormatError, MissingArtifactError, StructureError
 from .ops import Node
 from .tensor import load_tensor, save_tensor
+from .textio import read_text
 
 PAD, CLS, MASK, UNK = "[pad]", "[cls]", "[mask]", "[unk]"
 SPECIALS = [PAD, CLS, MASK, UNK]
@@ -73,7 +74,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        tokens = Path(path).read_text(encoding="utf-8").splitlines()
+        tokens = read_text(path).splitlines()
         if tokens[: len(SPECIALS)] != SPECIALS:
             raise StructureError(f"{path}: vocabulary missing special tokens")
         return cls(tokens[len(SPECIALS) :])
@@ -123,10 +124,6 @@ class ModelConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        return cls(**json.loads(text))
 
 
 class DropoutPlan:
@@ -276,7 +273,7 @@ def load_params(directory, shapes: dict[str, tuple] | None = None) -> dict[str, 
     if not manifest.exists():
         raise MissingArtifactError(f"no weights manifest at {manifest}")
     listed = {}
-    for number, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(read_text(manifest).splitlines(), 1):
         row = line.split()
         try:
             if row:
@@ -606,11 +603,6 @@ class StateRows:
         return self.values[rows, : lengths.max()], key_mask(lengths)
 
 
-def _pad(states: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(n_b, d) arrays zero-padded into one (B, max n_b, d) array, plus its key mask."""
-    return StateRows(states).gather(np.arange(1, len(states) + 1))
-
-
 def gather_streams(texts: StateRows, images: StateRows, originals: list[int],
                    retrieved: list[list[int]]) -> StreamBatch:
     """The streams of B items whose states are rows of `texts` and `images`,
@@ -633,17 +625,6 @@ def gather_streams(texts: StateRows, images: StateRows, originals: list[int],
     text, text_mask = texts.gather(slots)
     return StreamBatch(text0, image0, mask0, text, images.gather(slots)[0], text_mask,
                        key_mask([1 + len(rows) for rows in retrieved]))
-
-
-def batch_streams(originals: list[tuple[np.ndarray, np.ndarray]],
-                  retrieved: list[list[tuple[np.ndarray, np.ndarray]]]) -> StreamBatch:
-    """Stack B items' (text, image) states and their retrieved pairs' states
-    (see gather_streams) by storing them as rows and gathering those."""
-    flat = [*originals, *(pair for pairs in retrieved for pair in pairs)]
-    rows = iter(range(1, len(flat) + 1))
-    return gather_streams(StateRows([t for t, _ in flat]), StateRows([v for _, v in flat]),
-                          [next(rows) for _ in originals],
-                          [[next(rows) for _ in pairs] for pairs in retrieved])
 
 
 def _cls_pair(w_cls: Node, v_cls: Node) -> Node:

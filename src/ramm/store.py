@@ -191,6 +191,14 @@ def frozen_images(params, cfg: ModelConfig, patches: list[np.ndarray]) -> list[n
             for v in encode_image(params, cfg, np.stack(patches[a : a + EVAL_BATCH])).value]
 
 
+def check_patches(patches, cfg: ModelConfig, source) -> np.ndarray:
+    """`patches` if of the configured shape, else ShapeError naming `source`."""
+    if np.shape(patches) != (cfg.n_patches, cfg.d_patch):
+        raise ShapeError(f"{source} has shape {np.shape(patches)}; the patch grid and "
+                         f"patch dim need {(cfg.n_patches, cfg.d_patch)}")
+    return patches
+
+
 @dataclass
 class BuildReport:
     encoded: int = 0
@@ -225,12 +233,8 @@ def build_store(pairs, params, cfg: ModelConfig, vocab, load_patches=None
                 report.skipped += 1
                 report.skipped_ids.append(pid)
                 continue
-        # checked before stacking, where ragged patches raise a bare ValueError
-        if np.shape(p) != (cfg.n_patches, cfg.d_patch):
-            raise ShapeError(f"pair_id {pid}: patches {np.shape(p)} != "
-                             f"configured {(cfg.n_patches, cfg.d_patch)}")
         kept.append(pair)
-        patches.append(p)
+        patches.append(check_patches(p, cfg, f"pair_id {pid}"))
     n = report.encoded = len(kept)
     tvecs = np.empty((n, cfg.d_proj), dtype=np.float32)
     ivecs = np.empty((n, cfg.d_proj), dtype=np.float32)

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ImageTextPair, write_pairs_jsonl, read_pairs_jsonl
+from .corpus import ImageTextPair, read_pairs_jsonl
 from .errors import ConfigError
 from .model import Vocab
 from .tensor import load_tensor, save_tensor
+from .textio import read_jsonl, read_text, write_jsonl
 
 OPEN_ANSWERS = ["lesion", "fracture", "edema", "tumor", "cyst", "stenosis"]
 OPEN_TEMPLATE = "what finding is present in this image"
@@ -139,11 +140,9 @@ def generate(spec: SyntheticSpec, out_dir) -> dict:
             image = protos[k] + spec.anchor_spread * rng.normal(size=protos[k].shape)
             add_pair(image, f"routine imaging of {_descriptor(k)}")
 
-    write_pairs_jsonl(pairs, out / "corpus" / "pairs.jsonl")
-    for split, items in (("train", train), ("test", test)):
-        with open(out / f"vqa_{split}.jsonl", "w", encoding="utf-8") as f:
-            for it in items:
-                f.write(json.dumps(it.__dict__, sort_keys=True) + "\n")
+    write_jsonl(out / "corpus" / "pairs.jsonl", pairs)
+    write_jsonl(out / "vqa_train.jsonl", train)
+    write_jsonl(out / "vqa_test.jsonl", test)
 
     words = sorted(
         set(OPEN_TEMPLATE.split()) | set(CLOSED_TEMPLATE.split())
@@ -162,12 +161,12 @@ def generate(spec: SyntheticSpec, out_dir) -> dict:
 
 
 def load_vqa_items(path) -> list[VQAItem]:
-    items = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        items.append(VQAItem(**json.loads(line)))
-    return items
+    return read_jsonl(path, VQAItem)
+
+
+def load_answers(data_dir) -> list[str]:
+    """The answer vocabulary of `data_dir`: the lines of its answers.txt."""
+    return read_text(Path(data_dir) / "answers.txt").splitlines()
 
 
 def load_corpus(data_dir):

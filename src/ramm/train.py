@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,11 +31,12 @@ from .objectives import (
 )
 from .retrieval import Mode, candidate_pool, retrieve_by_vector, select_training
 from .store import (
-    EVAL_BATCH, TAG_NAMES, BuildReport, build_store, frozen_images, frozen_texts,
-    load_index, save_index, verify_fingerprint,
+    EVAL_BATCH, TAG_NAMES, BuildReport, build_store, check_patches, frozen_images,
+    frozen_texts, load_index, save_index, verify_fingerprint,
 )
-from .synthetic import load_corpus, load_vqa_items
+from .synthetic import load_answers, load_corpus, load_vqa_items
 from .tensor import load_tensor
+from .textio import read_jsonl, read_text, write_jsonl
 
 
 def _sub_seed(*parts) -> int:
@@ -62,15 +64,11 @@ def load_checkpoint(directory, weights: str = "weights"):
     if not cfg_path.exists():
         raise MissingArtifactError(f"no checkpoint at {directory}")
     try:
-        mcfg = ModelConfig.from_json(cfg_path.read_text(encoding="utf-8"))
+        mcfg = ModelConfig(**json.loads(read_text(cfg_path)))
     except (ValueError, TypeError) as exc:   # not JSON, or a key ModelConfig lacks
         raise FormatError(f"{cfg_path}: {exc}") from exc
     shapes = {name: p.shape for name, p in init_params(mcfg, 0).items()}
     return load_params(directory / weights, shapes), mcfg
-
-
-def clone_params(params: dict[str, ops.Node]) -> dict[str, ops.Node]:
-    return {n: ops.param(p.value.copy()) for n, p in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +138,9 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig, steps: int
     if len(pairs) < tcfg.batch_size:
         raise ConfigError("corpus smaller than batch size")
     token_ids = [tokenize(p.caption, vocab, mcfg.max_text_len) for p in pairs]
-    patches = np.stack([load_patches(p.image_ref) for p in pairs])
+    patches = np.stack([check_patches(load_patches(p.image_ref), mcfg,
+                                      f"pair_id {p.pair_id} ({data_dir / 'corpus' / p.image_ref})")
+                        for p in pairs])
 
     params = init_params(mcfg, tcfg.seed)
     opt = AdamW(params, lr=tcfg.lr, weight_decay=tcfg.weight_decay,
@@ -211,17 +211,14 @@ class Stage:
         verify_fingerprint(self.index, self.params, self.mcfg.d_proj)
         self.data_dir = Path(data_dir)
         self.vocab = Vocab.load(self.data_dir / "vocab.txt")
-        answers = self.data_dir / "answers.txt"
-        if not answers.exists():
-            raise MissingArtifactError(f"no answer vocabulary at {answers}")
-        self.answers = answers.read_text(encoding="utf-8").splitlines()
+        self.answers = load_answers(self.data_dir)
         if self.mcfg.n_answers != len(self.answers):
             raise ConfigError(f"checkpoint expects {self.mcfg.n_answers} answers, "
                               f"data has {len(self.answers)}")
-        split_path = self.data_dir / f"vqa_{split}.jsonl"
-        self.items = load_vqa_items(split_path)
+        self.split_path = self.data_dir / f"vqa_{split}.jsonl"
+        self.items = load_vqa_items(self.split_path)
         if not self.items:
-            raise MissingArtifactError(f"no items in {split_path}")
+            raise MissingArtifactError(f"no items in {self.split_path}")
         pairs, self.load_patches = load_corpus(self.data_dir)
         self.pair_by_id = {p.pair_id: p for p in pairs}
         for pid in self.index.pair_ids.tolist():
@@ -229,9 +226,10 @@ class Stage:
                 raise MissingArtifactError(
                     f"index pair_id {pid} is not in the corpus "
                     f"{self.data_dir / 'corpus' / 'pairs.jsonl'}")
-        self._item_states = frozen_images(
-            self.params, self.mcfg,
-            [load_tensor(self.data_dir / it.image_ref).array for it in self.items])
+        self._item_states = frozen_images(self.params, self.mcfg, [
+            check_patches(load_tensor(self.data_dir / it.image_ref).array, self.mcfg,
+                          f"item_id {it.item_id} ({self.data_dir / it.image_ref})")
+            for it in self.items])
         # (len(items), d_proj): each item's image CLS state through the
         # frozen ITC image projection
         self.query_vecs = project_itc(ops.constant(np.stack([v[0] for v in self._item_states])),
@@ -250,9 +248,10 @@ class Stage:
         question = dict(zip(questions, texts[len(pairs):]))
         self.text_rows = StateRows(texts[: len(pairs)]
                                    + [question[it.question] for it in self.items])
-        self.image_rows = StateRows(frozen_images(
-            self.params, self.mcfg, [self.load_patches(p.image_ref) for p in pairs])
-            + self._item_states)
+        self.image_rows = StateRows(frozen_images(self.params, self.mcfg, [
+            check_patches(self.load_patches(p.image_ref), self.mcfg,
+                          f"pair_id {p.pair_id} ({self.data_dir / 'corpus' / p.image_ref})")
+            for p in pairs]) + self._item_states)
         self._row_of_pair = {pid: row for row, pid in enumerate(pids, 1)}
 
     def streams(self, indices, selected: list[list[int]]) -> StreamBatch:
@@ -295,6 +294,10 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     stage = Stage(checkpoint_dir, index_path, data_dir, "train")
     params, mcfg, index, items = stage.params, stage.mcfg, stage.index, stage.items
     answer_id = {a: i for i, a in enumerate(stage.answers)}
+    if unknown := [it for it in items if it.answer not in answer_id]:
+        raise FormatError(f"{stage.split_path}: item_id {unknown[0].item_id} has answer "
+                          f"{unknown[0].answer!r}, which answers.txt lacks")
+    targets = np.array([answer_id[it.answer] for it in items])
 
     reinit_group(params, "vqa.", _sub_seed(tcfg.seed, "vqa-head"))
     # the frozen query vectors and index fix each item's pool; only the
@@ -342,11 +345,10 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
                     return answer_logits(params, mcfg, text_in, image_in, streams,
                                          base_plan.at(step, pass_idx))
 
-                targets = [answer_id[it.answer] for it in batch]
                 if use_rdrop:
-                    total = rdrop_loss(forward(0), forward(1), targets, tcfg.rdrop_alpha)
+                    total = rdrop_loss(forward(0), forward(1), targets[idx], tcfg.rdrop_alpha)
                 else:
-                    total = ops.cross_entropy(forward(0), targets)
+                    total = ops.cross_entropy(forward(0), targets[idx])
                 ops.zero_grads(params.values())
                 ops.backward(total)
                 lr = opt.step()
@@ -452,10 +454,7 @@ def evaluate(checkpoint_dir, index_path, data_dir, r: int, split: str = "test",
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "eval_report.txt").write_text(report.as_text(), encoding="utf-8")
-        with open(out_dir / "eval_details.jsonl", "w", encoding="utf-8") as f:
-            f.write(json.dumps({"report": report.__dict__}, sort_keys=True) + "\n")
-            for d in details:
-                f.write(json.dumps(d, sort_keys=True) + "\n")
+        write_jsonl(out_dir / "eval_details.jsonl", [{"report": report.__dict__}, *details])
     return report, details
 
 
@@ -479,52 +478,29 @@ class RetrievalStats:
 
 def caption_contains_answer(caption: str, answer: str) -> bool:
     """Case-insensitive whole-token match of the gold answer string."""
-    answer_tokens = _TOKEN_RE.findall(answer.lower())
-    caption_tokens = _TOKEN_RE.findall(caption.lower())
-    if not answer_tokens:
-        return False
-    for start in range(len(caption_tokens) - len(answer_tokens) + 1):
-        if caption_tokens[start : start + len(answer_tokens)] == answer_tokens:
-            return True
-    return False
+    want, words = _TOKEN_RE.findall(answer.lower()), _TOKEN_RE.findall(caption.lower())
+    return bool(want) and any(words[i : i + len(want)] == want
+                              for i in range(len(words) - len(want) + 1))
 
 
 def retrieval_stats(details: list[dict]) -> RetrievalStats:
-    source_counts: dict[str, int] = {}
-    total_slots = 0
-    hits = 0
-    n = 0
+    hits = n = 0
+    sources: Counter[str] = Counter()
     for d in details:
-        retrieved = d.get("retrieved", [])
-        if not retrieved:
-            continue
-        n += 1
-        for slot in retrieved:
-            source_counts[slot["source"]] = source_counts.get(slot["source"], 0) + 1
-            total_slots += 1
-        if any(caption_contains_answer(slot["caption"], d["gold"])
-               for slot in retrieved):
-            hits += 1
-    shares = {src: 100.0 * c / total_slots for src, c in source_counts.items()} \
-        if total_slots else {}
-    return RetrievalStats(shares, 100.0 * hits / n if n else 0.0, n)
+        if retrieved := d.get("retrieved", []):
+            n += 1
+            sources.update(slot["source"] for slot in retrieved)
+            hits += any(caption_contains_answer(slot["caption"], d["gold"])
+                        for slot in retrieved)
+    total = sum(sources.values())
+    return RetrievalStats({src: 100.0 * c / total for src, c in sources.items()},
+                          100.0 * hits / n if n else 0.0, n)
 
 
 def load_details(path) -> list[dict]:
-    """The item records of an eval_details.jsonl, whose first line is the
-    report. A record that is not JSON, or that retrieval_stats cannot read,
-    raises FormatError naming the file and the line."""
-    details = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for number, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        try:
-            details.append(json.loads(line))
-            retrieval_stats(details[-1:])
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise FormatError(f"{path} line {number}: {type(exc).__name__}: {exc}") from None
-    return details
+    """The item records of an eval_details.jsonl, after its report; a line that
+    is not a JSON object, or that retrieval_stats cannot read, is a FormatError."""
+    return read_jsonl(path, check=lambda d: retrieval_stats([d]))[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +524,7 @@ def sweep_r(checkpoint_dir, index_path, data_dir, rs, tcfg: TrainConfig,
         })
     (out_dir / "sweep_report.txt").write_text(
         f"# seed={tcfg.seed} epochs={epochs}\n" + sweep_table(rows), encoding="utf-8")
-    with open(out_dir / "sweep_report.jsonl", "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(out_dir / "sweep_report.jsonl", rows)
     return rows
 
 

@@ -746,3 +746,117 @@ def test_stage_tables_do_not_depend_on_pair_order(pipeline, monkeypatch):
     for a, b in zip(*tables):
         assert a.values.dtype == b.values.dtype
         assert np.array_equal(a.values, b.values) and np.array_equal(a.lengths, b.lengths)
+
+
+def _set_line(path, text):
+    """Replace line 2 of a text file, the line every corruption hits."""
+    lines = path.read_text().splitlines()
+    lines[1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_record(path, **fields):
+    """Update (None: drop) fields of the second record of a JSONL file."""
+    record = json.loads(path.read_text().splitlines()[1])
+    record.update(fields)
+    _set_line(path, json.dumps({k: v for k, v in record.items() if v is not None}))
+
+
+def _wrong_shape(path):
+    save_tensor(Tensor(np.ones((5, 16), dtype=np.float32)), path)
+
+
+_TRAIN, _TEST, _PAIRS = "vqa_train.jsonl", "vqa_test.jsonl", "corpus/pairs.jsonl"
+_NOT_UTF8 = b"[pad]\n\xff\xfe\n"
+
+
+def _null_caption(path):
+    record = json.loads(path.read_text().splitlines()[1])
+    _set_line(path, json.dumps({**record, "caption": None}))
+
+
+# row: (command, corruption of the copied data directory `d` or the test's
+# directory `t`, flags it overrides ({t} is `t`), exit code, a fragment of
+# the one stderr line)
+_CORRUPTIONS = {
+    "train line not JSON": ("finetune", lambda d, t: _set_line(d / _TRAIN, "{oops"), {},
+                            EXIT_FORMAT, f"{_TRAIN} line 2: JSONDecodeError"),
+    "train line without answer": ("finetune", lambda d, t: _edit_record(d / _TRAIN, answer=None),
+                                  {}, EXIT_FORMAT, "line 2: TypeError: "),
+    "train answer not in answers.txt": (
+        "finetune", lambda d, t: _edit_record(d / _TRAIN, answer="zebra"), {},
+        EXIT_FORMAT, f"{_TRAIN}: item_id 1 has answer 'zebra'"),
+    "train question an int": ("finetune", lambda d, t: _edit_record(d / _TRAIN, question=7), {},
+                              EXIT_FORMAT, "line 2: TypeError: question is 7, not str"),
+    "train line a list": ("finetune", lambda d, t: _set_line(d / _TRAIN, "[1,2]"), {},
+                          EXIT_FORMAT, "line 2: TypeError: a JSON list"),
+    "train item_id a string": ("finetune", lambda d, t: _edit_record(d / _TRAIN, item_id="x"),
+                               {}, EXIT_FORMAT, "item_id is 'x', not int"),
+    "train item_id a bool": ("finetune", lambda d, t: _edit_record(d / _TRAIN, item_id=True),
+                             {}, EXIT_FORMAT, "item_id is True, not int"),
+    "test required a string": ("eval", lambda d, t: _edit_record(d / _TEST, required="yes"),
+                               {}, EXIT_FORMAT, f"{_TEST} line 2: TypeError: required is 'yes'"),
+    "pairs line not JSON, build-index": (
+        "build-index", lambda d, t: _set_line(d / _PAIRS, "{oops"), {},
+        EXIT_FORMAT, "pairs.jsonl line 2: JSONDecodeError"),
+    "pairs line not JSON, pretrain": ("pretrain", lambda d, t: _set_line(d / _PAIRS, "{oops"),
+                                      {}, EXIT_FORMAT, "pairs.jsonl line 2: JSONDecodeError"),
+    "pairs caption missing": ("build-index",
+                              lambda d, t: _edit_record(d / _PAIRS, caption=None), {},
+                              EXIT_FORMAT, "'caption'"),
+    "pairs caption null": ("build-index", lambda d, t: _null_caption(d / _PAIRS), {},
+                           EXIT_FORMAT, "caption is None, not str"),
+    "pairs pair_id a string": ("build-index", lambda d, t: _edit_record(d / _PAIRS, pair_id="a"),
+                               {}, EXIT_FORMAT, "pair_id is 'a', not int"),
+    "vocab.txt not UTF-8": ("build-index", lambda d, t: (d / "vocab.txt").write_bytes(_NOT_UTF8),
+                            {}, EXIT_FORMAT, "vocab.txt: UnicodeDecodeError"),
+    "answers.txt not UTF-8": ("eval", lambda d, t: (d / "answers.txt").write_bytes(_NOT_UTF8),
+                              {}, EXIT_FORMAT, "answers.txt: UnicodeDecodeError"),
+    "config file not UTF-8": ("finetune", lambda d, t: (t / "c.cfg").write_bytes(_NOT_UTF8),
+                              {"--config": "{t}/c.cfg"}, EXIT_CONFIG,
+                              "c.cfg: UnicodeDecodeError"),
+    "item image of the wrong shape": (
+        "finetune", lambda d, t: _wrong_shape(d / "vqa_images" / "train_000000.ten"), {},
+        EXIT_ERROR, "item_id 0 ("),
+    "corpus image of the wrong shape": (
+        "pretrain", lambda d, t: _wrong_shape(d / "corpus" / "images" / "00000001.ten"), {},
+        EXIT_ERROR, "pair_id 1 ("),
+    "index a directory": ("finetune", lambda d, t: None, {"--index": "{t}"}, EXIT_ERROR,
+                          "Is a directory"),
+    "out an existing file": ("finetune", lambda d, t: (t / "f").write_text(""),
+                             {"--out": "{t}/f"}, EXIT_ERROR, "File exists"),
+    "harvest pattern not a regex": ("harvest", lambda d, t: (t / "p.txt").write_text("(\n"),
+                                    {}, EXIT_CONFIG, "pattern '(' is not a regex"),
+}
+
+
+@pytest.mark.parametrize("row", list(_CORRUPTIONS))
+def test_malformed_input_exits_with_one_named_line(pipeline, tmp_path, capsys, row):
+    """One corruption of one input ends in its documented exit code and one
+    stderr line that names it, never a traceback."""
+    import shutil
+
+    command, corrupt, overrides, code, fragment = _CORRUPTIONS[row]
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    corrupt(data, tmp_path)
+    ckpt, index, out = str(pipeline["ckpt"]), str(pipeline["index"]), str(tmp_path / "out")
+    flags = {
+        "pretrain": {"--data": str(data), "--out": out, "--batch-size": "4", "--steps": "1"},
+        "build-index": {"--checkpoint": ckpt, "--data": str(data), "--out": out},
+        "finetune": {"--checkpoint": ckpt, "--index": index, "--data": str(data), "--r": "2",
+                     "--out": out, "--epochs": "1", "--batch-size": "4"},
+        "eval": {"--checkpoint": str(pipeline["ft"]), "--index": index, "--data": str(data),
+                 "--r": "2"},
+        "harvest": {"--in": str(data), "--out": out, "--patterns": str(tmp_path / "p.txt")},
+    }[command]
+    flags.update({k: v.format(t=tmp_path) for k, v in overrides.items()})
+    config = ["--config", flags.pop("--config")] if "--config" in flags else []
+    argv = [*config, command, *(x for kv in flags.items() for x in kv),
+            *(MODEL_FLAGS if command == "pretrain" else [])]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    prefix = {EXIT_FORMAT: "format error: ", EXIT_CONFIG: "config error: ",
+              EXIT_ERROR: "error: "}[code]
+    assert err.startswith(prefix) and fragment in err, err

@@ -11,7 +11,7 @@ from ramm.model import (
 )
 from ramm.tensor import finite_difference_gradient, relative_error
 
-from conftest import micro_config, micro_params
+from conftest import batch_streams, micro_config, micro_params
 
 
 # -- tokenization -------------------------------------------------------------
@@ -287,7 +287,7 @@ def test_padded_finetune_batch_matches_items(rng):
     """Loss and every parameter gradient of one padded fine-tune batch equal
     the mean over per-item passes, at 64-bit. The texts differ in length
     and the last item retrieved fewer pairs than the others (flagged)."""
-    from ramm.model import batch_streams
+    from conftest import batch_streams
     from ramm.train import answer_logits
 
     cfg = micro_config(l_fuse=2)
@@ -370,7 +370,7 @@ def test_stacked_fusion_matches_per_stream_fusion(rng):
     per-stream reference at 64-bit, over two layers (so the stacked
     retrieved feed-forward of layer 0 runs), retrieved texts of different
     lengths (up to 10 tokens) and one flagged item with a missing slot."""
-    from ramm.model import _pad, batch_streams
+    from conftest import _pad, batch_streams
     from ramm.train import answer_logits
 
     cfg = micro_config(l_fuse=2)
@@ -419,7 +419,7 @@ def test_stacked_fusion_matches_per_stream_fusion(rng):
 def test_answer_logits_nodes_do_not_grow_with_r(rng, monkeypatch):
     """Each sublayer runs the retrieved streams as one node, so a forward
     pass builds as many nodes at r = 4 as at r = 1."""
-    from ramm.model import batch_streams
+    from conftest import batch_streams
     from ramm.train import answer_logits
 
     cfg = micro_config(l_fuse=2)
@@ -454,7 +454,8 @@ def test_pretrain_losses_batch_matches_items(rng):
         TrainConfig, itc_loss_distilled, itm_loss, mask_tokens, mlm_loss,
         pretrain_loss,
     )
-    from ramm.train import clone_params, pretrain_losses
+    from conftest import clone_params
+    from ramm.train import pretrain_losses
 
     cfg = micro_config()
     tcfg = TrainConfig(mask_rate=0.3)
@@ -586,8 +587,8 @@ def test_gathered_streams_equal_copy_loops(rng, dtype, r):
 
     texts = model.StateRows([t for t, _ in pool])
     images = model.StateRows([v for _, v in pool])
-    got = [model.batch_streams([pool[i] for i in items],
-                               [[pool[k] for k in ks] for ks in chosen]),
+    got = [batch_streams([pool[i] for i in items],
+                         [[pool[k] for k in ks] for ks in chosen]),
            model.gather_streams(texts, images, [1 + i for i in items],
                                 [[1 + k for k in ks] for ks in chosen])]
     fields = ("text0", "image0", "text0_mask", "texts", "images", "text_mask",

@@ -392,7 +392,7 @@ def test_flat_ema_equals_dict_ema():
 def test_adamw_updates_in_place_and_snapshots_hold():
     """Parameters are updated in place, so a copy taken before a step
     (clone_params, the EMA's initial values) must not move with them."""
-    from ramm.train import clone_params
+    from conftest import clone_params
 
     params = _mixed_params(2)
     opt = AdamW(params, lr=0.1, total_steps=5)
