@@ -305,7 +305,10 @@ def _cmd_stats(args) -> int:
 def _cmd_sweep_r(args) -> int:
     rs = []
     for part in args.rs.split(","):
-        r = int(part)
+        try:
+            r = int(part)
+        except ValueError:
+            r = part.strip()
         if r not in VALID_SWEEP_R:
             print(f"invalid r {r}: sweep grid is {VALID_SWEEP_R}", file=sys.stderr)
             return EXIT_BAD_R

@@ -50,6 +50,10 @@ class ImageTextPair:
     image_ref: str
     source_tag: str = "OTHER"
 
+    def __post_init__(self):
+        if not 0 <= self.pair_id < 2**64:   # an index stores pair ids as uint64
+            raise ValueError(f"pair_id {self.pair_id} is outside [0, 2**64)")
+
 
 @dataclass
 class PipelineReport:

@@ -6,10 +6,11 @@ Retrieval-attention runs single-query multi-head attention from the original
 stream's CLS over the CLS rows of all streams and residually updates only the
 original CLS; every other row of every stream passes through untouched.
 
-The original stream runs on its own; the r retrieved streams are stacked on
-one extra axis, (r, n, d) or (B, r, n, d), so each fusion sublayer runs them
-as one node whatever r is. fuse returns only the original stream, so the
-last layer skips the retrieved streams' feed-forward.
+fuse folds the original stream and the r retrieved streams into one stack
+per modality, (r+1, n, d) or (B, r+1, n, d) with the original in slot 0, so
+each fusion sublayer runs every stream as one node whatever r is. fuse
+returns only the original stream, so the last layer skips the retrieved
+streams' feed-forward; when only CLS rows are read, it computes only those.
 
 Every forward pass takes one item, with (n, d) states, or a batch, with
 (B, n, d) states: the unbatched case is the same code without the leading
@@ -394,36 +395,27 @@ def project_itc(cls_row: Node, params, modality: str) -> Node:
 @dataclass
 class FusionState:
     """Dual-stream hidden states: stream 0, the original pair, then the r
-    retrieved pairs.
+    retrieved pairs, in one of two layouts.
 
-    text_streams[0] and image_streams[0] are stream 0, (n, d), or (B, n, d)
-    for a batch. Each later entry is one retrieved stream shaped like
-    stream 0, or a stack of k retrieved streams with one more axis,
-    (..., k, n, d); fuse holds all r of them in one stack. text_masks holds
-    the additive key mask of each text entry, (B, n) or (..., k, n), and
-    stream_mask (B, r+1) drops the retrieved streams an item lacks from
-    retrieval-attention; None masks nothing."""
+    As a list, text_streams[j] and image_streams[j] are stream j, (n_j, d),
+    or (B, n_j, d) for a batch. Folded, each holds one entry, the stack of
+    all r+1 streams with stream 0 in slot 0, (..., r+1, n, d), as fuse
+    builds it. text_masks holds the additive key mask of each text entry,
+    (B, n) or (..., r+1, n), and stream_mask (B, r+1) drops the retrieved
+    streams an item lacks from retrieval-attention; None masks nothing."""
 
     text_streams: list[Node]
     image_streams: list[Node]
     layer_index: int = 0
     text_masks: list | None = None
     stream_mask: np.ndarray | None = None
+    folded: bool = False
 
     @property
     def r(self) -> int:
-        rank = self.text_streams[0].value.ndim
-        return sum(s.value.shape[-3] if s.value.ndim > rank else 1
-                   for s in self.text_streams[1:])
-
-
-def _cls_of(entry: Node, rank: int) -> Node:
-    """The CLS rows of a stream entry as (..., k, d): k = 1 for a stream of
-    `rank` axes, k streams for a stack with one more axis."""
-    cls = ops.slice_rows(entry, 0, 1, axis=-2)
-    if entry.value.ndim > rank:
-        cls = ops.reshape(cls, cls.value.shape[:-2] + cls.value.shape[-1:])
-    return cls
+        if self.folded:
+            return self.text_streams[0].value.shape[-3] - 1
+        return len(self.text_streams) - 1
 
 
 def retrieval_attention(state: FusionState, params, cfg: ModelConfig,
@@ -431,19 +423,23 @@ def retrieval_attention(state: FusionState, params, cfg: ModelConfig,
     """Single-query attention from stream 0's CLS over all streams' CLS rows.
 
     Output is added residually to stream 0's CLS only; every other position
-    of every stream is returned as the same node, hence bitwise unchanged.
+    of every stream keeps its value bitwise, and in the list layout every
+    stream j > 0 is returned as the same node.
     """
     if state.r < 1:
         raise ContractViolation("retrieval_attention requires r >= 1 streams")
 
     def per_modality(streams: list[Node], sub: str, ln_name: str) -> list[Node]:
-        rank = streams[0].value.ndim
-        cls = ops.concat_rows([_cls_of(s, rank) for s in streams], axis=-2)
+        # the rows of each entry, a folded stack's slots laid end to end
+        flat = streams[0].value.shape[: -3 if state.folded else -2] + (-1, cfg.d)
+        cls = ops.concat_rows([ops.reshape(ops.slice_rows(s, 0, 1, axis=-2), flat)
+                               for s in streams], axis=-2)
         keys = _ln(params, f"fuse.{layer}.{ln_name}", cls)
         query = ops.slice_rows(keys, 0, 1, axis=-2)
         out = _mha(params, f"fuse.{layer}.{sub}", query, keys, cfg.n_head,
                    dctx, f"fuse.{layer}.{sub}", state.stream_mask)
-        return [ops.add_to_rows(streams[0], out)] + streams[1:]
+        rows = ops.add_to_rows(ops.reshape(streams[0], flat), out)
+        return [ops.reshape(rows, streams[0].value.shape)] + streams[1:]
 
     return replace(
         state,
@@ -452,121 +448,118 @@ def retrieval_attention(state: FusionState, params, cfg: ModelConfig,
     )
 
 
-# dropout-mask tag suffixes of stream 0 and of the retrieved stack
-_STREAM_TAGS = ("s0", "sr")
-
-
-def fusion_layer(state: FusionState, params, cfg: ModelConfig,
-                 retrieval_enabled: bool, dctx: DropoutPlan | None = None) -> FusionState:
+def fusion_layer(state: FusionState, params, cfg: ModelConfig, retrieval_enabled: bool,
+                 dctx: DropoutPlan | None = None, cls_only: bool = False) -> FusionState:
     """One dual-stream layer: self-attention, cross-attention, optional
     retrieval-attention, then per-modality feed-forward; residual + pre-norm
-    around every sublayer. Streams share weights and are independent until
-    retrieval-attention couples their CLS rows. `state` holds stream 0 and
-    at most one retrieved entry, the stack fuse builds, and each entry runs
-    through a sublayer as one node. The last layer (layer_index l_fuse - 1)
-    returns stream 0 alone: nothing reads the retrieved streams after it,
-    so their feed-forward is skipped."""
-    if len(state.text_streams) > 2:
-        raise ContractViolation("fusion_layer takes stream 0 and one stack of "
-                                "retrieved streams; fuse stacks them")
+    around every sublayer. `state` holds one entry per modality, stream 0
+    alone or the folded stack of every stream, and each sublayer runs it as
+    one node; the streams of a stack share weights and are independent until
+    retrieval-attention couples their CLS rows. The last layer (layer_index
+    l_fuse - 1) returns stream 0 alone: nothing reads the retrieved streams
+    after it, so their feed-forward is skipped. With cls_only the layer
+    computes only CLS rows: cross-attention queries from every stream's,
+    the feed-forward on stream 0's, which it returns as (..., 1, d)."""
+    if len(state.text_streams) != 1:
+        raise ContractViolation("fusion_layer takes stream 0 alone or the folded stack; "
+                                "fuse folds them")
     i = state.layer_index
-    masks = state.text_masks or [None] * len(state.text_streams)
-    texts, images = [], []
-    for w, v, m, tag in zip(state.text_streams, state.image_streams, masks, _STREAM_TAGS):
-        wn = _ln(params, f"fuse.{i}.ln_sw", w)
-        w1 = ops.add(w, _mha(params, f"fuse.{i}.self_w", wn, wn, cfg.n_head,
-                             dctx, f"fuse.{i}.self_w.{tag}", m))
-        vn = _ln(params, f"fuse.{i}.ln_sv", v)
-        v1 = ops.add(v, _mha(params, f"fuse.{i}.self_v", vn, vn, cfg.n_head,
-                             dctx, f"fuse.{i}.self_v.{tag}"))
-        wc = _ln(params, f"fuse.{i}.ln_cw", w1)
-        vc = _ln(params, f"fuse.{i}.ln_cv", v1)
-        w2 = ops.add(w1, _mha(params, f"fuse.{i}.cross_w", wc, vc, cfg.n_head,
-                              dctx, f"fuse.{i}.cross_w.{tag}"))
-        v2 = ops.add(v1, _mha(params, f"fuse.{i}.cross_v", vc, wc, cfg.n_head,
-                              dctx, f"fuse.{i}.cross_v.{tag}", m))
-        texts.append(w2)
-        images.append(v2)
+    last = i == cfg.l_fuse - 1
+    p = f"fuse.{i}."
+    (w,), (v,) = state.text_streams, state.image_streams
+    m = state.text_masks[0] if state.text_masks else None
 
-    mid = replace(state, text_streams=texts, image_streams=images)
+    # dropout masks are keyed by these tags: ".s0" (stream 0) keeps the r = 0 path's draws
+    def attn(sub: str, q: Node, kv: Node, mask=None) -> Node:
+        return _mha(params, p + sub, q, kv, cfg.n_head, dctx, f"{p}{sub}.s0", mask)
+
+    def ffn(sub: str, ln_name: str, x: Node) -> Node:
+        return ops.add(x, _ffn(params, p + sub, _ln(params, p + ln_name, x), dctx, f"{p}{sub}.s0"))
+
+    wn, vn = _ln(params, p + "ln_sw", w), _ln(params, p + "ln_sv", v)
+    w, v = ops.add(w, attn("self_w", wn, wn, m)), ops.add(v, attn("self_v", vn, vn))
+    wc, vc = qw, qv = _ln(params, p + "ln_cw", w), _ln(params, p + "ln_cv", v)
+    if cls_only:
+        w, v, qw, qv = (ops.slice_rows(x, 0, 1, axis=-2) for x in (w, v, wc, vc))
+    w, v = ops.add(w, attn("cross_w", qw, vc)), ops.add(v, attn("cross_v", qv, wc, m))
+
+    mid = replace(state, text_streams=[w], image_streams=[v])
     if retrieval_enabled and mid.r >= 1:
         mid = retrieval_attention(mid, params, cfg, i, dctx)
-
-    keep = 1 if i == cfg.l_fuse - 1 else len(texts)
-    texts2, images2 = [], []
-    for w, v, tag in zip(mid.text_streams[:keep], mid.image_streams[:keep], _STREAM_TAGS):
-        w3 = ops.add(w, _ffn(params, f"fuse.{i}.ffn_w", _ln(params, f"fuse.{i}.ln_fw", w),
-                             dctx, f"fuse.{i}.ffn_w.{tag}"))
-        v3 = ops.add(v, _ffn(params, f"fuse.{i}.ffn_v", _ln(params, f"fuse.{i}.ln_fv", v),
-                             dctx, f"fuse.{i}.ffn_v.{tag}"))
-        texts2.append(w3)
-        images2.append(v3)
-    return replace(mid, text_streams=texts2, image_streams=images2,
-                   text_masks=state.text_masks and state.text_masks[:keep],
-                   layer_index=i + 1)
+    (w,), (v,) = mid.text_streams, mid.image_streams
+    if last and mid.folded:
+        w, v = (ops.reshape(ops.slice_rows(x, 0, 1, axis=-3),
+                            x.value.shape[:-3] + x.value.shape[-2:]) for x in (w, v))
+    return replace(mid, text_streams=[ffn("ffn_w", "ln_fw", w)],
+                   image_streams=[ffn("ffn_v", "ln_fv", v)],
+                   folded=mid.folded and not last, layer_index=i + 1)
 
 
-def _stack(retrieved: list[tuple[Node, Node]], rank: int):
-    """The retrieved (text, image) streams as one stacked pair, texts
-    zero-padded to the longest, plus the stack's key mask (None when no
-    text is padded). A single pair that is already stacked is returned as
-    it is."""
-    if len(retrieved) == 1 and retrieved[0][0].value.ndim > rank:
-        return (*retrieved[0], None)
-    lengths = [t.value.shape[-2] for t, _ in retrieved]
-    n = max(lengths)
-
-    def as_slot(x: Node, rows: int) -> Node:
-        shape = x.value.shape
-        if shape[-2] < rows:
-            pad = np.zeros(shape[:-2] + (rows - shape[-2], shape[-1]), x.dtype)
-            x = ops.concat_rows([x, pad], axis=-2)
-        return ops.reshape(x, shape[:-2] + (1, rows, shape[-1]))
-
-    text = ops.concat_rows([as_slot(t, n) for t, _ in retrieved], axis=-3)
-    image = ops.concat_rows([as_slot(v, v.value.shape[-2]) for _, v in retrieved], axis=-3)
-    mask = None
-    if min(lengths) < n:
-        mask = np.broadcast_to(key_mask(lengths), text.value.shape[:-1])
-    return text, image, mask
+def _fold(streams: list[tuple[Node, Node]], masks: list, rank: int):
+    """(text, image) entries, each one stream of `rank` axes or a stack of
+    streams with one more, as one text and one image stack, (..., r+1, n, d),
+    texts zero-padded to the longest, plus the text stack's key mask: each
+    entry's from `masks`, or where it has none, every position kept."""
+    n = max(t.value.shape[-2] for t, _ in streams)
+    texts, images, keys = [], [], []
+    for j, (t, v) in enumerate(streams):
+        shape = t.value.shape
+        m = masks[j] if j < len(masks) and masks[j] is not None else np.zeros(shape[:-1])
+        m = np.concatenate([m, np.full(m.shape[:-1] + (n - m.shape[-1],), MASKED)], axis=-1)
+        if shape[-2] < n:
+            pad = np.zeros(shape[:-2] + (n - shape[-2], shape[-1]), t.dtype)
+            t = ops.concat_rows([t, pad], axis=-2)
+        if len(shape) == rank:   # one stream: give it the slot axis
+            t, v, m = (ops.reshape(t, shape[:-2] + (1, n, shape[-1])),
+                       ops.reshape(v, v.value.shape[:-2] + (1,) + v.value.shape[-2:]),
+                       m[..., None, :])
+        texts.append(t)
+        images.append(v)
+        keys.append(m)
+    return (ops.concat_rows(texts, axis=-3), ops.concat_rows(images, axis=-3),
+            np.concatenate(keys, axis=-2))
 
 
 def fuse(params, cfg: ModelConfig, text0: Node, image0: Node,
          retrieved: list[tuple[Node, Node]],
          dctx: DropoutPlan | None = None, text_masks: list | None = None,
-         stream_mask: np.ndarray | None = None) -> tuple[Node, Node]:
+         stream_mask: np.ndarray | None = None, cls_only: bool = False) -> tuple[Node, Node]:
     """Run the full fusion stack; returns final stream-0 representations.
 
     `retrieved` lists (text, image) node pairs: one per retrieved stream,
-    shaped like stream 0 and with texts of any length, which are stacked
-    here once; or one pair that is already stacked (see FusionState), as
-    StreamBatch.retrieved gives. With no retrieved pairs the
+    shaped like stream 0 and with texts of any length; or one pair that is
+    already stacked, (..., r, n, d), as StreamBatch.retrieved gives. Stream
+    0 and they are folded here into one stack per modality (see
+    FusionState). With no retrieved pairs stream 0 runs alone and the
     retrieval-attention sublayer is skipped entirely, so the r=0 path is the
     plain co-attention model bit-for-bit. For a batch, text_masks holds
     stream 0's key mask and, for a stacked pair, the stack's; stream_mask is
-    as in FusionState (see StreamBatch).
+    as in FusionState (see StreamBatch). cls_only, for a caller that reads
+    only CLS rows, makes the last layer compute only those (see
+    fusion_layer), so the result is (..., 1, d).
     """
-    texts, images, masks = [text0], [image0], list(text_masks or [None])
+    state = FusionState([text0], [image0], text_masks=text_masks and text_masks[:1],
+                        stream_mask=stream_mask)
     if retrieved:
-        text, image, mask = _stack(retrieved, text0.value.ndim)
-        texts.append(text)
-        images.append(image)
-        if len(masks) == 1:
-            masks.append(mask)
-    state = FusionState(texts, images, text_masks=masks, stream_mask=stream_mask)
-    for _ in range(cfg.l_fuse):
-        state = fusion_layer(state, params, cfg, bool(retrieved), dctx)
+        text, image, mask = _fold([(text0, image0), *retrieved], text_masks or [],
+                                  text0.value.ndim)
+        state = replace(state, text_streams=[text], image_streams=[image],
+                        text_masks=[mask], folded=True)
+    for i in range(cfg.l_fuse):
+        state = fusion_layer(state, params, cfg, bool(retrieved), dctx,
+                             cls_only and i == cfg.l_fuse - 1)
     return state.text_streams[0], state.image_streams[0]
 
 
 @dataclass
 class StreamBatch:
     """The fusion streams of a batch as constant arrays, ready for fuse:
-    stream 0 on its own and the r retrieved streams in one stack."""
+    stream 0 on its own and the r retrieved streams in one stack, every
+    text padded to one length n."""
 
-    text0: np.ndarray                     # (B, n0, d), padded
+    text0: np.ndarray                     # (B, n, d), padded
     image0: np.ndarray                    # (B, n_patches + 1, d)
-    text0_mask: np.ndarray                # additive key mask (B, n0)
+    text0_mask: np.ndarray                # additive key mask (B, n)
     texts: np.ndarray | None              # (B, r, n, d), padded; None when r = 0
     images: np.ndarray | None             # (B, r, n_patches + 1, d)
     text_mask: np.ndarray | None          # additive key mask (B, r, n)
@@ -607,24 +600,23 @@ def gather_streams(texts: StateRows, images: StateRows, originals: list[int],
                    retrieved: list[list[int]]) -> StreamBatch:
     """The streams of B items whose states are rows of `texts` and `images`,
     a stream's text and image at the same row: originals[b] is item b's row
-    and retrieved[b] those of its retrieved pairs. Stream 0's text is padded
-    to its longest sequence, and every retrieved text to the longest
-    retrieved one. An item with fewer retrieved pairs than the batch's
-    widest gets row 0, a one-row zero placeholder, in each missing slot,
-    masked out of retrieval-attention by stream_mask, so it fuses exactly
-    as it would alone. Every item keeps at least one retrieved pair when any
-    item has one (retrieval returns min(r, index size) pairs or more for
-    every query).
+    and retrieved[b] those of its retrieved pairs. Every text, stream 0's
+    and the retrieved ones, is padded to the longest of the batch, so fuse
+    folds them without padding any. An item with fewer retrieved pairs than
+    the batch's widest gets row 0, a one-row zero placeholder, in each
+    missing slot, masked out of retrieval-attention by stream_mask, so it
+    fuses exactly as it would alone. Every item keeps at least one retrieved
+    pair when any item has one (retrieval returns min(r, index size) pairs
+    or more for every query).
     """
-    text0, mask0 = texts.gather(originals)
-    image0 = images.gather(originals)[0]
     width = max(len(rows) for rows in retrieved)
-    if not width:
-        return StreamBatch(text0, image0, mask0, None, None, None, None)
-    slots = np.array([rows + [0] * (width - len(rows)) for rows in retrieved])
-    text, text_mask = texts.gather(slots)
-    return StreamBatch(text0, image0, mask0, text, images.gather(slots)[0], text_mask,
-                       key_mask([1 + len(rows) for rows in retrieved]))
+    slots = np.array([[row, *rows] + [0] * (width - len(rows))
+                      for row, rows in zip(originals, retrieved)])
+    text, mask = texts.gather(slots)
+    image = images.gather(slots)[0]
+    rest = ((text[:, 1:], image[:, 1:], mask[:, 1:],
+             key_mask([1 + len(rows) for rows in retrieved])) if width else (None,) * 4)
+    return StreamBatch(text[:, 0], image[:, 0], mask[:, 0], *rest)
 
 
 def _cls_pair(w_cls: Node, v_cls: Node) -> Node:

@@ -432,8 +432,10 @@ def gather_rows(table, ids) -> Node:
 
 
 def slice_rows(x, start: int, stop: int, axis: int = 0) -> Node:
-    """x[start:stop] along `axis`."""
+    """x[start:stop] along `axis`; a slice that keeps every row is x itself."""
     x = as_node(x)
+    if start == 0 and stop >= x.value.shape[axis]:
+        return x
     index = [slice(None)] * x.value.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)
@@ -447,8 +449,10 @@ def slice_rows(x, start: int, stop: int, axis: int = 0) -> Node:
 
 
 def concat_rows(parts: Sequence, axis: int = 0) -> Node:
-    """Concatenation along `axis`."""
+    """Concatenation along `axis`; a single part is returned as it is."""
     parts = [as_node(p) for p in parts]
+    if len(parts) == 1:
+        return parts[0]
     out = np.concatenate([p.value for p in parts], axis=axis)
     bounds = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
     return Node(out, tuple(parts), lambda g: tuple(np.split(g, bounds, axis=axis)))

@@ -266,9 +266,10 @@ class Stage:
 def answer_logits(params, mcfg: ModelConfig, text0: ops.Node, image0: ops.Node,
                   streams: StreamBatch, dctx: DropoutPlan | None = None) -> ops.Node:
     """(B, n_answers) VQA logits of a batch: stream 0 is (text0, image0),
-    the retrieved streams and every mask come from `streams`."""
+    the retrieved streams and every mask come from `streams`. The head reads
+    only CLS rows, so fuse computes only those in its last layer."""
     wl, vl = fuse(params, mcfg, text0, image0, streams.retrieved, dctx,
-                  streams.text_masks, streams.stream_mask)
+                  streams.text_masks, streams.stream_mask, cls_only=True)
     return vqa_head(params, cls_rows(wl), cls_rows(vl))
 
 
@@ -282,8 +283,9 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     fine-tuned checkpoint (`evaluate` checks its fingerprint), and the
     encoder states of every stream are computed once, before the first
     step, for the items and the union of their pools. feature_noise
-    adds fresh Gaussian noise to the instance's image states every step, a
-    cheap augmentation that discourages memorizing individual images.
+    adds fresh Gaussian noise, cast to the states' dtype, to the instance's
+    image states every step, a cheap augmentation that discourages
+    memorizing individual images.
     Each item's retrieval pool is computed once per run; each step draws
     from the pools of its batch and builds one graph for the whole batch.
     """
@@ -316,6 +318,8 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     use_rdrop = tcfg.rdrop_alpha > 0.0 and mcfg.dropout_rate > 0.0
     log_lines = []
     step = 0
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)   # an unusable --out fails before any step
     # a diverging step surfaces as AdamW's DivergenceError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
@@ -339,7 +343,7 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
                             _sub_seed(tcfg.seed, "aug", step, it.item_id)
                         ).normal(size=image_in.value.shape[1:])
                         for it in batch])
-                    image_in = ops.add(image_in, ops.constant(noise))
+                    image_in = ops.add(image_in, ops.constant(noise.astype(image_in.dtype)))
 
                 def forward(pass_idx: int) -> ops.Node:
                     return answer_logits(params, mcfg, text_in, image_in, streams,
@@ -356,7 +360,6 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
                 log_lines.append(f"{step}\t{float(total.value):.6f}\t{lr:.6g}")
                 step += 1
 
-    out_dir = Path(out_dir)
     save_checkpoint(out_dir, params, mcfg, extra={
         "stage": "finetune", "seed": tcfg.seed, "r": r, "epochs": epochs,
         "index_fingerprint": index.fingerprint,

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -808,6 +809,10 @@ _CORRUPTIONS = {
                            EXIT_FORMAT, "caption is None, not str"),
     "pairs pair_id a string": ("build-index", lambda d, t: _edit_record(d / _PAIRS, pair_id="a"),
                                {}, EXIT_FORMAT, "pair_id is 'a', not int"),
+    "pairs pair_id negative": ("build-index", lambda d, t: _edit_record(d / _PAIRS, pair_id=-1),
+                               {}, EXIT_FORMAT, "pairs.jsonl line 2: ValueError: pair_id -1 is "),
+    "pairs pair_id 2**64": ("build-index", lambda d, t: _edit_record(d / _PAIRS, pair_id=2**64),
+                            {}, EXIT_FORMAT, f"pairs.jsonl line 2: ValueError: pair_id {2**64} "),
     "vocab.txt not UTF-8": ("build-index", lambda d, t: (d / "vocab.txt").write_bytes(_NOT_UTF8),
                             {}, EXIT_FORMAT, "vocab.txt: UnicodeDecodeError"),
     "answers.txt not UTF-8": ("eval", lambda d, t: (d / "answers.txt").write_bytes(_NOT_UTF8),
@@ -827,15 +832,24 @@ _CORRUPTIONS = {
                              {"--out": "{t}/f"}, EXIT_ERROR, "File exists"),
     "harvest pattern not a regex": ("harvest", lambda d, t: (t / "p.txt").write_text("(\n"),
                                     {}, EXIT_CONFIG, "pattern '(' is not a regex"),
+    "sweep-r r not an integer": ("sweep-r", lambda d, t: None, {"--rs": "0,a"}, EXIT_BAD_R,
+                                 "invalid r a: sweep grid is"),
 }
 
 
 @pytest.mark.parametrize("row", list(_CORRUPTIONS))
-def test_malformed_input_exits_with_one_named_line(pipeline, tmp_path, capsys, row):
+def test_malformed_input_exits_with_one_named_line(pipeline, tmp_path, capsys, monkeypatch,
+                                                   row):
     """One corruption of one input ends in its documented exit code and one
-    stderr line that names it, never a traceback."""
+    stderr line that names it, never a traceback, and before any optimizer
+    step."""
     import shutil
 
+    from ramm.objectives import AdamW
+
+    steps = []
+    step = AdamW.step
+    monkeypatch.setattr(AdamW, "step", lambda self: steps.append(1) or step(self))
     command, corrupt, overrides, code, fragment = _CORRUPTIONS[row]
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
@@ -849,6 +863,8 @@ def test_malformed_input_exits_with_one_named_line(pipeline, tmp_path, capsys, r
         "eval": {"--checkpoint": str(pipeline["ft"]), "--index": index, "--data": str(data),
                  "--r": "2"},
         "harvest": {"--in": str(data), "--out": out, "--patterns": str(tmp_path / "p.txt")},
+        "sweep-r": {"--checkpoint": ckpt, "--index": index, "--data": str(data), "--out": out,
+                    "--epochs": "1", "--batch-size": "4"},
     }[command]
     flags.update({k: v.format(t=tmp_path) for k, v in overrides.items()})
     config = ["--config", flags.pop("--config")] if "--config" in flags else []
@@ -858,5 +874,27 @@ def test_malformed_input_exits_with_one_named_line(pipeline, tmp_path, capsys, r
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     prefix = {EXIT_FORMAT: "format error: ", EXIT_CONFIG: "config error: ",
-              EXIT_ERROR: "error: "}[code]
+              EXIT_ERROR: "error: ", EXIT_BAD_R: "invalid r "}[code]
     assert err.startswith(prefix) and fragment in err, err
+    assert not steps, f"{len(steps)} optimizer steps ran before the refusal"
+
+
+def test_finetune_and_eval_build_only_float32_nodes(pipeline, tmp_path, monkeypatch):
+    """A float32 checkpoint fine-tunes at r = 4 with feature noise, and
+    evaluates, on float32 graphs only: the noise is cast to the states'
+    dtype before it is added."""
+    from ramm import ops, train
+
+    dtypes = []
+    init = ops.Node.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        dtypes.append(self.value.dtype)
+
+    monkeypatch.setattr(ops.Node, "__init__", recording)
+    tcfg = TrainConfig(seed=0, batch_size=8)
+    train.finetune(pipeline["ckpt"], pipeline["index"], pipeline["data"], 4, tcfg,
+                   tmp_path / "ft", epochs=1, feature_noise=1.0)
+    train.evaluate(tmp_path / "ft", pipeline["index"], pipeline["data"], 4)
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}, Counter(map(str, dtypes))

@@ -92,7 +92,7 @@ def _fusion_inputs(cfg, rng, r):
     image0 = ops.constant(rng.normal(size=(cfg.patch_grid**2 + 1, cfg.d)))
     retrieved = [
         (ops.constant(rng.normal(size=(4, cfg.d))),
-         ops.constant(rng.normal(size=(3, cfg.d))))
+         ops.constant(rng.normal(size=(cfg.patch_grid**2 + 1, cfg.d))))
         for _ in range(r)
     ]
     return params, text0, image0, retrieved
@@ -416,6 +416,38 @@ def test_stacked_fusion_matches_per_stream_fusion(rng):
     _assert_same_grads(_grads(params), want)
 
 
+@pytest.mark.parametrize("r", [0, 2])
+def test_cls_only_last_layer_equals_full_cls_rows(rng, r):
+    """fuse with cls_only computes, at 64-bit, the CLS rows of the full last
+    layer and the same gradients through them, over two layers, texts of
+    different lengths and, at r = 2, a flagged item with a missing slot."""
+    from conftest import batch_streams
+
+    cfg = micro_config(l_fuse=2)
+    params = micro_params(cfg)
+    n_img = cfg.patch_grid**2
+    ids = [[1, 4, 5, 6], [1, 7], [1, 8, 9, 10, 11]]
+    patches = rng.normal(size=(3, n_img, cfg.d_patch))
+    retrieved = [[(rng.normal(size=(n, cfg.d)), rng.normal(size=(n_img + 1, cfg.d)))
+                  for n in lengths][:r] for lengths in ([3, 9], [4, 1], [7])]
+    originals = [(np.zeros((len(seq), cfg.d)), np.zeros((n_img + 1, cfg.d))) for seq in ids]
+    streams = batch_streams(originals, retrieved)
+    runs = []
+    for cls_only in (False, True):
+        ops.zero_grads(params.values())
+        wl, vl = fuse(params, cfg, encode_text(params, cfg, ids),
+                      encode_image(params, cfg, patches), streams.retrieved,
+                      text_masks=streams.text_masks, stream_mask=streams.stream_mask,
+                      cls_only=cls_only)
+        w_cls, v_cls = model.cls_rows(wl), model.cls_rows(vl)
+        ops.backward(ops.cross_entropy(vqa_head(params, w_cls, v_cls), [2, 0, 1]))
+        runs.append((w_cls.value, v_cls.value, _grads(params)))
+    (w_full, v_full, want), (w_cls, v_cls, got) = runs
+    assert wl.value.shape == vl.value.shape == (3, 1, cfg.d)
+    assert relative_error(w_cls, w_full) < 1e-10 and relative_error(v_cls, v_full) < 1e-10
+    _assert_same_grads(got, want)
+
+
 def test_answer_logits_nodes_do_not_grow_with_r(rng, monkeypatch):
     """Each sublayer runs the retrieved streams as one node, so a forward
     pass builds as many nodes at r = 4 as at r = 1."""
@@ -537,23 +569,28 @@ def test_batched_evaluate_matches_items(tmp_path, monkeypatch):
 
 def _copy_loop_streams(originals, retrieved):
     """batch_streams as it was before the states became gathered rows, kept
-    as the bitwise reference: zero-padded copies, item by item."""
+    as the bitwise reference: zero-padded copies, item by item, every text
+    padded to the longest of the batch."""
+    flat = [pair for pairs in retrieved for pair in pairs]
+    n = max(len(t) for t, _ in originals + flat)
+
+    def mask(lengths):
+        return np.where(np.arange(n) < np.asarray(lengths)[..., None], 0.0, model.MASKED)
+
     def pad(states):
-        lengths = [len(a) for a in states]
-        out = np.zeros((len(states), max(lengths), states[0].shape[-1]),
+        out = np.zeros((len(states), n, states[0].shape[-1]),
                        dtype=np.result_type(*states))
         for b, a in enumerate(states):
             out[b, : len(a)] = a
-        return out, model.key_mask(lengths)
+        return out, mask([len(a) for a in states])
 
     text0, mask0 = pad([t for t, _ in originals])
     image0 = np.stack([v for _, v in originals])
     width = max(len(pairs) for pairs in retrieved)
     if not width:
         return text0, image0, mask0, None, None, None, None
-    flat = [pair for pairs in retrieved for pair in pairs]
     shape = (len(retrieved), width)
-    texts = np.zeros(shape + (max(len(t) for t, _ in flat), text0.shape[-1]),
+    texts = np.zeros(shape + (n, text0.shape[-1]),
                      np.result_type(*{t.dtype for t, _ in flat}))
     images = np.zeros(shape + image0.shape[1:], np.result_type(*{v.dtype for _, v in flat}))
     lengths = np.ones(shape, dtype=np.int64)
@@ -562,7 +599,7 @@ def _copy_loop_streams(originals, retrieved):
             texts[b, j, : len(t)] = t
             images[b, j] = v
             lengths[b, j] = len(t)
-    return (text0, image0, mask0, texts, images, model.key_mask(lengths),
+    return (text0, image0, mask0, texts, images, mask(lengths),
             model.key_mask([1 + len(pairs) for pairs in retrieved]))
 
 
