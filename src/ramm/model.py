@@ -6,11 +6,13 @@ Retrieval-attention runs single-query multi-head attention from the original
 stream's CLS over the CLS rows of all streams and residually updates only the
 original CLS; every other row of every stream passes through untouched.
 
-fuse folds the original stream and the r retrieved streams into one stack
-per modality, (r+1, n, d) or (B, r+1, n, d) with the original in slot 0, so
-each fusion sublayer runs every stream as one node whatever r is. fuse
-returns only the original stream, so the last layer skips the retrieved
-streams' feed-forward; when only CLS rows are read, it computes only those.
+fuse runs the original stream and the r retrieved streams as one stack per
+modality, (r+1, n, d) or (B, r+1, n, d) with the original in slot 0, so
+each fusion sublayer runs every stream as one node whatever r is. A batch's
+StreamBatch is that stack as gathered; per-stream inputs are folded into it
+by fuse. fuse returns only the original stream, so the last layer skips the
+retrieved streams' feed-forward; when only CLS rows are read, it computes
+only those.
 
 Every forward pass takes one item, with (n, d) states, or a batch, with
 (B, n, d) states: the unbatched case is the same code without the leading
@@ -399,10 +401,11 @@ class FusionState:
 
     As a list, text_streams[j] and image_streams[j] are stream j, (n_j, d),
     or (B, n_j, d) for a batch. Folded, each holds one entry, the stack of
-    all r+1 streams with stream 0 in slot 0, (..., r+1, n, d), as fuse
-    builds it. text_masks holds the additive key mask of each text entry,
-    (B, n) or (..., r+1, n), and stream_mask (B, r+1) drops the retrieved
-    streams an item lacks from retrieval-attention; None masks nothing."""
+    all r+1 streams with stream 0 in slot 0, (..., r+1, n, d), as a
+    StreamBatch holds it or fuse folds it. text_masks holds the additive
+    key mask of each text entry, (B, n) or (..., r+1, n), and stream_mask
+    (B, r+1) drops the retrieved streams an item lacks from
+    retrieval-attention; None masks nothing."""
 
     text_streams: list[Node]
     image_streams: list[Node]
@@ -495,27 +498,26 @@ def fusion_layer(state: FusionState, params, cfg: ModelConfig, retrieval_enabled
                    folded=mid.folded and not last, layer_index=i + 1)
 
 
-def _fold(streams: list[tuple[Node, Node]], masks: list, rank: int):
-    """(text, image) entries, each one stream of `rank` axes or a stack of
-    streams with one more, as one text and one image stack, (..., r+1, n, d),
-    texts zero-padded to the longest, plus the text stack's key mask: each
-    entry's from `masks`, or where it has none, every position kept."""
+def _fold(streams: list[tuple[Node, Node]], masks: list):
+    """(text, image) streams, each (..., n_j, d), their images with stream
+    0's row count, as one text and one image stack, (..., r+1, n, d), texts
+    zero-padded to the longest, plus the text stack's key mask: each
+    stream's from `masks`, or where it has none, every position kept."""
+    rows = streams[0][1].value.shape[-2]
+    if odd := [v.value.shape[-2] for _, v in streams if v.value.shape[-2] != rows]:
+        raise ops.ShapeError(f"a retrieved image has {odd[0]} rows, stream 0's has {rows}")
     n = max(t.value.shape[-2] for t, _ in streams)
     texts, images, keys = [], [], []
     for j, (t, v) in enumerate(streams):
         shape = t.value.shape
         m = masks[j] if j < len(masks) and masks[j] is not None else np.zeros(shape[:-1])
-        m = np.concatenate([m, np.full(m.shape[:-1] + (n - m.shape[-1],), MASKED)], axis=-1)
+        keys.append(np.concatenate([m, np.full(m.shape[:-1] + (n - m.shape[-1],), MASKED)],
+                                   axis=-1)[..., None, :])
         if shape[-2] < n:
-            pad = np.zeros(shape[:-2] + (n - shape[-2], shape[-1]), t.dtype)
-            t = ops.concat_rows([t, pad], axis=-2)
-        if len(shape) == rank:   # one stream: give it the slot axis
-            t, v, m = (ops.reshape(t, shape[:-2] + (1, n, shape[-1])),
-                       ops.reshape(v, v.value.shape[:-2] + (1,) + v.value.shape[-2:]),
-                       m[..., None, :])
-        texts.append(t)
-        images.append(v)
-        keys.append(m)
+            t = ops.concat_rows([t, np.zeros(shape[:-2] + (n - shape[-2], shape[-1]), t.dtype)],
+                                axis=-2)
+        texts.append(ops.reshape(t, shape[:-2] + (1, n, shape[-1])))
+        images.append(ops.reshape(v, v.value.shape[:-2] + (1,) + v.value.shape[-2:]))
     return (ops.concat_rows(texts, axis=-3), ops.concat_rows(images, axis=-3),
             np.concatenate(keys, axis=-2))
 
@@ -526,54 +528,40 @@ def fuse(params, cfg: ModelConfig, text0: Node, image0: Node,
          stream_mask: np.ndarray | None = None, cls_only: bool = False) -> tuple[Node, Node]:
     """Run the full fusion stack; returns final stream-0 representations.
 
-    `retrieved` lists (text, image) node pairs: one per retrieved stream,
-    shaped like stream 0 and with texts of any length; or one pair that is
-    already stacked, (..., r, n, d), as StreamBatch.retrieved gives. Stream
-    0 and they are folded here into one stack per modality (see
-    FusionState). With no retrieved pairs stream 0 runs alone and the
-    retrieval-attention sublayer is skipped entirely, so the r=0 path is the
-    plain co-attention model bit-for-bit. For a batch, text_masks holds
-    stream 0's key mask and, for a stacked pair, the stack's; stream_mask is
-    as in FusionState (see StreamBatch). cls_only, for a caller that reads
-    only CLS rows, makes the last layer compute only those (see
-    fusion_layer), so the result is (..., 1, d).
+    `retrieved` lists one (text, image) node pair per retrieved stream,
+    shaped like stream 0 and with texts of any length; stream 0 and they are
+    folded here into one stack per modality (see FusionState). With no
+    retrieved pairs but a stream_mask, which only a stack has, text0 and
+    image0 are that stack already, as StreamBatch holds it. With neither,
+    stream 0 runs alone and the retrieval-attention sublayer is skipped
+    entirely, so the r=0 path is the plain co-attention model bit-for-bit;
+    so is a stack of one slot. For a batch, text_masks holds the key mask
+    of text0 (stream 0's or the stack's), then those of the retrieved
+    streams; stream_mask is as in FusionState (see StreamBatch). cls_only,
+    for a caller that reads only CLS rows, makes the last layer compute
+    only those (see fusion_layer), so the result is (..., 1, d).
     """
+    folded = bool(retrieved) or stream_mask is not None
     state = FusionState([text0], [image0], text_masks=text_masks and text_masks[:1],
-                        stream_mask=stream_mask)
+                        stream_mask=stream_mask, folded=folded)
     if retrieved:
-        text, image, mask = _fold([(text0, image0), *retrieved], text_masks or [],
-                                  text0.value.ndim)
-        state = replace(state, text_streams=[text], image_streams=[image],
-                        text_masks=[mask], folded=True)
+        text, image, mask = _fold([(text0, image0), *retrieved], text_masks or [])
+        state = replace(state, text_streams=[text], image_streams=[image], text_masks=[mask])
     for i in range(cfg.l_fuse):
-        state = fusion_layer(state, params, cfg, bool(retrieved), dctx,
-                             cls_only and i == cfg.l_fuse - 1)
+        state = fusion_layer(state, params, cfg, folded, dctx, cls_only and i == cfg.l_fuse - 1)
     return state.text_streams[0], state.image_streams[0]
 
 
 @dataclass
 class StreamBatch:
-    """The fusion streams of a batch as constant arrays, ready for fuse:
-    stream 0 on its own and the r retrieved streams in one stack, every
-    text padded to one length n."""
+    """The fusion streams of a batch as constant arrays, folded as fuse runs
+    them: stream 0 in slot 0, then the r retrieved streams, every text
+    padded to one length n. With r = 0 it holds stream 0 alone in one slot."""
 
-    text0: np.ndarray                     # (B, n, d), padded
-    image0: np.ndarray                    # (B, n_patches + 1, d)
-    text0_mask: np.ndarray                # additive key mask (B, n)
-    texts: np.ndarray | None              # (B, r, n, d), padded; None when r = 0
-    images: np.ndarray | None             # (B, r, n_patches + 1, d)
-    text_mask: np.ndarray | None          # additive key mask (B, r, n)
-    stream_mask: np.ndarray | None        # additive (B, r+1); None when r = 0
-
-    @property
-    def retrieved(self) -> list[tuple[Node, Node]]:
-        if self.texts is None:
-            return []
-        return [(ops.constant(self.texts), ops.constant(self.images))]
-
-    @property
-    def text_masks(self) -> list[np.ndarray]:
-        return [self.text0_mask] + ([] if self.text_mask is None else [self.text_mask])
+    text: np.ndarray          # (B, r+1, n, d), padded
+    image: np.ndarray         # (B, r+1, n_patches + 1, d)
+    text_mask: np.ndarray     # additive key mask (B, r+1, n)
+    stream_mask: np.ndarray   # additive (B, r+1): 0, or MASKED on a slot an item lacks
 
 
 class StateRows:
@@ -600,9 +588,9 @@ def gather_streams(texts: StateRows, images: StateRows, originals: list[int],
                    retrieved: list[list[int]]) -> StreamBatch:
     """The streams of B items whose states are rows of `texts` and `images`,
     a stream's text and image at the same row: originals[b] is item b's row
-    and retrieved[b] those of its retrieved pairs. Every text, stream 0's
-    and the retrieved ones, is padded to the longest of the batch, so fuse
-    folds them without padding any. An item with fewer retrieved pairs than
+    and retrieved[b] those of its retrieved pairs. The gathered arrays are
+    the stack fuse runs, every text padded to the longest of the batch,
+    stream 0's and the retrieved ones. An item with fewer retrieved pairs than
     the batch's widest gets row 0, a one-row zero placeholder, in each
     missing slot, masked out of retrieval-attention by stream_mask, so it
     fuses exactly as it would alone. Every item keeps at least one retrieved
@@ -613,10 +601,8 @@ def gather_streams(texts: StateRows, images: StateRows, originals: list[int],
     slots = np.array([[row, *rows] + [0] * (width - len(rows))
                       for row, rows in zip(originals, retrieved)])
     text, mask = texts.gather(slots)
-    image = images.gather(slots)[0]
-    rest = ((text[:, 1:], image[:, 1:], mask[:, 1:],
-             key_mask([1 + len(rows) for rows in retrieved])) if width else (None,) * 4)
-    return StreamBatch(text[:, 0], image[:, 0], mask[:, 0], *rest)
+    return StreamBatch(text, images.gather(slots)[0], mask,
+                       key_mask([1 + len(rows) for rows in retrieved]))
 
 
 def _cls_pair(w_cls: Node, v_cls: Node) -> Node:

@@ -160,20 +160,12 @@ def ema_update(target: dict[str, Node], online: dict[str, Node], decay: float) -
         t.value += (1.0 - decay) * o.value
 
 
-def rdrop_loss(logits_a: Node, logits_b: Node, targets, alpha: float,
-               dropout_active: bool = True) -> Node:
+def rdrop_loss(logits_a: Node, logits_b: Node, targets, alpha: float) -> Node:
     """Mean cross-entropy of two dropout passes plus alpha * symmetric KL."""
-    if not dropout_active and alpha > 0.0:
-        raise ContractViolation(
-            "R-Drop needs two distinct dropout passes; with dropout disabled "
-            "request plain cross-entropy explicitly (alpha=0)"
-        )
     ce = ops.scale(
         ops.add(ops.cross_entropy(logits_a, targets), ops.cross_entropy(logits_b, targets)),
         0.5,
     )
-    if alpha == 0.0:
-        return ce
     return ops.add(ce, ops.scale(ops.symmetric_kl(logits_a, logits_b), alpha))
 
 

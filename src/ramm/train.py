@@ -151,6 +151,8 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig, steps: int
     rng = np.random.default_rng(_sub_seed(tcfg.seed, "pretrain"))
     base_plan = DropoutPlan(_sub_seed(tcfg.seed, "dropout"), mcfg.dropout_rate)
     log_lines = []
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)   # an unusable --out fails before any step
 
     # a diverging step surfaces as AdamW's DivergenceError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -172,7 +174,6 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig, steps: int
                 f"{step}\t{float(loss_itc.value):.6f}\t{float(loss_itm.value):.6f}"
                 f"\t{float(loss_mlm.value):.6f}\t{float(total.value):.6f}\t{lr:.6g}")
 
-    out_dir = Path(out_dir)
     save_checkpoint(out_dir, params, mcfg,
                     extra={"stage": "pretrain", "seed": tcfg.seed, "steps": steps})
     (out_dir / "train_log.tsv").write_text("\n".join(log_lines) + "\n",
@@ -263,13 +264,13 @@ class Stage:
                               [[self._row_of_pair[pid] for pid in pids] for pids in selected])
 
 
-def answer_logits(params, mcfg: ModelConfig, text0: ops.Node, image0: ops.Node,
-                  streams: StreamBatch, dctx: DropoutPlan | None = None) -> ops.Node:
-    """(B, n_answers) VQA logits of a batch: stream 0 is (text0, image0),
-    the retrieved streams and every mask come from `streams`. The head reads
-    only CLS rows, so fuse computes only those in its last layer."""
-    wl, vl = fuse(params, mcfg, text0, image0, streams.retrieved, dctx,
-                  streams.text_masks, streams.stream_mask, cls_only=True)
+def answer_logits(params, mcfg: ModelConfig, streams: StreamBatch,
+                  dctx: DropoutPlan | None = None) -> ops.Node:
+    """(B, n_answers) VQA logits of a batch, fusing the stack of `streams`.
+    The head reads only CLS rows, so fuse computes only those in its last
+    layer."""
+    wl, vl = fuse(params, mcfg, ops.constant(streams.text), ops.constant(streams.image), [],
+                  dctx, [streams.text_mask], streams.stream_mask, cls_only=True)
     return vqa_head(params, cls_rows(wl), cls_rows(vl))
 
 
@@ -335,19 +336,16 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
                             _sub_seed(tcfg.seed, "select", step, it.item_id)).selected]
                         for it, i in zip(batch, idx)]
                 streams = stage.streams(idx, selected)
-                text_in = ops.constant(streams.text0)
-                image_in = ops.constant(streams.image0)
-                if feature_noise > 0.0:
+                if feature_noise > 0.0:   # stream 0's image states, slot 0 of the stack
                     noise = np.stack([
                         feature_noise * np.random.default_rng(
                             _sub_seed(tcfg.seed, "aug", step, it.item_id)
-                        ).normal(size=image_in.value.shape[1:])
+                        ).normal(size=streams.image.shape[2:])
                         for it in batch])
-                    image_in = ops.add(image_in, ops.constant(noise.astype(image_in.dtype)))
+                    streams.image[:, 0] += noise.astype(streams.image.dtype)
 
                 def forward(pass_idx: int) -> ops.Node:
-                    return answer_logits(params, mcfg, text_in, image_in, streams,
-                                         base_plan.at(step, pass_idx))
+                    return answer_logits(params, mcfg, streams, base_plan.at(step, pass_idx))
 
                 if use_rdrop:
                     total = rdrop_loss(forward(0), forward(1), targets[idx], tcfg.rdrop_alpha)
@@ -426,8 +424,7 @@ def evaluate(checkpoint_dir, index_path, data_dir, r: int, split: str = "test",
     for b0 in range(0, len(items), EVAL_BATCH):
         batch = range(b0, min(b0 + EVAL_BATCH, len(items)))
         streams = stage.streams(batch, [[pid for pid, _ in selected[i]] for i in batch])
-        logits = answer_logits(params, mcfg, ops.constant(streams.text0),
-                               ops.constant(streams.image0), streams)
+        logits = answer_logits(params, mcfg, streams)
         for i, row in zip(batch, logits.value):
             it = items[i]
             pred = stage.answers[int(np.argmax(row))]

@@ -731,6 +731,41 @@ def test_frozen_states_are_encoded_before_any_step_or_scoring(pipeline, tmp_path
     assert report.n_total > 2 and calls and not any(calls)
 
 
+def test_feature_noise_changes_only_slot_0_of_the_image_stack(pipeline, tmp_path,
+                                                              monkeypatch):
+    """finetune adds its feature noise to stream 0's image states, slot 0 of
+    the gathered image stack of every item, and fuses every other array of
+    the batch as gathered."""
+    import copy
+
+    from ramm import train
+
+    gathered, fused = {}, []
+
+    def gather(*args):
+        streams = gather_streams(*args)
+        gathered[id(streams)] = (streams, copy.deepcopy(streams))   # kept, so ids stay unique
+        return streams
+
+    def logits(params, mcfg, streams, dctx=None):
+        fused.append((gathered[id(streams)][1], copy.deepcopy(streams)))
+        return answer_logits(params, mcfg, streams, dctx)
+
+    gather_streams, answer_logits = train.gather_streams, train.answer_logits
+    monkeypatch.setattr(train, "gather_streams", gather)
+    monkeypatch.setattr(train, "answer_logits", logits)
+    train.finetune(pipeline["ckpt"], pipeline["index"], pipeline["data"], 2,
+                   TrainConfig(seed=0, batch_size=4), tmp_path / "ft", epochs=1,
+                   feature_noise=1.0)
+    assert fused
+    for before, after in fused:
+        for name in ("text", "text_mask", "stream_mask"):
+            assert np.array_equal(getattr(after, name), getattr(before, name)), name
+        assert np.array_equal(after.image[:, 1:], before.image[:, 1:])
+        noised = after.image[:, 0] != before.image[:, 0]
+        assert noised.reshape(len(noised), -1).any(axis=1).all()
+
+
 def test_stage_tables_do_not_depend_on_pair_order(pipeline, monkeypatch):
     """Stage.encode builds the same state tables, bit for bit, from the same
     pair ids in another order and with repeats, across graph boundaries."""
@@ -830,6 +865,8 @@ _CORRUPTIONS = {
                           "Is a directory"),
     "out an existing file": ("finetune", lambda d, t: (t / "f").write_text(""),
                              {"--out": "{t}/f"}, EXIT_ERROR, "File exists"),
+    "pretrain out an existing file": ("pretrain", lambda d, t: (t / "f").write_text(""),
+                                      {"--out": "{t}/f"}, EXIT_ERROR, "File exists"),
     "harvest pattern not a regex": ("harvest", lambda d, t: (t / "p.txt").write_text("(\n"),
                                     {}, EXIT_CONFIG, "pattern '(' is not a regex"),
     "sweep-r r not an integer": ("sweep-r", lambda d, t: None, {"--rs": "0,a"}, EXIT_BAD_R,

@@ -181,6 +181,16 @@ def test_fuse_with_retrieval_changes_output(rng):
     assert not np.array_equal(v0.value, v2.value)
 
 
+def test_fuse_refuses_retrieved_image_of_another_row_count(rng):
+    """A retrieved image that cannot share stream 0's image stack is a named
+    ShapeError, not numpy's concatenation error."""
+    cfg = micro_config()
+    params, text0, image0, retrieved = _fusion_inputs(cfg, rng, 2)
+    retrieved[1] = (retrieved[1][0], ops.constant(rng.normal(size=(3, cfg.d))))
+    with pytest.raises(ops.ShapeError, match="image has 3 rows, stream 0's has 5"):
+        fuse(params, cfg, text0, image0, retrieved)
+
+
 def test_dropout_plan_deterministic():
     cfg = micro_config(dropout_rate=0.5)
     plan_a = DropoutPlan(seed=9, rate=cfg.dropout_rate).at(step=3, pass_idx=0)
@@ -287,9 +297,6 @@ def test_padded_finetune_batch_matches_items(rng):
     """Loss and every parameter gradient of one padded fine-tune batch equal
     the mean over per-item passes, at 64-bit. The texts differ in length
     and the last item retrieved fewer pairs than the others (flagged)."""
-    from conftest import batch_streams
-    from ramm.train import answer_logits
-
     cfg = micro_config(l_fuse=2)
     params = micro_params(cfg)
     n_img = cfg.patch_grid**2
@@ -318,12 +325,41 @@ def test_padded_finetune_batch_matches_items(rng):
     originals = [(np.zeros((len(seq), cfg.d)), np.zeros((n_img + 1, cfg.d))) for seq in ids]
     streams = batch_streams(originals, retrieved)
     assert streams.stream_mask.shape == (3, 3) and streams.stream_mask[2, 2] < 0
-    logits = answer_logits(params, cfg, encode_text(params, cfg, ids),
-                           encode_image(params, cfg, patches), streams)
-    batched = ops.cross_entropy(logits, targets)
+    wl, vl = _live_fuse(params, cfg, ids, patches, streams)
+    batched = ops.cross_entropy(vqa_head(params, model.cls_rows(wl), model.cls_rows(vl)), targets)
     ops.backward(batched)
     assert abs(batched.value.item() - per_item.value.item()) < 1e-10 * per_item.value.item()
     _assert_same_grads(_grads(params), want)
+    _assert_stack_matches(params, cfg, ids, patches, retrieved, targets, per_item, want)
+
+
+def _live_fuse(params, cfg, ids, patches, streams, cls_only=True):
+    """fuse as answer_logits runs it, but with stream 0 encoded live from
+    `ids` and `patches`, so the encoders get gradients too: the retrieved
+    slots of `streams` go through fuse's per-stream path."""
+    slots = range(1, streams.text.shape[1])
+    return fuse(params, cfg, encode_text(params, cfg, ids), encode_image(params, cfg, patches),
+                [(ops.constant(streams.text[:, j]), ops.constant(streams.image[:, j]))
+                 for j in slots],
+                text_masks=([model.key_mask([len(seq) for seq in ids])]
+                            + [streams.text_mask[:, j] for j in slots]),
+                stream_mask=streams.stream_mask if slots else None, cls_only=cls_only)
+
+
+def _assert_stack_matches(params, cfg, ids, patches, retrieved, targets, want_loss, want):
+    """answer_logits on the gathered stack, stream 0's slot holding the
+    encoders' states of `ids` and `patches`, gives `want_loss` and the
+    fusion and head gradients of `want`, at 64-bit."""
+    from ramm.train import answer_logits
+
+    ops.zero_grads(params.values())
+    w, v = encode_text(params, cfg, ids).value, encode_image(params, cfg, patches).value
+    streams = batch_streams([(w[b, : len(seq)], v[b]) for b, seq in enumerate(ids)], retrieved)
+    loss = ops.cross_entropy(answer_logits(params, cfg, streams), targets)
+    ops.backward(loss)
+    assert abs(loss.value.item() - want_loss.value.item()) < 1e-10 * want_loss.value.item()
+    _assert_same_grads(_grads(params),
+                       {n: g for n, g in want.items() if n.startswith(("fuse.", "vqa."))})
 
 
 # -- stacked retrieved streams equal the per-stream fusion --------------------
@@ -370,8 +406,7 @@ def test_stacked_fusion_matches_per_stream_fusion(rng):
     per-stream reference at 64-bit, over two layers (so the stacked
     retrieved feed-forward of layer 0 runs), retrieved texts of different
     lengths (up to 10 tokens) and one flagged item with a missing slot."""
-    from conftest import _pad, batch_streams
-    from ramm.train import answer_logits
+    from conftest import _pad
 
     cfg = micro_config(l_fuse=2)
     params = micro_params(cfg)
@@ -406,14 +441,15 @@ def test_stacked_fusion_matches_per_stream_fusion(rng):
     ops.zero_grads(params.values())
     originals = [(np.zeros((len(seq), cfg.d)), np.zeros((n_img + 1, cfg.d))) for seq in ids]
     streams = batch_streams(originals, retrieved)
-    assert streams.texts.shape == (3, 2, 10, cfg.d)
+    assert streams.text.shape == (3, 3, 10, cfg.d)
     assert np.array_equal(streams.stream_mask, stream_mask)
-    logits = answer_logits(params, cfg, encode_text(params, cfg, ids),
-                           encode_image(params, cfg, patches), streams)
-    got_loss = ops.cross_entropy(logits, targets)
+    wl, vl = _live_fuse(params, cfg, ids, patches, streams)
+    got_loss = ops.cross_entropy(vqa_head(params, model.cls_rows(wl), model.cls_rows(vl)),
+                                 targets)
     ops.backward(got_loss)
     assert abs(got_loss.value.item() - want_loss.value.item()) < 1e-10 * want_loss.value.item()
     _assert_same_grads(_grads(params), want)
+    _assert_stack_matches(params, cfg, ids, patches, retrieved, targets, want_loss, want)
 
 
 @pytest.mark.parametrize("r", [0, 2])
@@ -421,8 +457,6 @@ def test_cls_only_last_layer_equals_full_cls_rows(rng, r):
     """fuse with cls_only computes, at 64-bit, the CLS rows of the full last
     layer and the same gradients through them, over two layers, texts of
     different lengths and, at r = 2, a flagged item with a missing slot."""
-    from conftest import batch_streams
-
     cfg = micro_config(l_fuse=2)
     params = micro_params(cfg)
     n_img = cfg.patch_grid**2
@@ -435,10 +469,7 @@ def test_cls_only_last_layer_equals_full_cls_rows(rng, r):
     runs = []
     for cls_only in (False, True):
         ops.zero_grads(params.values())
-        wl, vl = fuse(params, cfg, encode_text(params, cfg, ids),
-                      encode_image(params, cfg, patches), streams.retrieved,
-                      text_masks=streams.text_masks, stream_mask=streams.stream_mask,
-                      cls_only=cls_only)
+        wl, vl = _live_fuse(params, cfg, ids, patches, streams, cls_only)
         w_cls, v_cls = model.cls_rows(wl), model.cls_rows(vl)
         ops.backward(ops.cross_entropy(vqa_head(params, w_cls, v_cls), [2, 0, 1]))
         runs.append((w_cls.value, v_cls.value, _grads(params)))
@@ -448,10 +479,43 @@ def test_cls_only_last_layer_equals_full_cls_rows(rng, r):
     _assert_same_grads(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_r0_stack_is_stream0_fused_alone(rng, dtype):
+    """An r = 0 StreamBatch, stream 0 in its one slot, gives through
+    answer_logits the logits and gradients of stream 0 fused alone, bit for
+    bit, with dropout drawing the same masks."""
+    from ramm.train import answer_logits
+
+    cfg = micro_config(l_fuse=2)
+    params = micro_params(cfg, dtype=dtype)
+    n_img = cfg.patch_grid**2
+    originals = [(rng.normal(size=(n, cfg.d)).astype(dtype),
+                  rng.normal(size=(n_img + 1, cfg.d)).astype(dtype)) for n in (4, 2, 5)]
+    streams = batch_streams(originals, [[], [], []])
+    assert streams.text.shape == (3, 1, 5, cfg.d) and not streams.stream_mask.any()
+    plan = DropoutPlan(seed=5, rate=0.2).at(step=3)
+
+    def alone():
+        wl, vl = fuse(params, cfg, ops.constant(streams.text[:, 0]),
+                      ops.constant(streams.image[:, 0]), [], plan,
+                      [streams.text_mask[:, 0]], cls_only=True)
+        return vqa_head(params, model.cls_rows(wl), model.cls_rows(vl))
+
+    runs = []
+    for logits in (lambda: answer_logits(params, cfg, streams, plan), alone):
+        ops.zero_grads(params.values())
+        out = logits()
+        ops.backward(ops.cross_entropy(out, [2, 0, 1]))
+        runs.append((out.value, _grads(params)))
+    (got, got_grads), (want, want_grads) = runs
+    assert got.dtype == dtype and np.array_equal(got, want)
+    for name, grad in want_grads.items():
+        assert np.array_equal(got_grads[name], grad), name
+
+
 def test_answer_logits_nodes_do_not_grow_with_r(rng, monkeypatch):
     """Each sublayer runs the retrieved streams as one node, so a forward
     pass builds as many nodes at r = 4 as at r = 1."""
-    from conftest import batch_streams
     from ramm.train import answer_logits
 
     cfg = micro_config(l_fuse=2)
@@ -471,8 +535,7 @@ def test_answer_logits_nodes_do_not_grow_with_r(rng, monkeypatch):
                       for j in range(r)] for _ in range(2)]
         streams = batch_streams(originals, retrieved)
         count[0] = 0
-        answer_logits(params, cfg, ops.constant(streams.text0),
-                      ops.constant(streams.image0), streams)
+        answer_logits(params, cfg, streams)
         return count[0]
 
     monkeypatch.setattr(ops.Node, "__init__", counting)
@@ -569,38 +632,25 @@ def test_batched_evaluate_matches_items(tmp_path, monkeypatch):
 
 def _copy_loop_streams(originals, retrieved):
     """batch_streams as it was before the states became gathered rows, kept
-    as the bitwise reference: zero-padded copies, item by item, every text
-    padded to the longest of the batch."""
-    flat = [pair for pairs in retrieved for pair in pairs]
-    n = max(len(t) for t, _ in originals + flat)
-
-    def mask(lengths):
-        return np.where(np.arange(n) < np.asarray(lengths)[..., None], 0.0, model.MASKED)
-
-    def pad(states):
-        out = np.zeros((len(states), n, states[0].shape[-1]),
-                       dtype=np.result_type(*states))
-        for b, a in enumerate(states):
-            out[b, : len(a)] = a
-        return out, mask([len(a) for a in states])
-
-    text0, mask0 = pad([t for t, _ in originals])
-    image0 = np.stack([v for _, v in originals])
+    as the bitwise reference: zero-padded copies, item by item and slot by
+    slot, stream 0 in slot 0, every text padded to the longest of the batch,
+    and a slot an item lacks left zero, one position long and masked."""
+    flat = [*originals, *(pair for pairs in retrieved for pair in pairs)]
+    n = max(len(t) for t, _ in flat)
     width = max(len(pairs) for pairs in retrieved)
-    if not width:
-        return text0, image0, mask0, None, None, None, None
-    shape = (len(retrieved), width)
-    texts = np.zeros(shape + (n, text0.shape[-1]),
-                     np.result_type(*{t.dtype for t, _ in flat}))
-    images = np.zeros(shape + image0.shape[1:], np.result_type(*{v.dtype for _, v in flat}))
+    shape = (len(retrieved), 1 + width)
+    text = np.zeros(shape + (n, flat[0][0].shape[-1]), np.result_type(*{t.dtype for t, _ in flat}))
+    image = np.zeros(shape + flat[0][1].shape, np.result_type(*{v.dtype for _, v in flat}))
     lengths = np.ones(shape, dtype=np.int64)
     for b, pairs in enumerate(retrieved):
-        for j, (t, v) in enumerate(pairs):
-            texts[b, j, : len(t)] = t
-            images[b, j] = v
+        for j, (t, v) in enumerate([originals[b], *pairs]):
+            text[b, j, : len(t)] = t
+            image[b, j] = v
             lengths[b, j] = len(t)
-    return (text0, image0, mask0, texts, images, mask(lengths),
-            model.key_mask([1 + len(pairs) for pairs in retrieved]))
+    text_mask = np.where(np.arange(n) < lengths[..., None], 0.0, model.MASKED)
+    slots = np.array([len(pairs) for pairs in retrieved])[:, None]
+    stream_mask = np.where(np.arange(1 + width) <= slots, 0.0, model.MASKED)
+    return text, image, text_mask, stream_mask
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -628,12 +678,8 @@ def test_gathered_streams_equal_copy_loops(rng, dtype, r):
                          [[pool[k] for k in ks] for ks in chosen]),
            model.gather_streams(texts, images, [1 + i for i in items],
                                 [[1 + k for k in ks] for ks in chosen])]
-    fields = ("text0", "image0", "text0_mask", "texts", "images", "text_mask",
-              "stream_mask")
     for streams in got:
-        for name, a in zip(fields, want):
+        for name, a in zip(("text", "image", "text_mask", "stream_mask"), want):
             b = getattr(streams, name)
-            assert (a is None) == (b is None), name
-            if a is not None:
-                assert a.dtype == b.dtype and a.shape == b.shape, name
-                assert np.array_equal(a, b), name
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name

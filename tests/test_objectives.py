@@ -216,14 +216,6 @@ def test_rdrop_penalizes_disagreement(rng):
         ops.cross_entropy(ops.constant(logits_a), targets).value.item())
 
 
-def test_rdrop_requires_active_dropout(rng):
-    logits = ops.constant(rng.normal(size=(2, 3)))
-    with pytest.raises(ContractViolation):
-        rdrop_loss(logits, logits, [0, 1], alpha=0.6, dropout_active=False)
-    # alpha=0 is the explicit plain-CE escape hatch
-    rdrop_loss(logits, logits, [0, 1], alpha=0.0, dropout_active=False)
-
-
 # -- AdamW ----------------------------------------------------------------------
 
 def test_adamw_first_step_is_signlike():
