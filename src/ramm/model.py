@@ -32,10 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ContractViolation, FormatError, MissingArtifactError, StructureError
+from .errors import ConfigError, ContractViolation, FormatError, MissingArtifactError
 from .ops import Node
 from .tensor import load_tensor, save_tensor
-from .textio import read_text
+from .textio import read_lines, read_text
 
 PAD, CLS, MASK, UNK = "[pad]", "[cls]", "[mask]", "[unk]"
 SPECIALS = [PAD, CLS, MASK, UNK]
@@ -77,9 +77,9 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        tokens = read_text(path).splitlines()
+        tokens = read_lines(path)
         if tokens[: len(SPECIALS)] != SPECIALS:
-            raise StructureError(f"{path}: vocabulary missing special tokens")
+            raise FormatError(f"{path}: the first lines are not the special tokens {SPECIALS}")
         return cls(tokens[len(SPECIALS) :])
 
 
@@ -294,7 +294,8 @@ def load_params(directory, shapes: dict[str, tuple] | None = None) -> dict[str, 
     for name, dims in listed.items():
         t = load_tensor(directory / f"{name}.ten")
         if dims != t.shape:
-            raise StructureError(f"{name}: manifest shape {dims} != file {t.shape}")
+            raise FormatError(f"{directory / f'{name}.ten'}: shape {t.shape}, "
+                              f"the manifest lists {dims}")
         params[name] = ops.param(t.array.astype(np.float32))
     return params
 

@@ -20,7 +20,7 @@ from .corpus import ImageTextPair, read_pairs_jsonl
 from .errors import ConfigError
 from .model import Vocab
 from .tensor import load_tensor, save_tensor
-from .textio import read_jsonl, read_text, write_jsonl
+from .textio import read_jsonl, read_lines, write_jsonl
 
 OPEN_ANSWERS = ["lesion", "fracture", "edema", "tumor", "cyst", "stenosis"]
 OPEN_TEMPLATE = "what finding is present in this image"
@@ -166,7 +166,7 @@ def load_vqa_items(path) -> list[VQAItem]:
 
 def load_answers(data_dir) -> list[str]:
     """The answer vocabulary of `data_dir`: the lines of its answers.txt."""
-    return read_text(Path(data_dir) / "answers.txt").splitlines()
+    return read_lines(Path(data_dir) / "answers.txt")
 
 
 def load_corpus(data_dir):

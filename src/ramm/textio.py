@@ -16,6 +16,16 @@ def read_text(path, error=FormatError) -> str:
         raise error(f"{path}: UnicodeDecodeError: {exc}") from None
 
 
+def read_lines(path) -> list[str]:
+    """The lines of `path` (see read_text), the entries of a vocabulary: a
+    line that repeats an earlier one raises FormatError naming file and lines."""
+    first: dict[str, int] = {}
+    for number, line in enumerate(lines := read_text(path).splitlines(), 1):
+        if first.setdefault(line, number) != number:
+            raise FormatError(f"{path} line {number}: {line!r} repeats line {first[line]}")
+    return lines
+
+
 def read_jsonl(path, cls=None, check=None) -> list:
     """The records of `path`, one per non-blank line: a JSON object, or `cls(**object)`
     with each field of exactly its annotated type (`true` is no int), passed to

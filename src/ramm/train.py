@@ -94,9 +94,11 @@ def pretrain_losses(params, momentum, mcfg: ModelConfig, tcfg: TrainConfig,
     masked: each caption's mask_tokens output. `momentum` holds the
     distillation teacher, unused when tcfg.distill_weight is 0. Each loss is
     the mean over the batch of the per-pair losses."""
-    w = encode_text(params, mcfg, ids, dctx)
+    b = len(ids)
+    # one encode: the clean captions, then their corrupted copies of equal lengths
+    texts = encode_text(params, mcfg, ids + [corrupted for corrupted, _, _ in masked], dctx)
     v = encode_image(params, mcfg, patches, dctx)
-    tmat = project_itc(cls_rows(w), params, "text")
+    tmat = project_itc(ops.slice_rows(cls_rows(texts), 0, b), params, "text")
     imat = project_itc(cls_rows(v), params, "image")
     if tcfg.distill_weight > 0.0:
         tm = project_itc(cls_rows(encode_text(momentum, mcfg, ids)), momentum, "text")
@@ -106,20 +108,17 @@ def pretrain_losses(params, momentum, mcfg: ModelConfig, tcfg: TrainConfig,
     else:
         loss_itc = itc_loss(tmat, imat, tcfg.itc_temperature)
 
-    # ITM: the B matched pairs, then the same images with deranged captions
-    b = len(ids)
-    mask = key_mask([len(seq) for seq in ids])
-    wl, vl = fuse(params, mcfg, ops.concat_rows([w, ops.gather_rows(w, perm)]),
-                  ops.concat_rows([v, v]), [], dctx,
-                  text_masks=[np.concatenate([mask, mask[perm]])])
-    loss_itm = itm_loss(itm_head(params, cls_rows(wl), cls_rows(vl)), [1] * b + [0] * b)
+    # one fusion pass over 3B rows, each image thrice: the B matched pairs and
+    # the deranged captions (ITM), then the corrupted captions (MLM)
+    order = np.concatenate([np.arange(b), perm, np.arange(b, 2 * b)])
+    wl, vl = fuse(params, mcfg, ops.gather_rows(texts, order), ops.concat_rows([v, v, v]), [],
+                  dctx, text_masks=[key_mask([len(seq) for seq in ids])[order % b]])
+    loss_itm = itm_loss(itm_head(params, *(ops.slice_rows(cls_rows(x), 0, 2 * b)
+                                           for x in (wl, vl))), [1] * b + [0] * b)
 
-    # MLM over corrupted captions fused with their images; each caption's
-    # masked positions share its 1/B of the loss
-    wc = encode_text(params, mcfg, [corrupted for corrupted, _, _ in masked], dctx)
-    wl, _ = fuse(params, mcfg, wc, v, [], dctx, text_masks=[mask])
+    # each caption's masked positions share its 1/B of the MLM loss
     n = wl.value.shape[-2]
-    rows = [i * n + p for i, (_, positions, _) in enumerate(masked) for p in positions]
+    rows = [(2 * b + i) * n + p for i, (_, positions, _) in enumerate(masked) for p in positions]
     targets = [t for _, _, tgts in masked for t in tgts]
     weights = [1.0 / (b * len(positions)) for _, positions, _ in masked for _ in positions]
     loss_mlm = mlm_loss(ops.reshape(wl, (-1, mcfg.d)), params, rows, targets, weights)
@@ -132,12 +131,17 @@ def pretrain(data_dir, out_dir, mcfg: ModelConfig, tcfg: TrainConfig, steps: int
         raise ConfigError("steps must be at least 1")
     if tcfg.batch_size < 2:   # ITC and ITM contrast each pair with the batch's others
         raise ConfigError(f"pretrain needs batch_size of at least 2, got {tcfg.batch_size}")
+    if mcfg.max_text_len < 2:   # MLM masks a token after CLS
+        raise ConfigError(f"pretrain needs max_text_len of at least 2, got {mcfg.max_text_len}")
     data_dir = Path(data_dir)
     vocab = Vocab.load(data_dir / "vocab.txt")
     pairs, load_patches = load_corpus(data_dir)
     if len(pairs) < tcfg.batch_size:
         raise ConfigError("corpus smaller than batch size")
     token_ids = [tokenize(p.caption, vocab, mcfg.max_text_len) for p in pairs]
+    if bare := [p for p, seq in zip(pairs, token_ids) if len(seq) < 2]:
+        raise FormatError(f"{data_dir / 'corpus' / 'pairs.jsonl'}: pair_id {bare[0].pair_id} "
+                          f"has no token for MLM to mask in caption {bare[0].caption!r}")
     patches = np.stack([check_patches(load_patches(p.image_ref), mcfg,
                                       f"pair_id {p.pair_id} ({data_dir / 'corpus' / p.image_ref})")
                         for p in pairs])

@@ -806,6 +806,12 @@ _TRAIN, _TEST, _PAIRS = "vqa_train.jsonl", "vqa_test.jsonl", "corpus/pairs.jsonl
 _NOT_UTF8 = b"[pad]\n\xff\xfe\n"
 
 
+def _repeat_line(path, number):
+    """Insert a copy of line `number` of a text file right after it."""
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:number] + lines[number - 1:]) + "\n")
+
+
 def _null_caption(path):
     record = json.loads(path.read_text().splitlines()[1])
     _set_line(path, json.dumps({**record, "caption": None}))
@@ -850,6 +856,19 @@ _CORRUPTIONS = {
                             {}, EXIT_FORMAT, f"pairs.jsonl line 2: ValueError: pair_id {2**64} "),
     "vocab.txt not UTF-8": ("build-index", lambda d, t: (d / "vocab.txt").write_bytes(_NOT_UTF8),
                             {}, EXIT_FORMAT, "vocab.txt: UnicodeDecodeError"),
+    "vocab.txt without the special tokens": (
+        "pretrain", lambda d, t: _set_line(d / "vocab.txt", "zebra"), {}, EXIT_FORMAT,
+        "vocab.txt: the first lines are not the special tokens"),
+    "vocab.txt token listed twice": ("pretrain", lambda d, t: _repeat_line(d / "vocab.txt", 5),
+                                     {}, EXIT_FORMAT, "vocab.txt line 6: "),
+    "answers.txt answer listed twice": (
+        "pretrain", lambda d, t: _repeat_line(d / "answers.txt", 1), {}, EXIT_FORMAT,
+        "answers.txt line 2: "),
+    "pairs caption with no token": (
+        "pretrain", lambda d, t: _edit_record(d / _PAIRS, caption="!!! ..."), {}, EXIT_FORMAT,
+        "pairs.jsonl: pair_id 2 has no token for MLM to mask"),
+    "pretrain max-text-len 1": ("pretrain", lambda d, t: None, {"--max-text-len": "1"},
+                                EXIT_CONFIG, "pretrain needs max_text_len of at least 2"),
     "answers.txt not UTF-8": ("eval", lambda d, t: (d / "answers.txt").write_bytes(_NOT_UTF8),
                               {}, EXIT_FORMAT, "answers.txt: UnicodeDecodeError"),
     "config file not UTF-8": ("finetune", lambda d, t: (t / "c.cfg").write_bytes(_NOT_UTF8),
@@ -905,8 +924,8 @@ def test_malformed_input_exits_with_one_named_line(pipeline, tmp_path, capsys, m
     }[command]
     flags.update({k: v.format(t=tmp_path) for k, v in overrides.items()})
     config = ["--config", flags.pop("--config")] if "--config" in flags else []
-    argv = [*config, command, *(x for kv in flags.items() for x in kv),
-            *(MODEL_FLAGS if command == "pretrain" else [])]
+    argv = [*config, command, *(MODEL_FLAGS if command == "pretrain" else []),
+            *(x for kv in flags.items() for x in kv)]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
@@ -914,6 +933,37 @@ def test_malformed_input_exits_with_one_named_line(pipeline, tmp_path, capsys, m
               EXIT_ERROR: "error: ", EXIT_BAD_R: "invalid r "}[code]
     assert err.startswith(prefix) and fragment in err, err
     assert not steps, f"{len(steps)} optimizer steps ran before the refusal"
+
+
+def test_checkpoint_tensor_of_another_shape_exits_format_naming_it(pipeline, tmp_path, capsys):
+    """A weights file whose shape differs from its manifest line ends in one
+    stderr line that names the file."""
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(pipeline["ckpt"], ckpt)
+    bad = ckpt / "weights" / "proj.text.b.ten"
+    save_tensor(Tensor(np.ones((3, 3), dtype=np.float32)), bad)
+    assert main(["build-index", "--checkpoint", str(ckpt), "--data", str(pipeline["data"]),
+                 "--out", str(tmp_path / "index.idx")]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"format error: {bad}: shape (3, 3)"), err
+
+
+def test_pretrain_with_dropout_is_reproducible(pipeline, tmp_path):
+    """Two pretrain runs at dropout 0.1 with one seed write the same bytes,
+    weights included; the masks are live, since a run without dropout
+    writes other weights."""
+    runs = {}
+    for name, dropout in (("a", "0.1"), ("b", "0.1"), ("off", "0.0")):
+        out = tmp_path / name
+        assert main(["pretrain", "--data", str(pipeline["data"]), "--out", str(out),
+                     "--steps", "3", "--batch-size", "4", "--seed", "5", *MODEL_FLAGS,
+                     "--dropout", dropout]) == EXIT_OK
+        runs[name] = {str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()}
+    assert "weights/mlm.w.ten" in runs["a"] and runs["a"] == runs["b"]
+    assert runs["off"]["weights/mlm.w.ten"] != runs["a"]["weights/mlm.w.ten"]
 
 
 def test_finetune_and_eval_build_only_float32_nodes(pipeline, tmp_path, monkeypatch):

@@ -599,6 +599,75 @@ def test_pretrain_losses_batch_matches_items(rng):
     _assert_same_grads(_grads(params), want)
 
 
+def _pretrain_step_inputs(cfg, rng, b=8):
+    """A student, a momentum teacher and one pretrain batch of b pairs whose
+    captions differ in length, with their mask_tokens outputs."""
+    from ramm.objectives import TrainConfig, mask_tokens
+
+    tcfg = TrainConfig(batch_size=b)
+    vocab = Vocab([f"w{i}" for i in range(cfg.vocab_size - 4)])
+    ids = [[1, *rng.integers(4, cfg.vocab_size, size=n).tolist()]
+           for n in rng.integers(1, cfg.max_text_len, size=b)]
+    masked = [mask_tokens(seq, tcfg.mask_rate, 40 + i, vocab) for i, seq in enumerate(ids)]
+    patches = rng.normal(size=(b, cfg.patch_grid**2, cfg.d_patch))
+    return (micro_params(cfg, dtype=np.float32), micro_params(cfg, seed=8, dtype=np.float32),
+            cfg, tcfg, ids, patches, np.roll(np.arange(b), 1), masked)
+
+
+def test_pretrain_step_draws_each_dropout_mask_once(rng, monkeypatch):
+    """Within one pretrain step every dropout site draws its mask once, over
+    all the rows it drops, so no (tag, step, pass) key repeats: the clean and
+    the corrupted captions, and the ITM and MLM fusion rows, get masks of
+    their own."""
+    from ramm.train import pretrain_losses
+
+    cfg = micro_config(l_fuse=2, dropout_rate=0.5)
+    keys = []
+    mask = DropoutPlan.mask
+    monkeypatch.setattr(DropoutPlan, "mask", lambda self, tag, shape: (
+        keys.append((tag, self.step, self.pass_idx)) or mask(self, tag, shape)))
+    pretrain_losses(*_pretrain_step_inputs(cfg, rng), DropoutPlan(seed=3, rate=0.5).at(step=5))
+    assert keys and len(set(keys)) == len(keys), sorted(keys)
+
+
+def test_pretrain_step_is_one_encode_and_one_fuse(rng, monkeypatch):
+    """On the criterion-07 model config, which the finetune-r4 benchmark
+    pretrains, one pretrain step encodes the student's texts once and fuses
+    once, and builds at most 120 nodes (150 with a second text encode and
+    a second fusion pass)."""
+    from ramm import train
+    from ramm.objectives import pretrain_loss
+
+    cfg = ModelConfig(vocab_size=40, n_answers=5, d=32, n_head=2, l_fuse=1, l_text=1,
+                      l_image=1, d_proj=16, max_text_len=16, patch_grid=2, d_patch=16,
+                      d_ff=64, dropout_rate=0.0)
+    inputs = _pretrain_step_inputs(cfg, rng)
+    calls = []
+
+    def recording(name):
+        real = getattr(train, name)
+
+        def call(params, *args, **kwargs):
+            if params is inputs[0]:   # the student's, not the momentum teacher's
+                calls.append(name)
+            return real(params, *args, **kwargs)
+        return call
+
+    for name in ("encode_text", "fuse"):
+        monkeypatch.setattr(train, name, recording(name))
+    count = [0]
+    init = ops.Node.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ops.Node, "__init__", counting)
+    pretrain_loss(*train.pretrain_losses(*inputs))
+    assert sorted(calls) == ["encode_text", "fuse"]
+    assert count[0] <= 120, count[0]
+
+
 def test_batched_evaluate_matches_items(tmp_path, monkeypatch):
     """evaluate in batches predicts and retrieves what it does item by item."""
     from ramm import train
