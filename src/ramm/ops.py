@@ -240,7 +240,7 @@ def multi_head_attention(x_q, x_kv, wq, bq, wk, wv, bv, wo, bo, n_head: int,
     z = (q @ _swap(k)) * s
     if mask is not None:
         z = (z + mask.reshape(lead + (1, 1, nk))).astype(z.dtype, copy=False)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e = np.exp(z - _row_max(z))
     y = e / e.sum(axis=-1, keepdims=True)
     m2 = np.transpose(y @ v, heads).reshape(-1, d)
     out = (m2 @ wo + bo).reshape(lead + (nq, d))
@@ -263,6 +263,15 @@ def multi_head_attention(x_q, x_kv, wq, bq, wk, wv, bv, wo, bo, n_head: int,
                 xkv2.T @ gv, gv.sum(axis=0), m2.T @ g2, g2.sum(axis=0))
 
     return Node(out, parents, vjp)
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True), but for the sign of a zero maximum, by
+    one np.maximum per column: faster than the reduction over a few keys."""
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = np.maximum(out, a[..., j])
+    return out[..., None]
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:

@@ -104,14 +104,14 @@ def _screen(index: EmbeddingIndex, which: str, q: np.ndarray, k: int
     err = (2 * ((d + 1) * 2.0**-24 + d * 2.0**-53) * bound * q_norm
            + d * (1 + bound) * 2.0**-148)
     s32 = family @ q.astype(np.float32)
-    # the k-th largest s32 of the first block bounds T from below, so only
-    # the few rows above it are partitioned
-    head = s32[:max(SCORE_BLOCK, k)]
-    top = s32[s32 >= np.partition(head, head.size - k)[head.size - k]]
-    kth = np.partition(top, top.size - k)[top.size - k]
-    # compared in float64 (a Python float next to a float32 array would be
+    # the first block's k-th largest s32 is at most T, so one pass cut at it
+    # minus 2E keeps every row the screen names and the k rows giving T.
+    # Compared in float64 (a Python float next to a float32 array would be
     # rounded to float32), so the rows kept are exactly those the bound names
-    return np.flatnonzero(s32 >= np.float64(kth) - 2 * err)
+    rows = np.flatnonzero(s32 >= np.float64(np.partition(s32[:max(SCORE_BLOCK, k)], -k)[-k])
+                          - 2 * err)
+    top = s32[rows]
+    return rows[top >= np.float64(np.partition(top, -k)[-k]) - 2 * err]
 
 
 def search_topr(query_vec, index: EmbeddingIndex, which: str, r: int
@@ -198,27 +198,40 @@ class CandidatePool(list):
         return ordered, scores - scores.min() + 1e-6
 
 
-def select_training(pool: list[RetrievalCandidate], r: int, seed: int
-                    ) -> RetrievalResult:
+def select_training(pool: list[RetrievalCandidate], r: int, seed: int | list[int]
+                    ) -> RetrievalResult | list[RetrievalResult]:
     """Sample r distinct pairs, probability proportional to min-shifted
     scores (p_j ~ s_j - min_pool + eps), sequentially without replacement.
     Neither the pool nor its candidates are modified, so one pool can serve
     any number of draws. Each draw is `rng.choice(len(live), p=w / w.sum())`
     over the live weights w, computed as that method does, with the
-    uniforms drawn at once; so the picks are choice's."""
+    uniforms drawn at once; so the picks are choice's.
+
+    An int seed gives one result; a 1-D sequence of seeds gives one per
+    seed, drawn together as the rows of one array. Every row has as many
+    live weights at each pick, so each row's pairwise sum, cumsum and
+    normalization are bitwise those of a lone draw."""
     if not pool:
         raise ContractViolation("select_training requires a nonempty pool")
     if not isinstance(pool, CandidatePool):
         pool = CandidatePool(pool)
     ordered, weights = pool.draw_table
-    live = list(range(len(ordered)))
-    chosen: list[RetrievalCandidate] = []
-    for u in np.random.default_rng(seed).random(min(r, len(ordered))):
-        w = weights[live]
-        cdf = np.cumsum(w / w.sum())
-        cdf /= cdf[-1]
-        chosen.append(ordered[live.pop(int(cdf.searchsorted(u, side="right")))])
-    return _result(Mode.TRAIN, chosen, len(pool), len(ordered) < r)
+    lone = np.ndim(seed) == 0
+    seeds = [seed] if lone else seed
+    n, m, rows = len(ordered), min(r, len(ordered)), len(seeds)
+    u = np.array([np.random.default_rng(s).random(m) for s in seeds]).reshape(rows, m)
+    w = weights[None].repeat(rows, axis=0)   # each row's live weights
+    at = np.empty((rows, m), dtype=np.intp)  # each pick's position among them
+    for j in range(m):
+        cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        at[:, j] = (cdf > u[:, j:j + 1]).argmax(axis=1)   # cdf.searchsorted(u, side="right")
+        w = w[np.arange(n - j) != at[:, j:j + 1]].reshape(rows, n - j - 1)
+    results = []
+    for row in at.tolist():
+        live = list(ordered)
+        results.append(_result(Mode.TRAIN, [live.pop(i) for i in row], len(pool), n < r))
+    return results[0] if lone else results
 
 
 def select_inference(pool: list[RetrievalCandidate], r: int) -> RetrievalResult:

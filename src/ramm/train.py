@@ -291,8 +291,9 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     adds fresh Gaussian noise, cast to the states' dtype, to the instance's
     image states every step, a cheap augmentation that discourages
     memorizing individual images.
-    Each item's retrieval pool is computed once per run; each step draws
-    from the pools of its batch and builds one graph for the whole batch.
+    Each item's retrieval pool is computed once per run, and before step 0
+    one select_training call draws from it for every step the item is in;
+    a step gathers its batch's streams and builds one graph for the batch.
     """
     if r < 0:
         raise ConfigError("r must be non-negative")
@@ -312,55 +313,50 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     pools = [candidate_pool(q, index, r) for q in stage.query_vecs] if r > 0 else []
     stage.encode(c.pair_id for pool in pools for c in pool)
 
-    steps_per_epoch = max(1, len(items) // tcfg.batch_size)
-    total_steps = epochs * steps_per_epoch
+    # before step 0: each step's items, from one ft-order permutation per
+    # epoch, and their retrieval draws, one select_training call per item
+    b, rng = tcfg.batch_size, np.random.default_rng(_sub_seed(tcfg.seed, "ft-order"))
+    orders = [rng.permutation(len(items)) for _ in range(epochs)]
+    batches = np.array([order[b0 : b0 + b] for order in orders
+                        for b0 in range(0, max(1, len(items) // b) * b, b)])
+    selected: list[list[list[int]]] = [[[] for _ in idx] for idx in batches]
+    for i, pool in enumerate(pools):
+        steps, cols = (a.tolist() for a in np.nonzero(batches == i))
+        draws = select_training(pool, r, [_sub_seed(tcfg.seed, "select", step, items[i].item_id)
+                                          for step in steps])
+        for step, col, res in zip(steps, cols, draws):
+            selected[step][col] = [pid for pid, _ in res.selected]
+
     opt = AdamW(params, lr=tcfg.lr, weight_decay=tcfg.weight_decay,
-                total_steps=total_steps, trainable_prefixes=("fuse.", "vqa."))
+                total_steps=len(batches), trainable_prefixes=("fuse.", "vqa."))
     ema_flat = ops.param(opt.buffer.value.copy())  # the EMA of the trainable tensors
     ema_init = opt.buffer.value.astype(np.float64)
     base_plan = DropoutPlan(_sub_seed(tcfg.seed, "ft-dropout"), mcfg.dropout_rate)
-    rng = np.random.default_rng(_sub_seed(tcfg.seed, "ft-order"))
     use_rdrop = tcfg.rdrop_alpha > 0.0 and mcfg.dropout_rate > 0.0
     log_lines = []
-    step = 0
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)   # an unusable --out fails before any step
     # a diverging step surfaces as AdamW's DivergenceError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            order = rng.permutation(len(items))
-            for b0 in range(0, steps_per_epoch * tcfg.batch_size, tcfg.batch_size):
-                idx = order[b0 : b0 + tcfg.batch_size]
-                batch = [items[int(i)] for i in idx]
-                selected: list[list[int]] = [[] for _ in batch]
-                if r > 0:
-                    selected = [
-                        [pid for pid, _ in select_training(
-                            pools[i], r,
-                            _sub_seed(tcfg.seed, "select", step, it.item_id)).selected]
-                        for it, i in zip(batch, idx)]
-                streams = stage.streams(idx, selected)
-                if feature_noise > 0.0:   # stream 0's image states, slot 0 of the stack
-                    noise = np.stack([
-                        feature_noise * np.random.default_rng(
-                            _sub_seed(tcfg.seed, "aug", step, it.item_id)
-                        ).normal(size=streams.image.shape[2:])
-                        for it in batch])
-                    streams.image[:, 0] += noise.astype(streams.image.dtype)
+        for step, idx in enumerate(batches):
+            streams = stage.streams(idx, selected[step])
+            if feature_noise > 0.0:   # stream 0's image states, slot 0 of the stack
+                streams.image[:, 0] += np.stack([feature_noise * np.random.default_rng(
+                    _sub_seed(tcfg.seed, "aug", step, items[i].item_id)
+                ).normal(size=streams.image.shape[2:]) for i in idx]).astype(streams.image.dtype)
 
-                def forward(pass_idx: int) -> ops.Node:
-                    return answer_logits(params, mcfg, streams, base_plan.at(step, pass_idx))
+            def forward(pass_idx: int) -> ops.Node:
+                return answer_logits(params, mcfg, streams, base_plan.at(step, pass_idx))
 
-                if use_rdrop:
-                    total = rdrop_loss(forward(0), forward(1), targets[idx], tcfg.rdrop_alpha)
-                else:
-                    total = ops.cross_entropy(forward(0), targets[idx])
-                ops.zero_grads(params.values())
-                ops.backward(total)
-                lr = opt.step()
-                ema_update({"": ema_flat}, {"": opt.buffer}, tcfg.ema_decay)
-                log_lines.append(f"{step}\t{float(total.value):.6f}\t{lr:.6g}")
-                step += 1
+            if use_rdrop:
+                total = rdrop_loss(forward(0), forward(1), targets[idx], tcfg.rdrop_alpha)
+            else:
+                total = ops.cross_entropy(forward(0), targets[idx])
+            ops.zero_grads(params.values())
+            ops.backward(total)
+            lr = opt.step()
+            ema_update({"": ema_flat}, {"": opt.buffer}, tcfg.ema_decay)
+            log_lines.append(f"{step}\t{float(total.value):.6f}\t{lr:.6g}")
 
     save_checkpoint(out_dir, params, mcfg, extra={
         "stage": "finetune", "seed": tcfg.seed, "r": r, "epochs": epochs,
@@ -368,7 +364,7 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
     })
     # Adam-style bias correction: the EMA starts cold at the initial weights,
     # which dominates short runs unless the decay^T leakage is divided out
-    leak = tcfg.ema_decay ** max(step, 1)
+    leak = tcfg.ema_decay ** len(batches)
     if leak < 1.0:
         ema_flat.value[...] = (ema_flat.value.astype(np.float64)
                                - leak * ema_init) / (1.0 - leak)

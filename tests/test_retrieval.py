@@ -412,9 +412,34 @@ def test_draw_table_picks_equal_choice_loop():
             assert select_training(table_pool, r, trial).selected == want, trial
 
 
+def test_multi_seed_draw_equals_single_draws():
+    """select_training over a list of seeds gives, seed by seed, the result
+    of its int-seed call and the picks of the rng.choice loop: pools of 1-16
+    candidates (8 or more run numpy's unrolled pairwise sum), r from 1 to 8
+    (past the pool size flagged), equal, near-equal and widely spread
+    scores."""
+    rng = np.random.default_rng(21)
+    for trial in range(600):
+        n, r = int(rng.integers(1, 17)), int(rng.integers(1, 9))
+        scores = [np.full(n, rng.normal()), 0.3 + 1e-6 * rng.random(n),
+                  1e3 * rng.normal(size=n)][trial % 3]
+        ids = rng.permutation(50)[:n] + 1
+        pool = [RetrievalCandidate(int(i), s_w=float(s)) if trial % 2
+                else RetrievalCandidate(int(i), s_v=float(s)) for i, s in zip(ids, scores)]
+        seeds = [int(x) for x in rng.integers(0, 2**63, size=int(rng.integers(1, 12)))]
+        many = select_training(pool, r, seeds)
+        assert isinstance(many, list) and len(many) == len(seeds)
+        for seed, res in zip(seeds, many):
+            assert res == select_training(pool, r, seed), (trial, seed)
+            assert res.selected == _choice_loop_selection(pool, r, seed), (trial, seed)
+            assert res.flagged == (n < r) and len(res.selected) == min(n, r)
+    assert select_training(pool, r, []) == []
+
+
 def test_finetune_builds_each_pool_once(tmp_path, monkeypatch):
     """A fine-tune computes one pool per training item and never runs the
-    full per-query pipeline; only the seeded draw happens every step."""
+    full per-query pipeline; it draws all of an item's retrievals for the
+    run, one per step the item appears in, with one select_training call."""
     from ramm import train
     from ramm.model import ModelConfig, Vocab
     from ramm.objectives import TrainConfig
@@ -445,8 +470,9 @@ def test_finetune_builds_each_pool_once(tmp_path, monkeypatch):
     train.finetune(ckpt, idx, data, 2, TrainConfig(seed=0, batch_size=4),
                    tmp_path / "ft", epochs=3)
     n_items = len(load_vqa_items(data / "vqa_train.jsonl"))
+    assert n_items % 4 == 0   # so every item appears in every epoch
     assert calls == {"candidate_pool": n_items, "retrieve_by_vector": 0,
-                     "select_training": 3 * (n_items // 4) * 4}
+                     "select_training": n_items}
 
 
 # -- float32 screen, exact rescoring -------------------------------------------------
@@ -539,6 +565,42 @@ def test_screened_search_matches_oracle_bits(rng, d, kind):
                     got = _found(search_topr(q, index, which, r), which)
                     want = _exact_topr(q, family, index.pair_ids, r)
                     assert _same_bits(got, want), (n, r, which)
+
+
+def _screen_oracle(index, which, q, k):
+    """The rows whose float32 score s32 reaches T - 2E, with T the k-th
+    largest s32 from a partition of the whole family and E the bound
+    `_screen` documents."""
+    family = index.family(which)
+    n, d = family.shape
+    bound, q_norm = index.norm_bound(which), float(np.linalg.norm(q))
+    err = (2 * ((d + 1) * 2.0**-24 + d * 2.0**-53) * bound * q_norm
+           + d * (1 + bound) * 2.0**-148)
+    s32 = family @ q.astype(np.float32)
+    return np.flatnonzero(s32 >= np.float64(np.partition(s32, n - k)[n - k]) - 2 * err)
+
+
+@pytest.mark.parametrize("kind", ["unit", "duplicate", "few"])
+def test_screen_keeps_exactly_the_rows_the_bound_names(rng, kind):
+    """One cut at the first block's k-th largest score keeps exactly the rows
+    a whole-family partition names, for k from 1 to past the block edge, on
+    families with many exact ties."""
+    n, d = 2 * SCORE_BLOCK + 37, 8
+    family = _unit_rows(rng, n, d)
+    if kind == "duplicate":   # about half the rows copy another one
+        pick = rng.random(n) < 0.5
+        family[pick] = family[rng.integers(0, n, size=pick.sum())]
+    elif kind == "few":       # every row one of 5 vectors: ties span the blocks
+        family = family[rng.integers(0, 5, size=n)]
+    index = EmbeddingIndex(d_proj=d, fingerprint=1, pair_ids=np.arange(n, dtype=np.uint64),
+                           source_tags=np.zeros(n, dtype=np.uint8), text_vecs=family,
+                           image_vecs=family, captions=[""] * n)
+    for trial in range(3):
+        q = family[rng.integers(n)].astype(np.float64) if trial else rng.normal(size=d)
+        q /= np.linalg.norm(q)
+        for k in (1, 4, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, n - 1):
+            got = retrieval._screen(index, "text", q, k)
+            assert np.array_equal(got, _screen_oracle(index, "text", q, k)), (trial, k)
 
 
 def _counting_scores(monkeypatch):

@@ -584,6 +584,24 @@ def test_multi_head_attention_every_key_masked_stays_finite(rng):
     assert all(np.all(np.isfinite(n.grad)) for n in nodes)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7, 1), (3, 2), (8, 5, 2, 8, 8), (40, 9), (40, 17)])
+def test_row_max_equals_max_reduction(rng, dtype, shape):
+    """The softmax shift of multi_head_attention equals max(axis=-1,
+    keepdims=True) on rows of finite values and on rows mixing NaN, +-inf
+    and +-0 (NaN wins, as in the reduction), one-column rows included. The
+    sign of a zero maximum may differ, which leaves exp(z - max) unchanged."""
+    finite = rng.normal(size=shape).astype(dtype)
+    special = rng.choice(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0]),
+                         size=shape).astype(dtype)
+    for z in (finite, special):
+        got, want = ops._row_max(z), z.max(axis=-1, keepdims=True)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        with np.errstate(invalid="ignore"):   # inf - inf
+            assert np.array_equal(np.exp(z - got), np.exp(z - want), equal_nan=True)
+
+
 @pytest.mark.parametrize("case", MHA_CASES)
 def test_multi_head_attention_ignores_a_key_bias(case):
     """A key bias adds q·b_k to every score of a query's row, which the
