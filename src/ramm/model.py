@@ -109,13 +109,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_ff is None:
             self.d_ff = 4 * self.d
-        dims = [
-            self.vocab_size, self.n_answers, self.d, self.n_head, self.l_fuse,
-            self.l_text, self.l_image, self.d_proj, self.max_text_len,
-            self.patch_grid, self.d_patch, self.d_ff,
-        ]
-        if any(v < 1 for v in dims):
-            raise ConfigError("all model dimensions must be >= 1")
+        dims = {k: v for k, v in vars(self).items() if k != "dropout_rate"}
+        if bad := [k for k, v in dims.items() if type(v) is not int or v < 1]:
+            raise ConfigError(f"model dimension {bad[0]} = {dims[bad[0]]!r} "
+                              "is not a positive integer")
         if self.d % self.n_head != 0:
             raise ConfigError(f"d={self.d} not divisible by n_head={self.n_head}")
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -404,15 +401,12 @@ class FusionState:
     or (B, n_j, d) for a batch. Folded, each holds one entry, the stack of
     all r+1 streams with stream 0 in slot 0, (..., r+1, n, d), as a
     StreamBatch holds it or fuse folds it. text_masks holds the additive
-    key mask of each text entry, (B, n) or (..., r+1, n), and stream_mask
-    (B, r+1) drops the retrieved streams an item lacks from
-    retrieval-attention; None masks nothing."""
+    key mask of each text entry, (B, n) or (..., r+1, n)."""
 
     text_streams: list[Node]
     image_streams: list[Node]
     layer_index: int = 0
     text_masks: list | None = None
-    stream_mask: np.ndarray | None = None
     folded: bool = False
 
     @property
@@ -441,7 +435,7 @@ def retrieval_attention(state: FusionState, params, cfg: ModelConfig,
         keys = _ln(params, f"fuse.{layer}.{ln_name}", cls)
         query = ops.slice_rows(keys, 0, 1, axis=-2)
         out = _mha(params, f"fuse.{layer}.{sub}", query, keys, cfg.n_head,
-                   dctx, f"fuse.{layer}.{sub}", state.stream_mask)
+                   dctx, f"fuse.{layer}.{sub}")
         rows = ops.add_to_rows(ops.reshape(streams[0], flat), out)
         return [ops.reshape(rows, streams[0].value.shape)] + streams[1:]
 
@@ -526,25 +520,24 @@ def _fold(streams: list[tuple[Node, Node]], masks: list):
 def fuse(params, cfg: ModelConfig, text0: Node, image0: Node,
          retrieved: list[tuple[Node, Node]],
          dctx: DropoutPlan | None = None, text_masks: list | None = None,
-         stream_mask: np.ndarray | None = None, cls_only: bool = False) -> tuple[Node, Node]:
+         cls_only: bool = False) -> tuple[Node, Node]:
     """Run the full fusion stack; returns final stream-0 representations.
 
     `retrieved` lists one (text, image) node pair per retrieved stream,
     shaped like stream 0 and with texts of any length; stream 0 and they are
     folded here into one stack per modality (see FusionState). With no
-    retrieved pairs but a stream_mask, which only a stack has, text0 and
-    image0 are that stack already, as StreamBatch holds it. With neither,
-    stream 0 runs alone and the retrieval-attention sublayer is skipped
-    entirely, so the r=0 path is the plain co-attention model bit-for-bit;
-    so is a stack of one slot. For a batch, text_masks holds the key mask
-    of text0 (stream 0's or the stack's), then those of the retrieved
-    streams; stream_mask is as in FusionState (see StreamBatch). cls_only,
-    for a caller that reads only CLS rows, makes the last layer compute
-    only those (see fusion_layer), so the result is (..., 1, d).
+    retrieved pairs, a (B, r+1, n, d) text0 and image0 are that stack
+    already, as StreamBatch holds it; (n, d) or (B, n, d) ones are stream 0
+    alone, which runs without the retrieval-attention sublayer, so the r=0
+    path is the plain co-attention model bit-for-bit; so is a stack of one
+    slot. For a batch, text_masks holds the key mask of text0 (stream 0's or
+    the stack's), then those of the retrieved streams. cls_only, for a
+    caller that reads only CLS rows, makes the last layer compute only
+    those (see fusion_layer), so the result is (..., 1, d).
     """
-    folded = bool(retrieved) or stream_mask is not None
+    folded = bool(retrieved) or text0.value.ndim == 4
     state = FusionState([text0], [image0], text_masks=text_masks and text_masks[:1],
-                        stream_mask=stream_mask, folded=folded)
+                        folded=folded)
     if retrieved:
         text, image, mask = _fold([(text0, image0), *retrieved], text_masks or [])
         state = replace(state, text_streams=[text], image_streams=[image], text_masks=[mask])
@@ -562,20 +555,18 @@ class StreamBatch:
     text: np.ndarray          # (B, r+1, n, d), padded
     image: np.ndarray         # (B, r+1, n_patches + 1, d)
     text_mask: np.ndarray     # additive key mask (B, r+1, n)
-    stream_mask: np.ndarray   # additive (B, r+1): 0, or MASKED on a slot an item lacks
 
 
 class StateRows:
     """Encoder states of sequences of at most n positions as the rows of a
-    zero-padded (1 + len(states), n, d) array, with their lengths: states[i]
-    is row i + 1. Row 0, zero and one position long, stands in for a
-    retrieved stream an item lacks."""
+    zero-padded (len(states), n, d) array, with their lengths: states[i] is
+    row i."""
 
     def __init__(self, states: list[np.ndarray]):
-        self.lengths = np.array([1, *map(len, states)], dtype=np.int64)
-        self.values = np.zeros((len(self.lengths), self.lengths.max(), states[0].shape[-1]),
+        self.lengths = np.array([len(a) for a in states], dtype=np.int64)
+        self.values = np.zeros((len(states), self.lengths.max(), states[0].shape[-1]),
                                np.result_type(*{a.dtype for a in states}))
-        for row, a in enumerate(states, 1):
+        for row, a in enumerate(states):
             self.values[row, : len(a)] = a
 
     def gather(self, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -589,21 +580,14 @@ def gather_streams(texts: StateRows, images: StateRows, originals: list[int],
                    retrieved: list[list[int]]) -> StreamBatch:
     """The streams of B items whose states are rows of `texts` and `images`,
     a stream's text and image at the same row: originals[b] is item b's row
-    and retrieved[b] those of its retrieved pairs. The gathered arrays are
-    the stack fuse runs, every text padded to the longest of the batch,
-    stream 0's and the retrieved ones. An item with fewer retrieved pairs than
-    the batch's widest gets row 0, a one-row zero placeholder, in each
-    missing slot, masked out of retrieval-attention by stream_mask, so it
-    fuses exactly as it would alone. Every item keeps at least one retrieved
-    pair when any item has one (retrieval returns min(r, index size) pairs
-    or more for every query).
+    and retrieved[b] those of its retrieved pairs, as many for every item
+    (retrieval returns min(r, index size) pairs for every query). The
+    gathered arrays are the stack fuse runs, every text padded to the
+    longest of the batch, stream 0's and the retrieved ones.
     """
-    width = max(len(rows) for rows in retrieved)
-    slots = np.array([[row, *rows] + [0] * (width - len(rows))
-                      for row, rows in zip(originals, retrieved)])
+    slots = np.array([[row, *rows] for row, rows in zip(originals, retrieved)])
     text, mask = texts.gather(slots)
-    return StreamBatch(text, images.gather(slots)[0], mask,
-                       key_mask([1 + len(rows) for rows in retrieved]))
+    return StreamBatch(text, images.gather(slots)[0], mask)
 
 
 def _cls_pair(w_cls: Node, v_cls: Node) -> Node:

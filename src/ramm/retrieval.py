@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -186,18 +185,6 @@ def complete_scores(pool: list[RetrievalCandidate], query_vec,
     return pool
 
 
-class CandidatePool(list):
-    """A query's pool of RetrievalCandidate. Its draw table is built by the
-    first training draw and kept, so a pool must not change once drawn from."""
-
-    @cached_property
-    def draw_table(self) -> tuple[list[RetrievalCandidate], np.ndarray]:
-        """The candidates by ascending pair_id, and weights s - min_pool + eps."""
-        ordered = sorted(self, key=lambda c: c.pair_id)
-        scores = np.array([c.s for c in ordered], dtype=np.float64)
-        return ordered, scores - scores.min() + 1e-6
-
-
 def select_training(pool: list[RetrievalCandidate], r: int, seed: int | list[int]
                     ) -> RetrievalResult | list[RetrievalResult]:
     """Sample r distinct pairs, probability proportional to min-shifted
@@ -213,9 +200,9 @@ def select_training(pool: list[RetrievalCandidate], r: int, seed: int | list[int
     normalization are bitwise those of a lone draw."""
     if not pool:
         raise ContractViolation("select_training requires a nonempty pool")
-    if not isinstance(pool, CandidatePool):
-        pool = CandidatePool(pool)
-    ordered, weights = pool.draw_table
+    ordered = sorted(pool, key=lambda c: c.pair_id)
+    scores = np.array([c.s for c in ordered], dtype=np.float64)
+    weights = scores - scores.min() + 1e-6
     lone = np.ndim(seed) == 0
     seeds = [seed] if lone else seed
     n, m, rows = len(ordered), min(r, len(ordered)), len(seeds)
@@ -248,10 +235,10 @@ def _result(mode: Mode, chosen: list[RetrievalCandidate], pool_size: int,
                            flagged, [(c.s_w, c.s_v) for c in chosen])
 
 
-def candidate_pool(query_vec, index: EmbeddingIndex, r: int,
-                   exclude_pair_id: int | None = None) -> CandidatePool:
+def candidate_pool(query_vec, index: EmbeddingIndex, r: int) -> list[RetrievalCandidate]:
     """The merged, score-completed pool of both top-r searches for an
-    already-projected image vector, without `exclude_pair_id`. It depends
+    already-projected image vector: at least min(r, len(index)) and at most
+    2r pairs, so every selection from it holds min(r, len(index)). It depends
     only on the query and the index, so a caller with a frozen index and
     query may compute it once and select from it many times. A non-unit
     query is normalized (and counted) once, here. Requires r >= 1 and a
@@ -261,20 +248,16 @@ def candidate_pool(query_vec, index: EmbeddingIndex, r: int,
     q = _prepare_query(query_vec)
     top_w = search_topr(q, index, "text", r)
     top_v = search_topr(q, index, "image", r)
-    pool = complete_scores(merge_candidates(top_w, top_v), q, index)
-    return CandidatePool(c for c in pool if c.pair_id != exclude_pair_id)
+    return complete_scores(merge_candidates(top_w, top_v), q, index)
 
 
 def retrieve_by_vector(query_vec, index: EmbeddingIndex, r: int, mode: Mode,
-                       seed: int = 0, exclude_pair_id: int | None = None
-                       ) -> RetrievalResult:
+                       seed: int = 0) -> RetrievalResult:
     """Dual search + merge + select for an already-projected image vector:
     `candidate_pool`, then `select_training` or `select_inference`."""
     if r == 0:
         return RetrievalResult(mode, [], 0)
-    pool = candidate_pool(query_vec, index, r, exclude_pair_id)
-    if not pool and exclude_pair_id is not None:
-        return RetrievalResult(mode, [], 0, flagged=True)
+    pool = candidate_pool(query_vec, index, r)
     if mode is Mode.TRAIN:
         return select_training(pool, r, seed)
     return select_inference(pool, r)

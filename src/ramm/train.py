@@ -65,7 +65,7 @@ def load_checkpoint(directory, weights: str = "weights"):
         raise MissingArtifactError(f"no checkpoint at {directory}")
     try:
         mcfg = ModelConfig(**json.loads(read_text(cfg_path)))
-    except (ValueError, TypeError) as exc:   # not JSON, or a key ModelConfig lacks
+    except (ValueError, TypeError, ConfigError) as exc:   # not JSON, or not a ModelConfig
         raise FormatError(f"{cfg_path}: {exc}") from exc
     shapes = {name: p.shape for name, p in init_params(mcfg, 0).items()}
     return load_params(directory / weights, shapes), mcfg
@@ -257,13 +257,13 @@ class Stage:
             check_patches(self.load_patches(p.image_ref), self.mcfg,
                           f"pair_id {p.pair_id} ({self.data_dir / 'corpus' / p.image_ref})")
             for p in pairs]) + self._item_states)
-        self._row_of_pair = {pid: row for row, pid in enumerate(pids, 1)}
+        self._row_of_pair = {pid: row for row, pid in enumerate(pids)}
 
     def streams(self, indices, selected: list[list[int]]) -> StreamBatch:
         """The fusion streams of the split's items at `indices`; selected[b]
         lists the pair ids that item b retrieved, each one passed to
         `encode`."""
-        first = 1 + len(self._row_of_pair)
+        first = len(self._row_of_pair)
         return gather_streams(self.text_rows, self.image_rows, [first + i for i in indices],
                               [[self._row_of_pair[pid] for pid in pids] for pids in selected])
 
@@ -274,7 +274,7 @@ def answer_logits(params, mcfg: ModelConfig, streams: StreamBatch,
     The head reads only CLS rows, so fuse computes only those in its last
     layer."""
     wl, vl = fuse(params, mcfg, ops.constant(streams.text), ops.constant(streams.image), [],
-                  dctx, [streams.text_mask], streams.stream_mask, cls_only=True)
+                  dctx, [streams.text_mask], cls_only=True)
     return vqa_head(params, cls_rows(wl), cls_rows(vl))
 
 

@@ -31,7 +31,7 @@ def clone_params(params: dict[str, ops.Node]) -> dict[str, ops.Node]:
 
 def _pad(states: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(n_b, d) arrays zero-padded into one (B, max n_b, d) array, plus its key mask."""
-    return StateRows(states).gather(np.arange(1, len(states) + 1))
+    return StateRows(states).gather(np.arange(len(states)))
 
 
 def batch_streams(originals: list[tuple[np.ndarray, np.ndarray]],
@@ -39,7 +39,7 @@ def batch_streams(originals: list[tuple[np.ndarray, np.ndarray]],
     """Stack B items' (text, image) states and their retrieved pairs' states
     (see gather_streams) by storing them as rows and gathering those."""
     flat = [*originals, *(pair for pairs in retrieved for pair in pairs)]
-    rows = iter(range(1, len(flat) + 1))
+    rows = iter(range(len(flat)))
     return gather_streams(StateRows([t for t, _ in flat]), StateRows([v for _, v in flat]),
                           [next(rows) for _ in originals],
                           [[next(rows) for _ in pairs] for pairs in retrieved])

@@ -630,17 +630,22 @@ def test_checkpoint_tensors_not_the_config_exit_format(pipeline, tmp_path, capsy
 @pytest.mark.parametrize("content, message", [
     ("{", "Expecting property name"),
     ("unknown key", "unexpected keyword argument 'rr'"),
+    ("d a float", "model dimension d = 8.0 is not a positive integer"),
+    ("d zero", "model dimension d = 0 is not a positive integer"),
 ])
 def test_checkpoint_config_not_a_model_config_exits_format(pipeline, tmp_path, capsys,
                                                            monkeypatch, content, message):
-    """A config.json that is not JSON, or holds a key ModelConfig does not
-    have, exits 5 with one line naming it, before any tensor is read."""
+    """A config.json that is not JSON, holds a key ModelConfig does not
+    have, or a dimension that is not a positive integer exits 5 with one
+    line naming it, before any tensor is read."""
     import shutil
 
     ckpt = tmp_path / "ckpt"
     shutil.copytree(pipeline["ckpt"], ckpt)
-    if content == "unknown key":
-        content = json.dumps({**json.loads((ckpt / "config.json").read_text()), "rr": 2})
+    edits = {"unknown key": {"rr": 2}, "d a float": {"d": 8.0}, "d zero": {"d": 0}}
+    if content in edits:   # the checkpoint's config with these keys set
+        content = json.dumps({**json.loads((ckpt / "config.json").read_text()),
+                              **edits[content]})
     (ckpt / "config.json").write_text(content)
     calls = _count_load_tensor(monkeypatch)
     out = tmp_path / "index.idx"
@@ -759,7 +764,7 @@ def test_feature_noise_changes_only_slot_0_of_the_image_stack(pipeline, tmp_path
                    feature_noise=1.0)
     assert fused
     for before, after in fused:
-        for name in ("text", "text_mask", "stream_mask"):
+        for name in ("text", "text_mask"):
             assert np.array_equal(getattr(after, name), getattr(before, name)), name
         assert np.array_equal(after.image[:, 1:], before.image[:, 1:])
         noised = after.image[:, 0] != before.image[:, 0]

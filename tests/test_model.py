@@ -295,8 +295,8 @@ def _assert_same_grads(got, want, tol=1e-10):
 
 def test_padded_finetune_batch_matches_items(rng):
     """Loss and every parameter gradient of one padded fine-tune batch equal
-    the mean over per-item passes, at 64-bit. The texts differ in length
-    and the last item retrieved fewer pairs than the others (flagged)."""
+    the mean over per-item passes, at 64-bit. The texts, stream 0's and the
+    retrieved ones, differ in length."""
     cfg = micro_config(l_fuse=2)
     params = micro_params(cfg)
     n_img = cfg.patch_grid**2
@@ -305,7 +305,7 @@ def test_padded_finetune_batch_matches_items(rng):
     retrieved = [
         [(rng.normal(size=(n, cfg.d)), rng.normal(size=(n_img + 1, cfg.d)))
          for n in lengths]
-        for lengths in ([3, 2], [4, 1], [2])]
+        for lengths in ([3, 2], [4, 1], [2, 5])]
     targets = [2, 0, 1]
 
     # per item: stream 0 encoded live so the encoders get gradients too
@@ -324,7 +324,7 @@ def test_padded_finetune_batch_matches_items(rng):
     ops.zero_grads(params.values())
     originals = [(np.zeros((len(seq), cfg.d)), np.zeros((n_img + 1, cfg.d))) for seq in ids]
     streams = batch_streams(originals, retrieved)
-    assert streams.stream_mask.shape == (3, 3) and streams.stream_mask[2, 2] < 0
+    assert streams.text.shape == (3, 3, 5, cfg.d)
     wl, vl = _live_fuse(params, cfg, ids, patches, streams)
     batched = ops.cross_entropy(vqa_head(params, model.cls_rows(wl), model.cls_rows(vl)), targets)
     ops.backward(batched)
@@ -343,7 +343,7 @@ def _live_fuse(params, cfg, ids, patches, streams, cls_only=True):
                  for j in slots],
                 text_masks=([model.key_mask([len(seq) for seq in ids])]
                             + [streams.text_mask[:, j] for j in slots]),
-                stream_mask=streams.stream_mask if slots else None, cls_only=cls_only)
+                cls_only=cls_only)
 
 
 def _assert_stack_matches(params, cfg, ids, patches, retrieved, targets, want_loss, want):
@@ -364,7 +364,7 @@ def _assert_stack_matches(params, cfg, ids, patches, retrieved, targets, want_lo
 
 # -- stacked retrieved streams equal the per-stream fusion --------------------
 
-def _per_stream_fuse(params, cfg, text0, image0, retrieved, text_masks, stream_mask):
+def _per_stream_fuse(params, cfg, text0, image0, retrieved, text_masks):
     """Reference: the fusion stack with every retrieved stream run through
     every sublayer on its own, the last layer's retrieved feed-forward
     included. `retrieved` and `text_masks` hold one (B, n_j, d) text,
@@ -390,7 +390,7 @@ def _per_stream_fuse(params, cfg, text0, image0, retrieved, text_masks, stream_m
                                   axis=-2)
             keys = model._ln(params, f"fuse.{i}.{ln_name}", cls)
             out = model._mha(params, f"fuse.{i}.{sub}", ops.slice_rows(keys, 0, 1, axis=-2),
-                             keys, cfg.n_head, mask=stream_mask)
+                             keys, cfg.n_head)
             streams[0] = ops.add_to_rows(streams[0], out)
         texts = [ops.add(w, model._ffn(params, f"fuse.{i}.ffn_w",
                                        model._ln(params, f"fuse.{i}.ln_fw", w)))
@@ -404,8 +404,8 @@ def _per_stream_fuse(params, cfg, text0, image0, retrieved, text_masks, stream_m
 def test_stacked_fusion_matches_per_stream_fusion(rng):
     """Loss and every parameter gradient of the stacked fusion equal the
     per-stream reference at 64-bit, over two layers (so the stacked
-    retrieved feed-forward of layer 0 runs), retrieved texts of different
-    lengths (up to 10 tokens) and one flagged item with a missing slot."""
+    retrieved feed-forward of layer 0 runs) and retrieved texts of
+    different lengths (up to 10 tokens)."""
     from conftest import _pad
 
     cfg = micro_config(l_fuse=2)
@@ -416,23 +416,19 @@ def test_stacked_fusion_matches_per_stream_fusion(rng):
     retrieved = [
         [(rng.normal(size=(n, cfg.d)), rng.normal(size=(n_img + 1, cfg.d)))
          for n in lengths]
-        for lengths in ([3, 9], [4, 1], [10])]
+        for lengths in ([3, 9], [4, 1], [10, 6])]
     targets = [2, 0, 1]
 
-    # reference input: one zero-padded array per slot, the flagged item's
-    # missing slot a one-row zero placeholder
-    blank = (np.zeros((1, cfg.d)), np.zeros((n_img + 1, cfg.d)))
+    # reference input: one zero-padded array per slot
     slots, masks = [], []
     for j in range(2):
-        slot = [pairs[j] if j < len(pairs) else blank for pairs in retrieved]
+        slot = [pairs[j] for pairs in retrieved]
         text, mask = _pad([t for t, _ in slot])
         slots.append((ops.constant(text), ops.constant(np.stack([v for _, v in slot]))))
         masks.append(mask)
-    stream_mask = model.key_mask([3, 3, 2])
     wf, vf = _per_stream_fuse(params, cfg, encode_text(params, cfg, ids),
                               encode_image(params, cfg, patches), slots,
-                              [model.key_mask([len(seq) for seq in ids])] + masks,
-                              stream_mask)
+                              [model.key_mask([len(seq) for seq in ids])] + masks)
     want_loss = ops.cross_entropy(vqa_head(params, model.cls_rows(wf), model.cls_rows(vf)),
                                   targets)
     ops.backward(want_loss)
@@ -442,7 +438,6 @@ def test_stacked_fusion_matches_per_stream_fusion(rng):
     originals = [(np.zeros((len(seq), cfg.d)), np.zeros((n_img + 1, cfg.d))) for seq in ids]
     streams = batch_streams(originals, retrieved)
     assert streams.text.shape == (3, 3, 10, cfg.d)
-    assert np.array_equal(streams.stream_mask, stream_mask)
     wl, vl = _live_fuse(params, cfg, ids, patches, streams)
     got_loss = ops.cross_entropy(vqa_head(params, model.cls_rows(wl), model.cls_rows(vl)),
                                  targets)
@@ -455,15 +450,15 @@ def test_stacked_fusion_matches_per_stream_fusion(rng):
 @pytest.mark.parametrize("r", [0, 2])
 def test_cls_only_last_layer_equals_full_cls_rows(rng, r):
     """fuse with cls_only computes, at 64-bit, the CLS rows of the full last
-    layer and the same gradients through them, over two layers, texts of
-    different lengths and, at r = 2, a flagged item with a missing slot."""
+    layer and the same gradients through them, over two layers and texts of
+    different lengths."""
     cfg = micro_config(l_fuse=2)
     params = micro_params(cfg)
     n_img = cfg.patch_grid**2
     ids = [[1, 4, 5, 6], [1, 7], [1, 8, 9, 10, 11]]
     patches = rng.normal(size=(3, n_img, cfg.d_patch))
     retrieved = [[(rng.normal(size=(n, cfg.d)), rng.normal(size=(n_img + 1, cfg.d)))
-                  for n in lengths][:r] for lengths in ([3, 9], [4, 1], [7])]
+                  for n in lengths][:r] for lengths in ([3, 9], [4, 1], [7, 2])]
     originals = [(np.zeros((len(seq), cfg.d)), np.zeros((n_img + 1, cfg.d))) for seq in ids]
     streams = batch_streams(originals, retrieved)
     runs = []
@@ -492,7 +487,7 @@ def test_r0_stack_is_stream0_fused_alone(rng, dtype):
     originals = [(rng.normal(size=(n, cfg.d)).astype(dtype),
                   rng.normal(size=(n_img + 1, cfg.d)).astype(dtype)) for n in (4, 2, 5)]
     streams = batch_streams(originals, [[], [], []])
-    assert streams.text.shape == (3, 1, 5, cfg.d) and not streams.stream_mask.any()
+    assert streams.text.shape == (3, 1, 5, cfg.d)
     plan = DropoutPlan(seed=5, rate=0.2).at(step=3)
 
     def alone():
@@ -702,24 +697,21 @@ def test_batched_evaluate_matches_items(tmp_path, monkeypatch):
 def _copy_loop_streams(originals, retrieved):
     """batch_streams as it was before the states became gathered rows, kept
     as the bitwise reference: zero-padded copies, item by item and slot by
-    slot, stream 0 in slot 0, every text padded to the longest of the batch,
-    and a slot an item lacks left zero, one position long and masked."""
+    slot, stream 0 in slot 0, every text padded to the longest of the
+    batch."""
     flat = [*originals, *(pair for pairs in retrieved for pair in pairs)]
     n = max(len(t) for t, _ in flat)
-    width = max(len(pairs) for pairs in retrieved)
-    shape = (len(retrieved), 1 + width)
+    shape = (len(retrieved), 1 + len(retrieved[0]))
     text = np.zeros(shape + (n, flat[0][0].shape[-1]), np.result_type(*{t.dtype for t, _ in flat}))
     image = np.zeros(shape + flat[0][1].shape, np.result_type(*{v.dtype for _, v in flat}))
-    lengths = np.ones(shape, dtype=np.int64)
+    lengths = np.empty(shape, dtype=np.int64)
     for b, pairs in enumerate(retrieved):
         for j, (t, v) in enumerate([originals[b], *pairs]):
             text[b, j, : len(t)] = t
             image[b, j] = v
             lengths[b, j] = len(t)
     text_mask = np.where(np.arange(n) < lengths[..., None], 0.0, model.MASKED)
-    slots = np.array([len(pairs) for pairs in retrieved])[:, None]
-    stream_mask = np.where(np.arange(1 + width) <= slots, 0.0, model.MASKED)
-    return text, image, text_mask, stream_mask
+    return text, image, text_mask
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -727,8 +719,7 @@ def _copy_loop_streams(originals, retrieved):
 def test_gathered_streams_equal_copy_loops(rng, dtype, r):
     """batch_streams, and gather_streams over tables built from a pool of
     states (as Stage builds them), equal the copy loops array for array,
-    with texts of 1 to 12 tokens, a repeated pair and a flagged item that
-    lacks a slot."""
+    with texts of 1 to 12 tokens and a repeated pair."""
     d, n_img = 8, 5
     pool = [(rng.normal(size=(int(rng.integers(1, 13)), d)).astype(dtype),
              rng.normal(size=(n_img, d)).astype(dtype)) for _ in range(12)]
@@ -737,7 +728,6 @@ def test_gathered_streams_equal_copy_loops(rng, dtype, r):
               for _ in items]
     if r:
         chosen[1][0] = chosen[0][0]        # two items retrieved the same pair
-        chosen[3] = chosen[3][:-1]         # flagged: one slot short
     want = _copy_loop_streams([pool[i] for i in items],
                               [[pool[k] for k in ks] for ks in chosen])
 
@@ -745,10 +735,9 @@ def test_gathered_streams_equal_copy_loops(rng, dtype, r):
     images = model.StateRows([v for _, v in pool])
     got = [batch_streams([pool[i] for i in items],
                          [[pool[k] for k in ks] for ks in chosen]),
-           model.gather_streams(texts, images, [1 + i for i in items],
-                                [[1 + k for k in ks] for ks in chosen])]
+           model.gather_streams(texts, images, items, chosen)]
     for streams in got:
-        for name, a in zip(("text", "image", "text_mask", "stream_mask"), want):
+        for name, a in zip(("text", "image", "text_mask"), want):
             b = getattr(streams, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert np.array_equal(a, b), name

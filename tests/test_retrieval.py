@@ -217,16 +217,9 @@ def test_retrieve_r0_is_empty(rng):
     assert res.selected == [] and res.candidate_pool_size == 0
 
 
-def test_retrieve_excludes_self(rng):
-    index = _index(rng, 10)
-    q = index.image_vecs[4].astype(np.float64)
-    res = retrieve_by_vector(q, index, 3, Mode.INFER, exclude_pair_id=5)
-    assert all(pid != 5 for pid, _ in res.selected)
-
-
 def test_retrieve_clustered_corpus(rng):
     """With well-separated clusters, at least 3 of the top 4 neighbours of a
-    cluster member come from the same cluster."""
+    fresh draw around a cluster member come from the same cluster."""
     d = 8
     protos = _unit_rows(rng, 4, d) * 10
     rows, labels = [], []
@@ -244,8 +237,7 @@ def test_retrieve_clustered_corpus(rng):
         captions=[f"cluster {k}" for k in labels],
     )
     for row in (0, 13, 30, 47):
-        res = retrieve_by_vector(mat[row].astype(np.float64), index, 4,
-                                 Mode.INFER, exclude_pair_id=row + 1)
+        res = retrieve_by_vector(rows[row] + 0.05 * rng.normal(size=d), index, 4, Mode.INFER)
         same = sum(labels[pid - 1] == labels[row] for pid, _ in res.selected)
         assert same >= 3
 
@@ -274,7 +266,7 @@ def test_block_scores_bit_identical(rng, n):
         assert np.array_equal(index.scores(which, q), family.astype(np.float64) @ q)
 
 
-def _oracle_pool(index, q, r, exclude=None):
+def _oracle_pool(index, q, r):
     """Brute force over every row: full sort per family by (-score, pair_id),
     top r of each, both components of each member scored exactly."""
     s_w = index.text_vecs.astype(np.float64) @ q
@@ -283,7 +275,7 @@ def _oracle_pool(index, q, r, exclude=None):
             for row in np.lexsort((index.pair_ids, -s))[:r]}
     return [RetrievalCandidate(int(index.pair_ids[row]), s_w=float(s_w[row]),
                                s_v=float(s_v[row]))
-            for row in sorted(rows) if int(index.pair_ids[row]) != exclude]
+            for row in sorted(rows)]
 
 
 def test_retrieval_matches_oracle_across_blocks(rng):
@@ -303,14 +295,12 @@ def test_retrieval_matches_oracle_across_blocks(rng):
                 assert [c.pair_id for c in got] == index.pair_ids[want].tolist()
                 assert [c.s_w if which == "text" else c.s_v for c in got] == (
                     scores[want].tolist())
-            exclude = int(index.pair_ids[n - 1 - trial]) if trial % 2 else None
-            pool = _oracle_pool(index, q, r, exclude)
-            infer = retrieve_by_vector(q, index, r, Mode.INFER, exclude_pair_id=exclude)
+            pool = _oracle_pool(index, q, r)
+            infer = retrieve_by_vector(q, index, r, Mode.INFER)
             want = select_inference(pool, r)
             assert [pid for pid, _ in infer.selected] == [pid for pid, _ in want.selected]
             assert infer.candidate_pool_size == len(pool)
-            train = retrieve_by_vector(q, index, r, Mode.TRAIN, seed=trial,
-                                       exclude_pair_id=exclude)
+            train = retrieve_by_vector(q, index, r, Mode.TRAIN, seed=trial)
             want = select_training(pool, r, trial)
             assert [pid for pid, _ in train.selected] == [pid for pid, _ in want.selected]
             for res, ref in ((infer, select_inference(pool, r)), (train, want)):
@@ -327,34 +317,18 @@ def _spanning_index(rng):
 
 
 def test_retrieve_is_selection_from_candidate_pool(rng):
-    """retrieve_by_vector equals a selector applied to candidate_pool, with
-    and without an excluded pair, over an index of more than two blocks."""
+    """retrieve_by_vector equals a selector applied to candidate_pool, over
+    an index of more than two blocks."""
     index = _spanning_index(rng)
     n = len(index)
     for trial in range(4):
         q = index.image_vecs[n - 1 - trial].astype(np.float64) + 0.3 * rng.normal(size=16)
         q /= np.linalg.norm(q)
         for r in (1, 4):
-            for exclude in (None, int(index.pair_ids[n - 1 - trial])):
-                pool = candidate_pool(q, index, r, exclude)
-                assert exclude not in [c.pair_id for c in pool]
-                assert retrieve_by_vector(q, index, r, Mode.INFER, exclude_pair_id=exclude
-                                          ) == select_inference(pool, r)
-                assert retrieve_by_vector(q, index, r, Mode.TRAIN, seed=trial,
-                                          exclude_pair_id=exclude
-                                          ) == select_training(pool, r, trial)
-
-
-def test_retrieve_empty_after_exclusion_is_flagged():
-    index = EmbeddingIndex(
-        d_proj=2, fingerprint=1, pair_ids=np.array([7], dtype=np.uint64),
-        source_tags=np.zeros(1, dtype=np.uint8),
-        text_vecs=np.array([[1.0, 0.0]], dtype=np.float32),
-        image_vecs=np.array([[0.0, 1.0]], dtype=np.float32), captions=["only"])
-    assert candidate_pool(np.array([0.0, 1.0]), index, 2, exclude_pair_id=7) == []
-    for mode in Mode:
-        res = retrieve_by_vector(np.array([0.0, 1.0]), index, 2, mode, exclude_pair_id=7)
-        assert res.selected == [] and res.candidate_pool_size == 0 and res.flagged
+            pool = candidate_pool(q, index, r)
+            assert retrieve_by_vector(q, index, r, Mode.INFER) == select_inference(pool, r)
+            assert retrieve_by_vector(q, index, r, Mode.TRAIN, seed=trial
+                                      ) == select_training(pool, r, trial)
 
 
 def test_select_training_leaves_pool_unchanged(rng):
@@ -373,8 +347,8 @@ def test_select_training_leaves_pool_unchanged(rng):
 
 
 def _choice_loop_selection(pool, r, seed):
-    """The draw loop that the per-pool draw tables replaced, kept as the
-    bitwise reference: one `rng.choice` per draw over the live weights."""
+    """The draw loop that the batched draws replaced, kept as the bitwise
+    reference: one `rng.choice` per draw over the live weights."""
     rng = np.random.default_rng(seed)
     remaining = sorted(pool, key=lambda c: c.pair_id)
     scores = np.array([c.s for c in remaining], dtype=np.float64)
@@ -389,9 +363,9 @@ def _choice_loop_selection(pool, r, seed):
 
 def test_draw_table_picks_equal_choice_loop():
     """Over 20,000 random pools of 1-8 candidates and 1-4 draws, with equal
-    scores, scores within 1e-6 of each other and scores scaled by 1e3, the
-    table draw picks exactly what the rng.choice loop picks, for plain list
-    pools and for CandidatePool ones drawn from twice."""
+    scores, scores within 1e-6 of each other and scores scaled by 1e3, a
+    draw picks exactly what the rng.choice loop picks, and so does a second
+    draw from the same pool."""
     rng = np.random.default_rng(20)
     for trial in range(20_000):
         n, r = int(rng.integers(1, 9)), int(rng.integers(1, 5))
@@ -406,10 +380,8 @@ def test_draw_table_picks_equal_choice_loop():
         pool = [RetrievalCandidate(int(i), s_w=float(s)) if trial % 2
                 else RetrievalCandidate(int(i), s_v=float(s)) for i, s in zip(ids, scores)]
         want = _choice_loop_selection(pool, r, trial)
-        assert select_training(pool, r, trial).selected == want, trial
-        table_pool = retrieval.CandidatePool(pool)
         for _ in range(2):
-            assert select_training(table_pool, r, trial).selected == want, trial
+            assert select_training(pool, r, trial).selected == want, trial
 
 
 def test_multi_seed_draw_equals_single_draws():
@@ -434,6 +406,51 @@ def test_multi_seed_draw_equals_single_draws():
             assert res.selected == _choice_loop_selection(pool, r, seed), (trial, seed)
             assert res.flagged == (n < r) and len(res.selected) == min(n, r)
     assert select_training(pool, r, []) == []
+
+
+class _FixedUniforms(np.random.Generator):
+    """A Generator whose every uniform is `u`; Generator.choice draws its
+    uniform through `random`, so it sees `u` too."""
+
+    def __init__(self, u: float):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None):
+        return np.full(() if size is None else size, self.u)
+
+
+def test_draw_normalizes_by_the_pairwise_sum(monkeypatch):
+    """rng.choice normalizes p = w / w.sum(), numpy's pairwise sum, before
+    its cdf; a draw that normalized by the sequential sum (w.cumsum()[-1])
+    would pick another pair when the uniform falls between the two cdfs'
+    steps. A pool of 9 weights whose two sums differ, and such a uniform:
+    the draw picks what the rng.choice loop picks, for an int seed and a
+    list of seeds."""
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        scores = rng.normal(size=9)
+        w = scores - scores.min() + 1e-6
+        if w.sum() != w.cumsum()[-1]:
+            break
+    assert w.sum() != w.cumsum()[-1]
+
+    def cdf(total):
+        c = (w / total).cumsum()
+        return c / c[-1]
+
+    pairwise, sequential = cdf(w.sum()), cdf(w.cumsum()[-1])
+    k = int(np.flatnonzero(pairwise != sequential)[0])
+    u = float(min(pairwise[k], sequential[k]))
+    pick = int(pairwise.searchsorted(u, side="right"))
+    assert pick != sequential.searchsorted(u, side="right")
+
+    pool = [RetrievalCandidate(i + 1, s_w=float(s)) for i, s in enumerate(scores)]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _FixedUniforms(u))
+    want = [(pick + 1, float(scores[pick]))]
+    assert _choice_loop_selection(pool, 1, 0) == want
+    assert select_training(pool, 1, 0).selected == want
+    assert [res.selected for res in select_training(pool, 1, [0, 1])] == [want, want]
 
 
 def test_finetune_builds_each_pool_once(tmp_path, monkeypatch):
@@ -473,6 +490,30 @@ def test_finetune_builds_each_pool_once(tmp_path, monkeypatch):
     assert n_items % 4 == 0   # so every item appears in every epoch
     assert calls == {"candidate_pool": n_items, "retrieve_by_vector": 0,
                      "select_training": n_items}
+
+
+def test_r_past_the_index_size_retrieves_the_whole_index(tmp_path):
+    """With r = 8 over a 6-pair index, finetune and evaluate run, and every
+    item retrieves all 6 pairs: each query retrieves min(r, index size)."""
+    from ramm import train
+    from ramm.model import ModelConfig, Vocab
+    from ramm.objectives import TrainConfig
+    from ramm.synthetic import SyntheticSpec, generate
+
+    data, ckpt, idx = tmp_path / "data", tmp_path / "ckpt", tmp_path / "index.idx"
+    generate(SyntheticSpec(n_clusters=2, pairs_per_cluster=1, n_train=2, n_test=2,
+                           anchor_copies=1), data)
+    answers = (data / "answers.txt").read_text().split()
+    mcfg = ModelConfig(vocab_size=len(Vocab.load(data / "vocab.txt")),
+                       n_answers=len(answers), d=16, n_head=2, l_fuse=1, l_text=1,
+                       l_image=1, d_proj=8, max_text_len=12, patch_grid=2,
+                       d_patch=16, d_ff=32, dropout_rate=0.0)
+    tcfg = TrainConfig(seed=0, batch_size=2)
+    train.pretrain(data, ckpt, mcfg, tcfg, steps=2)
+    assert train.build_index_cmd(ckpt, data, idx).encoded == 6
+    train.finetune(ckpt, idx, data, 8, tcfg, tmp_path / "ft", epochs=2)
+    _, details = train.evaluate(tmp_path / "ft", idx, data, 8)
+    assert [len(d["retrieved"]) for d in details] == [6, 6]
 
 
 # -- float32 screen, exact rescoring -------------------------------------------------
