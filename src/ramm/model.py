@@ -157,32 +157,21 @@ def _maybe_drop(x: Node, dctx: DropoutPlan | None, tag: str) -> Node:
 ATTN_FIELDS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")  # no key bias: softmax cancels q·bk
 
 
-def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Node]:
-    rng = np.random.default_rng(seed)
-    p: dict[str, np.ndarray] = {}
-
-    def mat(name, rows, cols):
-        # Glorot scaling; a fixed small std would crush signal at small d
-        p[name] = rng.normal(0.0, math.sqrt(2.0 / (rows + cols)), size=(rows, cols))
-
-    def vec(name, n, value=0.0):
-        p[name] = np.full(n, value, dtype=np.float64)
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in the order `init_params` draws
+    them, from the config's arithmetic alone: it allocates nothing."""
+    d, ff, shapes = cfg.d, cfg.d_ff, {}
 
     def attn(prefix):
-        for w in ("wq", "wk", "wv", "wo"):
-            mat(f"{prefix}.{w}", cfg.d, cfg.d)
-        for b in ("bq", "bv", "bo"):
-            vec(f"{prefix}.{b}", cfg.d)
+        shapes.update({f"{prefix}.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
+        shapes.update({f"{prefix}.{b}": (d,) for b in ("bq", "bv", "bo")})
 
     def ln(prefix):
-        vec(f"{prefix}.g", cfg.d, 1.0)
-        vec(f"{prefix}.b", cfg.d)
+        shapes.update({f"{prefix}.g": (d,), f"{prefix}.b": (d,)})
 
     def ffn(prefix):
-        mat(f"{prefix}.w1", cfg.d, cfg.d_ff)
-        vec(f"{prefix}.b1", cfg.d_ff)
-        mat(f"{prefix}.w2", cfg.d_ff, cfg.d)
-        vec(f"{prefix}.b2", cfg.d)
+        shapes.update({f"{prefix}.w1": (d, ff), f"{prefix}.b1": (ff,),
+                       f"{prefix}.w2": (ff, d), f"{prefix}.b2": (d,)})
 
     def block(prefix):
         attn(f"{prefix}.attn")
@@ -190,24 +179,20 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Node
         ffn(f"{prefix}.ffn")
         ln(f"{prefix}.ln2")
 
-    mat("text.tok_emb", cfg.vocab_size, cfg.d)
-    mat("text.pos_emb", cfg.max_text_len, cfg.d)
+    shapes.update({"text.tok_emb": (cfg.vocab_size, d), "text.pos_emb": (cfg.max_text_len, d)})
     for i in range(cfg.l_text):
         block(f"text.{i}")
     ln("text.lnf")
 
-    mat("image.cls", 1, cfg.d)
-    mat("image.patch_proj.w", cfg.d_patch, cfg.d)
-    vec("image.patch_proj.b", cfg.d)
-    mat("image.pos_emb", cfg.n_patches + 1, cfg.d)
+    shapes.update({"image.cls": (1, d), "image.patch_proj.w": (cfg.d_patch, d),
+                   "image.patch_proj.b": (d,), "image.pos_emb": (cfg.n_patches + 1, d)})
     for i in range(cfg.l_image):
         block(f"image.{i}")
     ln("image.lnf")
 
-    mat("proj.text.w", cfg.d, cfg.d_proj)
-    vec("proj.text.b", cfg.d_proj)
-    mat("proj.image.w", cfg.d, cfg.d_proj)
-    vec("proj.image.b", cfg.d_proj)
+    for modality in ("text", "image"):
+        shapes.update({f"proj.{modality}.w": (d, cfg.d_proj),
+                       f"proj.{modality}.b": (cfg.d_proj,)})
 
     for i in range(cfg.l_fuse):
         for sub in ("self_w", "self_v", "cross_w", "cross_v", "ret_w", "ret_v"):
@@ -218,18 +203,26 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Node
         ffn(f"fuse.{i}.ffn_w")
         ffn(f"fuse.{i}.ffn_v")
 
-    mat("vqa.w1", 2 * cfg.d, cfg.d)
-    vec("vqa.b1", cfg.d)
-    mat("vqa.w2", cfg.d, cfg.n_answers)
-    vec("vqa.b2", cfg.n_answers)
-    mat("itm.w1", 2 * cfg.d, cfg.d)
-    vec("itm.b1", cfg.d)
-    mat("itm.w2", cfg.d, 2)
-    vec("itm.b2", 2)
-    mat("mlm.w", cfg.d, cfg.vocab_size)
-    vec("mlm.b", cfg.vocab_size)
+    for head, n_out in (("vqa", cfg.n_answers), ("itm", 2)):
+        shapes.update({f"{head}.w1": (2 * d, d), f"{head}.b1": (d,),
+                       f"{head}.w2": (d, n_out), f"{head}.b2": (n_out,)})
+    shapes.update({"mlm.w": (d, cfg.vocab_size), "mlm.b": (cfg.vocab_size,)})
+    return shapes
 
-    return {name: ops.param(arr.astype(dtype)) for name, arr in p.items()}
+
+def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Node]:
+    """Matrices drawn in `param_shapes` order with Glorot scaling (a fixed
+    small std would crush signal at small d); layer-norm gains 1, every
+    other vector 0."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) == 2:
+            value = rng.normal(0.0, math.sqrt(2.0 / sum(shape)), size=shape)
+        else:
+            value = np.full(shape, 1.0 if name.endswith(".g") else 0.0)
+        params[name] = ops.param(value.astype(dtype))
+    return params
 
 
 def reinit_group(params: dict[str, Node], prefix: str, seed: int) -> None:
@@ -247,9 +240,9 @@ def reinit_group(params: dict[str, Node], prefix: str, seed: int) -> None:
 
 
 def save_params(params: dict[str, Node], directory) -> None:
-    """Directory of RAMMTEN1 files plus a plain-text manifest. A tensor with
-    a value that is not finite in float32 raises ContractViolation before
-    anything is written."""
+    """Directory of RAMMTEN1 files plus a plain-text manifest, written last
+    and renamed into place. A tensor with a value that is not finite in
+    float32 raises ContractViolation before anything is written."""
     with np.errstate(over="ignore"):
         arrays = {name: params[name].value.astype(np.float32) for name in sorted(params)}
     for name, arr in arrays.items():
@@ -257,11 +250,16 @@ def save_params(params: dict[str, Node], directory) -> None:
             raise ContractViolation(f"{name}: not finite in float32, checkpoint not written")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    # no manifest while the tensors are replaced, so a save cut short never loads
+    manifest = directory / "manifest.txt"
+    manifest.unlink(missing_ok=True)
     lines = []
     for name, arr in arrays.items():
         save_tensor(arr, directory / f"{name}.ten")
         lines.append(name + " " + " ".join(str(d) for d in arr.shape))
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    partial = directory / "manifest.txt.partial"
+    partial.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    partial.replace(manifest)
 
 
 def load_params(directory, shapes: dict[str, tuple] | None = None) -> dict[str, Node]:

@@ -8,6 +8,7 @@ Queries are always image vectors; question text is never used as a query.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,6 +21,8 @@ log = logging.getLogger(__name__)
 
 # incremented whenever a caller hands in a query that was not unit-norm
 non_unit_query_count = 0
+
+_worker: list = []   # the executor of the one thread `_screen` hands second chunks to
 
 
 class Mode(Enum):
@@ -72,7 +75,7 @@ def _prepare_query(query_vec: np.ndarray) -> np.ndarray:
 
 def _screen(index: EmbeddingIndex, which: str, q: np.ndarray, k: int
             ) -> np.ndarray | None:
-    """Ascending rows, found by one float32 product over the family, that
+    """Ascending rows, found by a float32 product over the family, that
     include every row whose exact score reaches the k-th largest exact
     score; None when the screen could overflow or meets a non-finite value.
 
@@ -94,6 +97,12 @@ def _screen(index: EmbeddingIndex, which: str, q: np.ndarray, k: int
     k-th largest s64 is at least T - E, and every row reaching it has
     s32 >= T - 2E. If N*|q| < 2**120, every s32 partial sum stays below
     float32's largest value and every vector entry is finite.
+
+    Chunks. With more than one usable core, a family whose last multiple of
+    SCORE_BLOCK up to n/2 leaves each side max(SCORE_BLOCK, k) rows or more
+    is cut there in two (`_cut`), the second on `_worker`; gemv's row groups
+    split there too, so s32 keeps its bits. A chunk's k-th largest s32 is
+    at most T, so each keeps every row with s32 >= T - 2E.
     """
     family = index.family(which)
     n, d = family.shape
@@ -102,15 +111,30 @@ def _screen(index: EmbeddingIndex, which: str, q: np.ndarray, k: int
         return None
     err = (2 * ((d + 1) * 2.0**-24 + d * 2.0**-53) * bound * q_norm
            + d * (1 + bound) * 2.0**-148)
-    s32 = family @ q.astype(np.float32)
-    # the first block's k-th largest s32 is at most T, so one pass cut at it
-    # minus 2E keeps every row the screen names and the k rows giving T.
-    # Compared in float64 (a Python float next to a float32 array would be
-    # rounded to float32), so the rows kept are exactly those the bound names
-    rows = np.flatnonzero(s32 >= np.float64(np.partition(s32[:max(SCORE_BLOCK, k)], -k)[-k])
-                          - 2 * err)
-    top = s32[rows]
+    q32, s32 = q.astype(np.float32), np.empty(n, dtype=np.float32)
+    half = n // 2 // SCORE_BLOCK * SCORE_BLOCK
+    if half >= max(SCORE_BLOCK, k) and len(os.sched_getaffinity(0)) > 1:
+        if not _worker:   # at the first split, so a process that never splits imports none
+            from concurrent.futures import ThreadPoolExecutor
+            _worker.append(ThreadPoolExecutor(1))
+        tail = _worker[0].submit(_cut, family[half:], q32, k, err, s32[half:], half)
+        head = _cut(family[:half], q32, k, err, s32[:half])
+        rows, top = (np.concatenate(parts) for parts in zip(head, tail.result()))
+    else:
+        rows, top = _cut(family, q32, k, err, s32)
     return rows[top >= np.float64(np.partition(top, -k)[-k]) - 2 * err]
+
+
+def _cut(family: np.ndarray, q32: np.ndarray, k: int, err: float, s32: np.ndarray,
+         start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Writes family @ q32 into s32, and returns the rows (plus `start`) and s32
+    reaching its first max(SCORE_BLOCK, k) rows' k-th largest minus 2E. Only
+    numpy. The cut is rounded to float32: the float32 above keeps the same
+    rows, the one below adds only rows equal to it, which `_screen` drops."""
+    np.matmul(family, q32, out=s32)
+    cut = np.float64(np.partition(s32[:max(SCORE_BLOCK, k)], -k)[-k]) - 2 * err
+    rows = np.flatnonzero(s32 >= np.float32(cut))
+    return rows + start, s32[rows]
 
 
 def search_topr(query_vec, index: EmbeddingIndex, which: str, r: int
@@ -248,7 +272,11 @@ def candidate_pool(query_vec, index: EmbeddingIndex, r: int) -> list[RetrievalCa
     q = _prepare_query(query_vec)
     top_w = search_topr(q, index, "text", r)
     top_v = search_topr(q, index, "image", r)
-    return complete_scores(merge_candidates(top_w, top_v), q, index)
+    pool = merge_candidates(top_w, top_v)
+    if not min(r, len(index)) <= len(pool) <= 2 * r:
+        raise ContractViolation(f"pool of {len(pool)} pairs outside "
+                                f"[{min(r, len(index))}, {2 * r}] for r={r}")
+    return complete_scores(pool, q, index)
 
 
 def retrieve_by_vector(query_vec, index: EmbeddingIndex, r: int, mode: Mode,

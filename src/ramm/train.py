@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, FormatError, MissingArtifactError
+from .errors import ConfigError, FingerprintMismatchError, FormatError, MissingArtifactError
 from .model import (
     _TOKEN_RE, DropoutPlan, ModelConfig, StateRows, StreamBatch, Vocab, cls_rows,
     encode_image, encode_text, fuse, gather_streams, init_params, itm_head,
-    key_mask, load_params, project_itc, reinit_group, save_params, tokenize,
-    vqa_head,
+    key_mask, load_params, param_shapes, project_itc, reinit_group, save_params,
+    tokenize, vqa_head,
 )
 from .objectives import (
     AdamW, TrainConfig, ema_update, itc_loss, itc_loss_distilled, itm_loss,
@@ -67,8 +67,7 @@ def load_checkpoint(directory, weights: str = "weights"):
         mcfg = ModelConfig(**json.loads(read_text(cfg_path)))
     except (ValueError, TypeError, ConfigError) as exc:   # not JSON, or not a ModelConfig
         raise FormatError(f"{cfg_path}: {exc}") from exc
-    shapes = {name: p.shape for name, p in init_params(mcfg, 0).items()}
-    return load_params(directory / weights, shapes), mcfg
+    return load_params(directory / weights, param_shapes(mcfg)), mcfg
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +225,15 @@ class Stage:
             raise MissingArtifactError(f"no items in {self.split_path}")
         pairs, self.load_patches = load_corpus(self.data_dir)
         self.pair_by_id = {p.pair_id: p for p in pairs}
-        for pid in self.index.pair_ids.tolist():
+        corpus = self.data_dir / "corpus" / "pairs.jsonl"
+        for pid, caption in zip(self.index.pair_ids.tolist(), self.index.captions):
             if pid not in self.pair_by_id:
-                raise MissingArtifactError(
-                    f"index pair_id {pid} is not in the corpus "
-                    f"{self.data_dir / 'corpus' / 'pairs.jsonl'}")
+                raise MissingArtifactError(f"index pair_id {pid} is not in the corpus {corpus}")
+            # the index keeps a caption up to its first newline
+            if self.pair_by_id[pid].caption.partition("\n")[0] != caption:
+                raise FingerprintMismatchError(
+                    f"index pair_id {pid} holds another caption than the corpus {corpus}; "
+                    "rebuild the index")
         self._item_states = frozen_images(self.params, self.mcfg, [
             check_patches(load_tensor(self.data_dir / it.image_ref).array, self.mcfg,
                           f"item_id {it.item_id} ({self.data_dir / it.image_ref})")

@@ -656,6 +656,67 @@ def test_checkpoint_config_not_a_model_config_exits_format(pipeline, tmp_path, c
     assert err.count("\n") == 1 and calls == [] and not out.exists()
 
 
+
+@pytest.mark.parametrize("key, size", [("d_ff", 2**40), ("n_answers", 2**70)])
+def test_checkpoint_config_with_huge_dimension_exits_format(pipeline, tmp_path, capsys,
+                                                            monkeypatch, key, size):
+    """A config.json dimension far past what the manifest holds exits 5 with
+    one line naming the tensor, before any tensor is read or allocated."""
+    import shutil
+
+    ckpt = tmp_path / "ft"
+    shutil.copytree(pipeline["ft"], ckpt)
+    config = json.loads((ckpt / "config.json").read_text())
+    (ckpt / "config.json").write_text(json.dumps({**config, key: size}))
+    calls = _count_load_tensor(monkeypatch)
+    assert main(["eval", "--checkpoint", str(ckpt), "--index", str(pipeline["index"]),
+                 "--data", str(pipeline["data"]), "--r", "2",
+                 "--out", str(tmp_path / "eval")]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith(f"format error: {ckpt / 'weights'}") and f", ({size}," in err
+    assert err.count("\n") == 1 and calls == []
+
+
+def test_caption_edited_after_build_index_exits_fingerprint(pipeline, tmp_path, capsys):
+    """An index whose stored caption of a pair is not the corpus caption
+    any more is stale: finetune and eval exit 3 naming the pair."""
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    pairs_path = data / "corpus" / "pairs.jsonl"
+    records = [json.loads(line) for line in pairs_path.read_text().splitlines()]
+    records[1]["caption"] += " edited"
+    pairs_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    common = ["--checkpoint", str(pipeline["ckpt"]), "--index", str(pipeline["index"]),
+              "--data", str(data), "--r", "2"]
+    for command, extra in (("finetune", ["--epochs", "1", "--batch-size", "4"]),
+                           ("eval", [])):
+        out = tmp_path / command
+        assert main([command, *common, "--out", str(out), *extra]) == EXIT_FINGERPRINT
+        err = capsys.readouterr().err
+        assert err.startswith(f"fingerprint mismatch: index pair_id {records[1]['pair_id']} ")
+        assert "rebuild the index" in err and err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_multiline_corpus_caption_is_not_stale(pipeline, tmp_path):
+    """The index keeps a caption up to its first newline, so a fresh index
+    of a corpus whose caption spans lines is not refused as stale."""
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    pairs_path = data / "corpus" / "pairs.jsonl"
+    records = [json.loads(line) for line in pairs_path.read_text().splitlines()]
+    records[1]["caption"] += "\nsecond line"
+    pairs_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    index = tmp_path / "index.idx"
+    assert main(["build-index", "--checkpoint", str(pipeline["ckpt"]), "--data", str(data),
+                 "--out", str(index)]) == EXIT_OK
+    assert main(["eval", "--checkpoint", str(pipeline["ft"]), "--index", str(index),
+                 "--data", str(data), "--r", "2", "--out", str(tmp_path / "eval")]) == EXIT_OK
+
 def test_manifest_dimension_not_an_integer_exits_format(pipeline, tmp_path, capsys,
                                                         monkeypatch):
     """A manifest line whose dimensions are not integers exits 5 with one

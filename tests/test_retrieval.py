@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -805,3 +806,140 @@ def test_pool_components_equal_full_family_product(rng):
                 assert np.float64(cand.s_v).tobytes() == s_v[row].tobytes()
                 s_filled += 1
     assert s_filled > 12 * 5
+
+
+# -- pool bound and the screen split over two cores ---------------------------------
+
+@pytest.mark.parametrize("text_ids, image_ids", [([3], [3]), ([1, 2, 3], [4, 5, 6, 7])],
+                         ids=["too few", "too many"])
+def test_candidate_pool_refuses_a_pool_outside_its_bound(rng, monkeypatch, text_ids, image_ids):
+    """A merged pool of fewer than min(r, |index|) or more than 2r pairs
+    raises ContractViolation instead of reaching a selection."""
+    def fake_search(q, index, which, r):
+        ids = text_ids if which == "text" else image_ids
+        return [RetrievalCandidate(pid, **{"s_w" if which == "text" else "s_v": 0.5})
+                for pid in ids]
+    monkeypatch.setattr(retrieval, "search_topr", fake_search)
+    with pytest.raises(ContractViolation, match=r"outside \[3, 6\]"):
+        candidate_pool(rng.normal(size=8), _index(rng, 10), 3)
+
+
+def _usable_cores(monkeypatch, count):
+    monkeypatch.setattr(retrieval.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _split_family(rng, n, kind):
+    """(family, q): n random unit rows in d = 8 ("unit"); the same rows in
+    ascending score order, so every top row lies in the second chunk; or
+    rows drawn from five vectors, with the top one in the three rows on
+    either side of the split ("ties across the split")."""
+    d, half = 8, n // 2 // SCORE_BLOCK * SCORE_BLOCK
+    family, q = _unit_rows(rng, n, d), _unit_rows(rng, 1, d)[0].astype(np.float64)
+    if kind == "top in second chunk":
+        family = family[np.argsort(family.astype(np.float64) @ q, kind="stable")]
+    elif kind == "ties across the split":
+        five = family[:5]
+        family = five[rng.integers(0, 5, size=n)]
+        top = five[np.argmax(five.astype(np.float64) @ q)]
+        family[max(half - 3, 0):half + 3] = top
+    return family, q
+
+
+@pytest.mark.parametrize("kind", ["unit", "top in second chunk", "ties across the split"])
+@pytest.mark.parametrize("n", [2 * SCORE_BLOCK - 1, 2 * SCORE_BLOCK, 2 * SCORE_BLOCK + 37,
+                               4 * SCORE_BLOCK + 5])
+def test_split_screen_equals_one_product(rng, monkeypatch, n, kind):
+    """With the split forced on (two usable cores) and off (one), `_screen`
+    keeps the same rows and search_topr returns the same ids and score bits;
+    the family is split exactly when each chunk holds max(SCORE_BLOCK, k)
+    rows."""
+    family, q = _split_family(rng, n, kind)
+    index = EmbeddingIndex(d_proj=8, fingerprint=1, pair_ids=rng.permutation(n).astype(np.uint64),
+                           source_tags=np.zeros(n, dtype=np.uint8), text_vecs=family,
+                           image_vecs=family, captions=[""] * n)
+    starts = []
+    cut = retrieval._cut
+
+    def recording_cut(family, q32, k, err, s32, start=0):
+        starts.append(start)
+        return cut(family, q32, k, err, s32, start)
+    monkeypatch.setattr(retrieval, "_cut", recording_cut)
+    half = n // 2 // SCORE_BLOCK * SCORE_BLOCK
+    for k in (1, 4, SCORE_BLOCK + 1):
+        found = {}
+        for cores in (1, 2):
+            _usable_cores(monkeypatch, cores)
+            starts.clear()
+            found[cores] = (retrieval._screen(index, "text", q, k),
+                            _found(search_topr(q, index, "text", k), "text"))
+            split = cores == 2 and half >= max(SCORE_BLOCK, k)
+            assert sorted(set(starts)) == ([0, half] if split else [0]), (cores, k)
+        assert np.array_equal(found[1][0], found[2][0]), k
+        assert _same_bits(found[2][1], found[1][1]), k
+        assert _same_bits(found[2][1], _exact_topr(q, family, index.pair_ids, k)), k
+
+
+def test_worker_exception_reaches_the_caller(rng, monkeypatch):
+    """An exception raised while the worker thread cuts the second chunk is
+    raised again by `_screen` in the calling thread."""
+    class ChunkError(Exception):
+        pass
+
+    cut, threads = retrieval._cut, []
+
+    def failing_second_chunk(family, q32, k, err, s32, start=0):
+        if start:
+            threads.append(threading.current_thread())
+            raise ChunkError(f"chunk at {start}")
+        return cut(family, q32, k, err, s32, start)
+    _usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(retrieval, "_cut", failing_second_chunk)
+    index = _spanning_index(rng)
+    with pytest.raises(ChunkError, match=f"chunk at {SCORE_BLOCK}"):
+        retrieval._screen(index, "text", index.text_vecs[0].astype(np.float64), 4)
+    assert threads and threads[0] is not threading.main_thread()
+
+
+@pytest.mark.parametrize("n, cores", [(4 * SCORE_BLOCK, 1), (2 * SCORE_BLOCK - 1, 2),
+                                      (580, 2)])
+def test_one_core_or_a_small_family_starts_no_thread(rng, monkeypatch, n, cores):
+    """With one usable core, or under 2 * SCORE_BLOCK rows, both screens of
+    a pool run as one product on the calling thread."""
+    class NoWorker:
+        def submit(self, *args):
+            raise AssertionError("a chunk was handed to the worker")
+    _usable_cores(monkeypatch, cores)
+    monkeypatch.setattr(retrieval, "_worker", [NoWorker()])
+    index = _index(rng, n)
+    q = index.image_vecs[0].astype(np.float64)
+    assert len(candidate_pool(q, index, 4)) >= 4
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_screen_cut_keeps_the_float32_at_its_edge(rng, monkeypatch, cores):
+    """Rows whose float32 score is the float32 just at or above the cut
+    1 - 2E survive, and those just below it do not, in either chunk: the
+    cut rounded to float32 drops no row the bound names."""
+    _usable_cores(monkeypatch, cores)
+    n, d = 2 * SCORE_BLOCK + 37, 8
+    family = _unit_rows(rng, n, d) * np.float32(0.5)
+    family[0] = np.eye(d, dtype=np.float32)[0]     # the top score, 1, in the first block
+    index = EmbeddingIndex(d_proj=d, fingerprint=1, pair_ids=np.arange(n, dtype=np.uint64),
+                           source_tags=np.zeros(n, dtype=np.uint8), text_vecs=family,
+                           image_vecs=family, captions=[""] * n)
+    q = np.eye(d)[0]                                # each s32 is its row's first entry
+    bound = index.norm_bound("text")
+    err = (2 * ((d + 1) * 2.0**-24 + d * 2.0**-53) * bound
+           + d * (1 + bound) * 2.0**-148)
+    cut = 1.0 - 2 * err
+    above = np.float32(cut) if np.float32(cut) >= cut else np.nextafter(
+        np.float32(cut), np.float32(1))
+    below = np.nextafter(above, np.float32(0))
+    edge_rows = [5, 700, SCORE_BLOCK + 3, n - 1]
+    for i, row in enumerate(edge_rows):
+        family[row] = 0
+        family[row, 0] = above if i % 2 else below
+    index.text_vecs = family.copy()
+    got = retrieval._screen(index, "text", q, 1)
+    assert np.array_equal(got, _screen_oracle(index, "text", q, 1))
+    assert got.tolist() == [0, 700, n - 1]

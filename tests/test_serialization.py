@@ -307,6 +307,33 @@ def test_weights_manifest_roundtrip(tmp_path):
         assert np.array_equal(back[name].value, params[name].value)
 
 
+
+def test_interrupted_weights_overwrite_never_loads(tmp_path, monkeypatch):
+    """A save_params that stops after 20 tensors, over a complete earlier
+    save, leaves no manifest, so the next load refuses the directory by
+    name; a completed save leaves only the tensors and the manifest."""
+    import ramm.model
+    from ramm.errors import MissingArtifactError
+    from ramm.model import load_params, save_params
+
+    cfg = micro_config()
+    save_params(micro_params(cfg, seed=3, dtype=np.float32), tmp_path / "w")
+    assert sorted(p.name for p in (tmp_path / "w").iterdir() if p.suffix != ".ten") == [
+        "manifest.txt"]
+    written = []
+
+    def dying_save(tensor, path, _save=save_tensor):
+        if len(written) == 20:
+            raise OSError("killed")
+        written.append(path)
+        _save(tensor, path)
+    monkeypatch.setattr(ramm.model, "save_tensor", dying_save)
+    with pytest.raises(OSError, match="killed"):
+        save_params(micro_params(cfg, seed=4, dtype=np.float32), tmp_path / "w")
+    assert len(written) == 20
+    with pytest.raises(MissingArtifactError, match="manifest"):
+        load_params(tmp_path / "w")
+
 def test_fingerprint_covers_encoders(rng):
     """A change to one frozen-encoder value, not only to the projection
     heads, makes the index fingerprint a mismatch."""
