@@ -8,21 +8,18 @@ Queries are always image vectors; question text is never used as a query.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import ContractViolation
-from .store import SCORE_BLOCK, EmbeddingIndex
+from .store import EmbeddingIndex
 
 log = logging.getLogger(__name__)
 
 # incremented whenever a caller hands in a query that was not unit-norm
 non_unit_query_count = 0
-
-_worker: list = []   # the executor of the one thread `_screen` hands second chunks to
 
 
 class Mode(Enum):
@@ -73,108 +70,22 @@ def _prepare_query(query_vec: np.ndarray) -> np.ndarray:
     return q
 
 
-def _screen(index: EmbeddingIndex, which: str, q: np.ndarray, k: int
-            ) -> np.ndarray | None:
-    """Ascending rows, found by a float32 product over the family, that
-    include every row whose exact score reaches the k-th largest exact
-    score; None when the screen could overflow or meets a non-finite value.
-
-    Bound. Let S = F_i . q exactly, s64 the float64 score `scores` computes
-    from the float32 row F_i, and s32 = fl32(F_i . fl32(q)) the screen's. A
-    dot product of length d carries an error of at most
-    gamma_d * sum |F_ij q_j|, gamma_d = d*u / (1 - d*u), in any summation
-    order, fused or not (Higham 2002, sec. 3.1), plus under gradual
-    underflow at most half a subnormal spacing per product. Rounding q to
-    float32 adds u32 * |q_j| per term. By Cauchy-Schwarz, with N >= |F_i|
-    from `norm_bound`:
-        |s32 - S| <= ((d+1)*u32 + O(d*u32**2)) * N*|q| + 2**-150 * (d + sqrt(d)*N)
-        |s64 - S| <= (d*u64 + O(d*u64**2)) * N*|q| + d * 2**-1075
-    so |s32 - s64| <= E below. d*u32 < 0.004 for d_proj < 2**16, so the
-    second-order terms, N's own 1 / (1 - gamma_d) and the rounding of E,
-    |q| and T - 2E are far inside E's factor 2.
-
-    Screen. With T the k-th largest s32, k rows have s64 >= T - E, so the
-    k-th largest s64 is at least T - E, and every row reaching it has
-    s32 >= T - 2E. If N*|q| < 2**120, every s32 partial sum stays below
-    float32's largest value and every vector entry is finite.
-
-    Chunks. With more than one usable core, a family whose last multiple of
-    SCORE_BLOCK up to n/2 leaves each side max(SCORE_BLOCK, k) rows or more
-    is cut there in two (`_cut`), the second on `_worker`; gemv's row groups
-    split there too, so s32 keeps its bits. A chunk's k-th largest s32 is
-    at most T, so each keeps every row with s32 >= T - 2E.
-    """
-    family = index.family(which)
-    n, d = family.shape
-    bound, q_norm = index.norm_bound(which), float(np.linalg.norm(q))
-    if not bound * q_norm < 2.0**120:  # false for inf and NaN too
-        return None
-    err = (2 * ((d + 1) * 2.0**-24 + d * 2.0**-53) * bound * q_norm
-           + d * (1 + bound) * 2.0**-148)
-    q32, s32 = q.astype(np.float32), np.empty(n, dtype=np.float32)
-    half = n // 2 // SCORE_BLOCK * SCORE_BLOCK
-    if half >= max(SCORE_BLOCK, k) and len(os.sched_getaffinity(0)) > 1:
-        if not _worker:   # at the first split, so a process that never splits imports none
-            from concurrent.futures import ThreadPoolExecutor
-            _worker.append(ThreadPoolExecutor(1))
-        tail = _worker[0].submit(_cut, family[half:], q32, k, err, s32[half:], half)
-        head = _cut(family[:half], q32, k, err, s32[:half])
-        rows, top = (np.concatenate(parts) for parts in zip(head, tail.result()))
-    else:
-        rows, top = _cut(family, q32, k, err, s32)
-    return rows[top >= np.float64(np.partition(top, -k)[-k]) - 2 * err]
-
-
-def _cut(family: np.ndarray, q32: np.ndarray, k: int, err: float, s32: np.ndarray,
-         start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Writes family @ q32 into s32, and returns the rows (plus `start`) and s32
-    reaching its first max(SCORE_BLOCK, k) rows' k-th largest minus 2E. Only
-    numpy. The cut is rounded to float32: the float32 above keeps the same
-    rows, the one below adds only rows equal to it, which `_screen` drops."""
-    np.matmul(family, q32, out=s32)
-    cut = np.float64(np.partition(s32[:max(SCORE_BLOCK, k)], -k)[-k]) - 2 * err
-    rows = np.flatnonzero(s32 >= np.float32(cut))
-    return rows + start, s32[rows]
-
-
 def search_topr(query_vec, index: EmbeddingIndex, which: str, r: int
                 ) -> list[RetrievalCandidate]:
     """Exact top-r by dot product, descending; ties broken by ascending
     pair_id. Similarities are accumulated at 64-bit over the stored 32-bit
-    vectors. If r exceeds the index size the whole index is returned.
-
-    A float32 screen (`_screen`) picks the rows that can reach the top r,
-    and only those are scored at 64-bit, with the bits of the whole-family
-    product; where the screen is not finite, every row is scored."""
+    vectors (`EmbeddingIndex.search`). If r exceeds the index size the
+    whole index is returned."""
     if r < 1:
         raise ContractViolation("search_topr requires r >= 1")
     if which not in ("text", "image"):
         raise ContractViolation(f"unknown vector family {which!r}")
-    n = len(index)
-    if n == 0:
+    if len(index) == 0:
         return []
-    q = _prepare_query(query_vec)
-    k = min(r, n)
-    rows = _screen(index, which, q, k) if k < n else np.arange(n)
-    if rows is None:
-        rows, scores = np.arange(n), index.scores(which, q)
-    else:
-        scores = index.scores_at(which, q, rows)
-    if k < rows.size:
-        # superset including every exact tie with the k-th score, so the
-        # pair_id tiebreak is applied over all tied candidates
-        kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
-        keep = scores >= kth
-        rows, scores = rows[keep], scores[keep]
-    order = np.lexsort((index.pair_ids[rows], -scores))[:k]
-    out = []
-    for i in order:
-        pid, s = int(index.pair_ids[rows[i]]), float(scores[i])
-        if which == "text":
-            out.append(RetrievalCandidate(pid, s_w=s))
-        else:
-            out.append(RetrievalCandidate(pid, s_v=s))
-    return out
+    rows, scores = index.search(which, _prepare_query(query_vec), r)
+    attr = "s_w" if which == "text" else "s_v"
+    return [RetrievalCandidate(pid, **{attr: s})
+            for pid, s in zip(index.pair_ids[rows].tolist(), scores.tolist())]
 
 
 def merge_candidates(top_w: list[RetrievalCandidate],

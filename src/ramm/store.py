@@ -25,10 +25,9 @@ TAG_NAMES = {v: k for k, v in SOURCE_TAGS.items()}
 _HEADER = struct.Struct("<HHQQ")  # version, d_proj, count, fingerprint
 _REC = np.dtype([("pair_id", "<u8"), ("source_tag", "u1"), ("offset", "<u8")])
 
-# Rows cast to float64 and scored per block. 2048 rows of d_proj 32 make a
-# 512 KiB block, which stays in L2 between the cast and the product. A power
-# of two, so blocks split the rows where BLAS gemv's row groups do, and the
-# blocked sums equal the whole-family product bit for bit.
+# Rows per block of the float32 screen (`_screen`). A power of two, so a
+# family split at a multiple of it splits where BLAS gemv's row groups do,
+# and each screened score keeps the whole-family product's bits.
 SCORE_BLOCK = 2048
 
 # Rows per group when only some rows are rescored (`scores_at`). Also a power
@@ -84,31 +83,15 @@ class EmbeddingIndex:
         """The (n, d_proj) float32 vectors of family "text" or "image"."""
         return {"text": self.text_vecs, "image": self.image_vecs}[which]
 
-    def scores(self, which: str, q: np.ndarray) -> np.ndarray:
-        """Dot product of every `which` vector with float64 `q`, at 64-bit.
-
-        Bit-identical to `family.astype(np.float64) @ q`, but casts one block
-        of rows at a time instead of copying the whole family.
-        """
-        family = self.family(which)
-        n = family.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        # numpy computes a one-row product as a dot, not with BLAS gemv, and
-        # its sum can differ in the last bit, so a lone last row joins the
-        # block before it
-        a = 0
-        for b in [*range(SCORE_BLOCK, n - 1, SCORE_BLOCK), n]:
-            np.matmul(family[a:b].astype(np.float64), q, out=out[a:b])
-            a = b
-        return out
-
     def scores_at(self, which: str, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """`scores(which, q)[rows]` for ascending `rows`, bit for bit.
+        """`(family.astype(np.float64) @ q)[rows]` for ascending `rows`, bit
+        for bit.
 
         Casts and multiplies only the aligned CHUNK-row groups holding a
-        requested row, as `scores` does its blocks; a lone last row joins the
-        group before it. Gathering the rows instead would move them within
-        BLAS gemv's row groups, and their sums by an ulp.
+        requested row. Gathering the rows instead would move them within
+        BLAS gemv's row groups, and their sums by an ulp. numpy computes a
+        one-row product as a dot, not with gemv, and its sum can differ in
+        the last bit, so a lone last row joins the group before it.
         """
         out = np.empty(rows.shape[0], dtype=np.float64)
         if not rows.shape[0]:
@@ -123,19 +106,33 @@ class EmbeddingIndex:
             out[lo:hi] = (family[a:b].astype(np.float64) @ q)[rows[lo:hi] - a]
         return out
 
-    def norm_bound(self, which: str) -> float:
-        """An upper bound on the largest row norm of a vector family, built on
-        first use and again whenever the family array is replaced. It is inf
-        or NaN when a row is not finite or its squared norm overflows
-        float32.
+    def search(self, which: str, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k best rows for float64 `q` (every row if k >= n), in
+        descending score order with ties by ascending pair_id, and their
+        float64 scores, bit for bit those of `family.astype(np.float64) @ q`.
 
-        Each squared norm is summed in float32, over d rounded squares, so
-        the exact squared norm is at most (c + d * 2**-150) / (1 - gamma_d)
-        for the computed c, gamma_d = d * 2**-24 / (1 - d * 2**-24), and
-        2**-150 the most a square that underflows can lose. The d * 2**-149
-        added here covers the first term; callers of the bound leave room
-        for the factor 1 / (1 - gamma_d).
-        """
+        A float32 screen (`_screen`) picks the rows that can reach the top k,
+        and only those are rescored (`scores_at`); where the screen is not
+        finite, every row is."""
+        n = len(self)
+        rows = _screen(self, which, q, k) if k < n else None
+        if rows is None:
+            rows = np.arange(n)
+        scores = self.scores_at(which, q, rows)
+        if k < rows.size:
+            # superset including every exact tie with the k-th score, so the
+            # pair_id tiebreak is applied over all tied candidates
+            kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+            keep = scores >= kth
+            rows, scores = rows[keep], scores[keep]
+        order = np.lexsort((self.pair_ids[rows], -scores))[:k]
+        return rows[order], scores[order]
+
+    def norm_bound(self, which: str) -> float:
+        """N, an upper bound on the largest row norm of a vector family, up
+        to the factor `_screen` allows for; built on first use and again
+        whenever the family array is replaced. It is inf or NaN when a row
+        is not finite or its squared norm overflows float32."""
         family = self.family(which)
         cached = self._norms.get(which)
         if cached is None or cached[0] is not family:
@@ -173,6 +170,76 @@ class EmbeddingIndex:
         return h.hexdigest()
 
 
+_worker: list = []   # the executor of the one thread `_screen` hands second chunks to
+
+
+def _screen(index: EmbeddingIndex, which: str, q: np.ndarray, k: int
+            ) -> np.ndarray | None:
+    """Ascending rows, found by a float32 product over the family, that
+    include every row whose exact score reaches the k-th largest exact
+    score; None when the screen could overflow or meets a non-finite value.
+
+    Bound. Let S = F_i . q exactly, s64 the float64 score `scores_at`
+    computes from the float32 row F_i, and s32 = fl32(F_i . fl32(q)) the
+    screen's. A dot product of length d carries an error of at most
+    gamma_d * sum |F_ij q_j|, gamma_d = d*u / (1 - d*u), in any summation
+    order, fused or not (Higham 2002, sec. 3.1), plus under gradual
+    underflow at most half a subnormal spacing per product. Rounding q to
+    float32 adds u32 * |q_j| per term. `norm_bound` sums each squared norm
+    in float32 over d rounded squares, so the exact one is at most
+    (c + d * 2**-150) / (1 - gamma_d) for the computed c, 2**-150 being
+    the most a square that underflows can lose; it adds d * 2**-149 to c,
+    so its N has |F_i| <= N / sqrt(1 - gamma_d). By Cauchy-Schwarz:
+        |s32 - S| <= ((d+1)*u32 + O(d*u32**2)) * N*|q| + 2**-150 * (d + sqrt(d)*N)
+        |s64 - S| <= (d*u64 + O(d*u64**2)) * N*|q| + d * 2**-1075
+    so |s32 - s64| <= E below. d*u32 < 0.004 for d_proj < 2**16, so the
+    second-order terms, the factor 1 / sqrt(1 - gamma_d) and the rounding
+    of E, |q| and T - 2E are far inside E's factor 2.
+
+    Screen. With T the k-th largest s32, k rows have s64 >= T - E, so the
+    k-th largest s64 is at least T - E, and every row reaching it has
+    s32 >= T - 2E. If N*|q| < 2**120, every s32 partial sum stays below
+    float32's largest value and every vector entry is finite.
+
+    Chunks. With more than one usable core, a family whose last multiple of
+    SCORE_BLOCK up to n/2 leaves each side max(SCORE_BLOCK, k) rows or more
+    is cut there in two (`_cut`), the second on `_worker`; gemv's row groups
+    split there too, so s32 keeps its bits. A chunk's k-th largest s32 is
+    at most T, so each keeps every row with s32 >= T - 2E.
+    """
+    family = index.family(which)
+    n, d = family.shape
+    bound, q_norm = index.norm_bound(which), float(np.linalg.norm(q))
+    if not bound * q_norm < 2.0**120:  # false for inf and NaN too
+        return None
+    err = (2 * ((d + 1) * 2.0**-24 + d * 2.0**-53) * bound * q_norm
+           + d * (1 + bound) * 2.0**-148)
+    q32, s32 = q.astype(np.float32), np.empty(n, dtype=np.float32)
+    half = n // 2 // SCORE_BLOCK * SCORE_BLOCK
+    if half >= max(SCORE_BLOCK, k) and len(os.sched_getaffinity(0)) > 1:
+        if not _worker:   # at the first split, so a process that never splits imports none
+            from concurrent.futures import ThreadPoolExecutor
+            _worker.append(ThreadPoolExecutor(1))
+        tail = _worker[0].submit(_cut, family[half:], q32, k, err, s32[half:], half)
+        head = _cut(family[:half], q32, k, err, s32[:half])
+        rows, top = (np.concatenate(parts) for parts in zip(head, tail.result()))
+    else:
+        rows, top = _cut(family, q32, k, err, s32)
+    return rows[top >= np.float64(np.partition(top, -k)[-k]) - 2 * err]
+
+
+def _cut(family: np.ndarray, q32: np.ndarray, k: int, err: float, s32: np.ndarray,
+         start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Writes family @ q32 into s32, and returns the rows (plus `start`) and s32
+    reaching its first max(SCORE_BLOCK, k) rows' k-th largest minus 2E. Only
+    numpy. The cut is rounded to float32: the float32 above keeps the same
+    rows, the one below adds only rows equal to it, which `_screen` drops."""
+    np.matmul(family, q32, out=s32)
+    cut = np.float64(np.partition(s32[:max(SCORE_BLOCK, k)], -k)[-k]) - 2 * err
+    rows = np.flatnonzero(s32 >= np.float32(cut))
+    return rows + start, s32[rows]
+
+
 def frozen_texts(params, cfg: ModelConfig, vocab, texts: list[str]) -> list[np.ndarray]:
     """The frozen-encoder (n_i, d) states (dropout off) of each text, cut to
     its token count, EVAL_BATCH texts per graph. A text's bits depend on
@@ -206,16 +273,15 @@ class BuildReport:
     skipped_ids: list[int] = field(default_factory=list)
 
 
-def build_store(pairs, params, cfg: ModelConfig, vocab, load_patches=None
+def build_store(pairs, params, cfg: ModelConfig, vocab, load_patches
                 ) -> tuple[EmbeddingIndex, BuildReport]:
     """Encode every corpus pair once with frozen encoders (dropout off),
     EVAL_BATCH pairs per graph.
 
-    `pairs` yields objects with pair_id, source_tag, caption, and either an
-    in-memory `patches` array or an `image_ref` resolvable by load_patches.
-    Pairs whose image cannot be read are skipped and counted; duplicate ids
-    abort the build, and an image or caption the encoders reject (a
-    `ShapeError`, say) propagates.
+    `pairs` yields objects with pair_id, source_tag, caption and an
+    `image_ref` that `load_patches` reads. Pairs whose image cannot be read
+    are skipped and counted; duplicate ids abort the build, and an image or
+    caption the encoders reject (a `ShapeError`, say) propagates.
     """
     report = BuildReport()
     kept, patches = [], []
@@ -225,14 +291,12 @@ def build_store(pairs, params, cfg: ModelConfig, vocab, load_patches=None
         if pid in seen:
             raise BuildError(f"duplicate pair_id {pid}")
         seen.add(pid)
-        p = getattr(pair, "patches", None)
-        if p is None:
-            try:
-                p = load_patches(pair.image_ref)
-            except (OSError, FormatError, TruncatedFileError):
-                report.skipped += 1
-                report.skipped_ids.append(pid)
-                continue
+        try:
+            p = load_patches(pair.image_ref)
+        except (OSError, FormatError, TruncatedFileError):
+            report.skipped += 1
+            report.skipped_ids.append(pid)
+            continue
         kept.append(pair)
         patches.append(check_patches(p, cfg, f"pair_id {pid}"))
     n = report.encoded = len(kept)
@@ -273,13 +337,17 @@ def save_index(index: EmbeddingIndex, path) -> None:
     recs["source_tag"] = index.source_tags
     lengths = np.fromiter(map(len, encoded), dtype=np.uint64, count=n)
     recs["offset"] = np.cumsum(lengths) - lengths
-    with open(path, "wb") as f:
+    # no index while the sidecar is replaced, so a save cut short never loads
+    path.unlink(missing_ok=True)
+    sidecar_path(path).write_bytes(b"".join(encoded))
+    partial = Path(str(path) + ".partial")
+    with open(partial, "wb") as f:
         f.write(MAGIC)
         f.write(_HEADER.pack(VERSION, index.d_proj, n, index.fingerprint))
         f.write(recs.data)
         for vecs in (index.text_vecs, index.image_vecs):
             f.write(np.ascontiguousarray(vecs, dtype="<f4").data)
-    sidecar_path(path).write_bytes(b"".join(encoded))
+    partial.replace(path)
 
 
 def _read_captions(path: Path, offsets: np.ndarray) -> list[str]:

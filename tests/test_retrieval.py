@@ -7,14 +7,13 @@ import threading
 import numpy as np
 import pytest
 
-from ramm import retrieval
+from ramm import retrieval, store
 from ramm.errors import ContractViolation
 from ramm.retrieval import (
     Mode, RetrievalCandidate, candidate_pool, complete_scores, merge_candidates,
     retrieve_by_vector, search_topr, select_inference, select_training,
 )
-from ramm.store import SCORE_BLOCK, EmbeddingIndex
-from ramm.store import CHUNK
+from ramm.store import CHUNK, SCORE_BLOCK, EmbeddingIndex
 
 
 def _unit_rows(rng, n, d):
@@ -253,18 +252,6 @@ def test_retrieve_counts_non_unit_query_once(rng, caplog):
     assert retrieval.non_unit_query_count == before + 1
     assert len([r for r in caplog.records if "norm" in r.getMessage()]) == 1
     assert res.selected[0][0] == 3
-
-
-# -- blocked scoring against the whole-family product -------------------------------
-
-@pytest.mark.parametrize("n", [SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1,
-                               2 * SCORE_BLOCK + 3])
-def test_block_scores_bit_identical(rng, n):
-    index = _index(rng, n, d=32)
-    q = rng.normal(size=32)
-    q /= np.linalg.norm(q)
-    for which, family in (("text", index.text_vecs), ("image", index.image_vecs)):
-        assert np.array_equal(index.scores(which, q), family.astype(np.float64) @ q)
 
 
 def _oracle_pool(index, q, r):
@@ -522,7 +509,7 @@ def test_r_past_the_index_size_retrieves_the_whole_index(tmp_path):
 def _full_pass_topr(index, which, q, r):
     """Top-r the way search_topr ranks every row: one 64-bit score per row,
     the k-th largest by argpartition, ties resolved by lexsort."""
-    scores = index.scores(which, q)
+    scores = index.family(which).astype(np.float64) @ q
     n, k = len(index), min(r, len(index))
     part = np.arange(n)
     if k < n:
@@ -549,9 +536,11 @@ def _same_bits(got, want):
 
 
 @pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1,
+                               SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1,
                                2 * SCORE_BLOCK + 3])
 def test_scores_at_bit_identical(rng, n):
-    """Rescoring any subset of rows gives the bits of the blocked full pass."""
+    """Rescoring any subset of rows, all of them too, gives the bits of the
+    whole-family float64 product."""
     index = _index(rng, n, d=32)
     q = rng.normal(size=32)
     q /= np.linalg.norm(q)
@@ -559,7 +548,7 @@ def test_scores_at_bit_identical(rng, n):
                np.zeros(0, dtype=np.intp)]
     subsets += [np.sort(rng.choice(n, size=m, replace=False)) for m in (1, min(n, 3), min(n, 40))]
     for which in ("text", "image"):
-        full = index.scores(which, q)
+        full = index.family(which).astype(np.float64) @ q
         for rows in subsets:
             got = index.scores_at(which, q, rows)
             assert got.dtype == np.float64 and got.shape == rows.shape
@@ -641,18 +630,22 @@ def test_screen_keeps_exactly_the_rows_the_bound_names(rng, kind):
         q = family[rng.integers(n)].astype(np.float64) if trial else rng.normal(size=d)
         q /= np.linalg.norm(q)
         for k in (1, 4, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, n - 1):
-            got = retrieval._screen(index, "text", q, k)
+            got = store._screen(index, "text", q, k)
             assert np.array_equal(got, _screen_oracle(index, "text", q, k)), (trial, k)
 
 
-def _counting_scores(monkeypatch):
+def _counting_full_passes(monkeypatch):
+    """The family of each screen that gave up (returned None), so that the
+    search scored every row."""
     calls = []
-    full = EmbeddingIndex.scores
+    screen = store._screen
 
-    def counting(self, which, q):
-        calls.append(which)
-        return full(self, which, q)
-    monkeypatch.setattr(EmbeddingIndex, "scores", counting)
+    def counting(index, which, q, k):
+        rows = screen(index, which, q, k)
+        if rows is None:
+            calls.append(which)
+        return rows
+    monkeypatch.setattr(store, "_screen", counting)
     return calls
 
 
@@ -670,7 +663,7 @@ def test_nonfinite_screen_takes_full_pass(rng, monkeypatch, bad):
         vecs[rows] *= np.float32(1e30)
     index.text_vecs = vecs
     assert not index.norm_bound("text") < np.inf
-    calls = _counting_scores(monkeypatch)
+    calls = _counting_full_passes(monkeypatch)
     for trial in range(3):
         q = vecs[rows[trial]].astype(np.float64) if trial else rng.normal(size=8)
         q /= np.linalg.norm(q)
@@ -685,7 +678,7 @@ def test_nonfinite_screen_takes_full_pass(rng, monkeypatch, bad):
 
 def test_nonfinite_query_takes_full_pass(rng, monkeypatch):
     index = _index(rng, 50)
-    calls = _counting_scores(monkeypatch)
+    calls = _counting_full_passes(monkeypatch)
     q = rng.normal(size=8)
     q[2] = np.nan
     got = _found(search_topr(q, index, "image", 3), "image")
@@ -777,7 +770,7 @@ def test_finite_search_never_scores_every_row(rng, monkeypatch):
     """Over finite families, searches and candidate pools score only the
     rows the screen keeps."""
     index = _spanning_index(rng)
-    calls = _counting_scores(monkeypatch)
+    calls = _counting_full_passes(monkeypatch)
     for trial in range(5):
         q = rng.normal(size=16)
         q /= np.linalg.norm(q)
@@ -825,7 +818,7 @@ def test_candidate_pool_refuses_a_pool_outside_its_bound(rng, monkeypatch, text_
 
 
 def _usable_cores(monkeypatch, count):
-    monkeypatch.setattr(retrieval.os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(store.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def _split_family(rng, n, kind):
@@ -858,19 +851,19 @@ def test_split_screen_equals_one_product(rng, monkeypatch, n, kind):
                            source_tags=np.zeros(n, dtype=np.uint8), text_vecs=family,
                            image_vecs=family, captions=[""] * n)
     starts = []
-    cut = retrieval._cut
+    cut = store._cut
 
     def recording_cut(family, q32, k, err, s32, start=0):
         starts.append(start)
         return cut(family, q32, k, err, s32, start)
-    monkeypatch.setattr(retrieval, "_cut", recording_cut)
+    monkeypatch.setattr(store, "_cut", recording_cut)
     half = n // 2 // SCORE_BLOCK * SCORE_BLOCK
     for k in (1, 4, SCORE_BLOCK + 1):
         found = {}
         for cores in (1, 2):
             _usable_cores(monkeypatch, cores)
             starts.clear()
-            found[cores] = (retrieval._screen(index, "text", q, k),
+            found[cores] = (store._screen(index, "text", q, k),
                             _found(search_topr(q, index, "text", k), "text"))
             split = cores == 2 and half >= max(SCORE_BLOCK, k)
             assert sorted(set(starts)) == ([0, half] if split else [0]), (cores, k)
@@ -885,7 +878,7 @@ def test_worker_exception_reaches_the_caller(rng, monkeypatch):
     class ChunkError(Exception):
         pass
 
-    cut, threads = retrieval._cut, []
+    cut, threads = store._cut, []
 
     def failing_second_chunk(family, q32, k, err, s32, start=0):
         if start:
@@ -893,10 +886,10 @@ def test_worker_exception_reaches_the_caller(rng, monkeypatch):
             raise ChunkError(f"chunk at {start}")
         return cut(family, q32, k, err, s32, start)
     _usable_cores(monkeypatch, 2)
-    monkeypatch.setattr(retrieval, "_cut", failing_second_chunk)
+    monkeypatch.setattr(store, "_cut", failing_second_chunk)
     index = _spanning_index(rng)
     with pytest.raises(ChunkError, match=f"chunk at {SCORE_BLOCK}"):
-        retrieval._screen(index, "text", index.text_vecs[0].astype(np.float64), 4)
+        store._screen(index, "text", index.text_vecs[0].astype(np.float64), 4)
     assert threads and threads[0] is not threading.main_thread()
 
 
@@ -909,7 +902,7 @@ def test_one_core_or_a_small_family_starts_no_thread(rng, monkeypatch, n, cores)
         def submit(self, *args):
             raise AssertionError("a chunk was handed to the worker")
     _usable_cores(monkeypatch, cores)
-    monkeypatch.setattr(retrieval, "_worker", [NoWorker()])
+    monkeypatch.setattr(store, "_worker", [NoWorker()])
     index = _index(rng, n)
     q = index.image_vecs[0].astype(np.float64)
     assert len(candidate_pool(q, index, 4)) >= 4
@@ -940,6 +933,6 @@ def test_screen_cut_keeps_the_float32_at_its_edge(rng, monkeypatch, cores):
         family[row] = 0
         family[row, 0] = above if i % 2 else below
     index.text_vecs = family.copy()
-    got = retrieval._screen(index, "text", q, 1)
+    got = store._screen(index, "text", q, 1)
     assert np.array_equal(got, _screen_oracle(index, "text", q, 1))
     assert got.tolist() == [0, 700, n - 1]

@@ -334,6 +334,42 @@ def test_interrupted_weights_overwrite_never_loads(tmp_path, monkeypatch):
     with pytest.raises(MissingArtifactError, match="manifest"):
         load_params(tmp_path / "w")
 
+
+@pytest.mark.parametrize("dies_at", ["sidecar", "rename"])
+def test_interrupted_index_overwrite_never_loads(tmp_path, monkeypatch, capsys, rng, dies_at):
+    """A save_index that stops at its sidecar write or at its rename, over a
+    complete earlier save with other captions, leaves no index: the next
+    load and `ramm retrieve` refuse it by name instead of pairing the new
+    vectors with the old captions. A completed save leaves only the index
+    and its sidecar."""
+    from pathlib import Path
+
+    from ramm.cli import EXIT_MISSING, main
+
+    path = tmp_path / "i.idx"
+    old = _random_index(rng, n=6)
+    save_index(old, path)
+    new = _random_index(rng, n=6)
+    new.captions = [c.upper() for c in old.captions]   # the old offsets, other text
+
+    def killed(self, *args):
+        raise OSError("killed")
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "write_bytes" if dies_at == "sidecar" else "replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            save_index(new, path)
+    with pytest.raises(FileNotFoundError, match="i.idx"):
+        load_index(path)
+    save_tensor(Tensor(new.image_vecs[0]), tmp_path / "q.ten")
+    assert main(["retrieve", "--index", str(path), "--query-tensor", str(tmp_path / "q.ten"),
+                 "--r", "2", "--mode", "infer"]) == EXIT_MISSING
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "i.idx" in err[0]
+    save_index(new, path)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["i.idx", "i.idx.captions", "q.ten"]
+    assert load_index(path).captions == new.captions
+
+
 def test_fingerprint_covers_encoders(rng):
     """A change to one frozen-encoder value, not only to the projection
     heads, makes the index fingerprint a mismatch."""

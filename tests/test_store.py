@@ -30,14 +30,27 @@ def _pairs(cfg, rng, n, start=1):
     return [
         FakePair(pair_id=start + i,
                  caption=f"w{i % 10} w{(i + 3) % 10} finding",
-                 patches=rng.normal(size=(cfg.patch_grid**2, cfg.d_patch)))
+                 patches=rng.normal(size=(cfg.patch_grid**2, cfg.d_patch)),
+                 image_ref=f"img/{start + i}.ten")
         for i in range(n)
     ]
 
 
+def _loader(pairs):
+    """A load_patches that reads each pair's in-memory `patches` by its
+    image_ref; a pair without patches is an unreadable image."""
+    by_ref = {pair.image_ref: pair for pair in pairs}
+
+    def load_patches(ref):
+        if by_ref[ref].patches is None:
+            raise FileNotFoundError(ref)
+        return by_ref[ref].patches
+    return load_patches
+
+
 def test_build_empty(vocab):
     cfg = micro_config()
-    index, report = build_store([], micro_params(cfg), cfg, vocab)
+    index, report = build_store([], micro_params(cfg), cfg, vocab, _loader([]))
     assert len(index) == 0
     assert report.encoded == 0 and report.skipped == 0
 
@@ -45,7 +58,8 @@ def test_build_empty(vocab):
 def test_build_single_and_norms(vocab, rng):
     cfg = micro_config()
     params = micro_params(cfg)
-    index, report = build_store(_pairs(cfg, rng, 1), params, cfg, vocab)
+    pairs = _pairs(cfg, rng, 1)
+    index, report = build_store(pairs, params, cfg, vocab, _loader(pairs))
     assert len(index) == 1 and report.encoded == 1
     assert np.abs(np.linalg.norm(index.text_vecs, axis=1) - 1).max() < 1e-5
     assert np.abs(np.linalg.norm(index.image_vecs, axis=1) - 1).max() < 1e-5
@@ -55,8 +69,8 @@ def test_build_100_deterministic(vocab, rng):
     cfg = micro_config()
     params = micro_params(cfg)
     pairs = _pairs(cfg, rng, 100)
-    index_a, _ = build_store(pairs, params, cfg, vocab)
-    index_b, _ = build_store(pairs, params, cfg, vocab)
+    index_a, _ = build_store(pairs, params, cfg, vocab, _loader(pairs))
+    index_b, _ = build_store(pairs, params, cfg, vocab, _loader(pairs))
     assert index_a.checksum() == index_b.checksum()
     assert len(index_a) == 100
     norms = np.linalg.norm(index_a.text_vecs.astype(np.float64), axis=1)
@@ -67,19 +81,14 @@ def test_build_duplicate_id_aborts(vocab, rng):
     cfg = micro_config()
     pairs = _pairs(cfg, rng, 3) + _pairs(cfg, rng, 1)
     with pytest.raises(BuildError):
-        build_store(pairs, micro_params(cfg), cfg, vocab)
+        build_store(pairs, micro_params(cfg), cfg, vocab, _loader(pairs))
 
 
 def test_build_skips_undecodable(vocab, rng):
     cfg = micro_config()
     pairs = _pairs(cfg, rng, 4)
     pairs[2].patches = None
-    pairs[2].image_ref = "missing.ten"
-
-    def load_patches(ref):
-        raise FileNotFoundError(ref)
-
-    index, report = build_store(pairs, micro_params(cfg), cfg, vocab, load_patches)
+    index, report = build_store(pairs, micro_params(cfg), cfg, vocab, _loader(pairs))
     assert report.encoded == 3 and report.skipped == 1
     assert report.skipped_ids == [3]
     assert len(index) == 3
@@ -91,12 +100,13 @@ def test_build_shape_mismatch_raises(vocab, rng):
     cfg = micro_config(d_patch=4)
     pairs = _pairs(micro_config(d_patch=5), rng, 3)
     with pytest.raises(ShapeError):
-        build_store(pairs, micro_params(cfg), cfg, vocab)
+        build_store(pairs, micro_params(cfg), cfg, vocab, _loader(pairs))
 
 
 def test_index_lookup_and_immutability(vocab, rng):
     cfg = micro_config()
-    index, _ = build_store(_pairs(cfg, rng, 5), micro_params(cfg), cfg, vocab)
+    pairs = _pairs(cfg, rng, 5)
+    index, _ = build_store(pairs, micro_params(cfg), cfg, vocab, _loader(pairs))
     before = index.checksum()
     assert index.row_of(3) == 2
     assert "finding" in index.caption_of(3)
@@ -109,7 +119,8 @@ def test_lookup_shuffled_ids_and_replaced_ids(vocab, rng):
     """row_of resolves ids stored in any order, and follows a replaced
     pair_ids array."""
     cfg = micro_config()
-    index, _ = build_store(_pairs(cfg, rng, 6), micro_params(cfg), cfg, vocab)
+    pairs = _pairs(cfg, rng, 6)
+    index, _ = build_store(pairs, micro_params(cfg), cfg, vocab, _loader(pairs))
     index.pair_ids = np.array([40, 7, 93, 12, 5, 61], dtype=np.uint64)
     assert [index.row_of(pid) for pid in (5, 7, 12, 40, 61, 93)] == [4, 1, 3, 0, 5, 2]
     assert index.caption_of(93) == index.captions[2]
@@ -131,12 +142,8 @@ def test_batched_build_matches_per_pair_reference(vocab, rng):
         pair.caption = " ".join(f"w{(i + k) % 10}" for k in range(i % (cfg.max_text_len + 2)))
     assert pairs[0].caption == ""
     unreadable = pairs[30]
-    unreadable.patches, unreadable.image_ref = None, "missing.ten"
-
-    def load_patches(ref):
-        raise FileNotFoundError(ref)
-
-    index, report = build_store(pairs, params, cfg, vocab, load_patches)
+    unreadable.patches = None
+    index, report = build_store(pairs, params, cfg, vocab, _loader(pairs))
     assert report.encoded == EVAL_BATCH + 1 and report.skipped == 1
     assert report.skipped_ids == [unreadable.pair_id]
     kept = [p for p in pairs if p is not unreadable]
@@ -156,4 +163,4 @@ def test_build_patch_count_mismatch_names_pair(vocab, rng):
     pairs = _pairs(cfg, rng, 3)
     pairs[1].patches = rng.normal(size=(cfg.n_patches + 1, cfg.d_patch))
     with pytest.raises(ShapeError, match=f"pair_id {pairs[1].pair_id}"):
-        build_store(pairs, micro_params(cfg), cfg, vocab)
+        build_store(pairs, micro_params(cfg), cfg, vocab, _loader(pairs))
