@@ -555,6 +555,22 @@ def test_scores_at_bit_identical(rng, n):
             assert np.array_equal(got.view(np.uint64), full[rows].view(np.uint64)), rows
 
 
+@pytest.mark.parametrize("n", [2 * SCORE_BLOCK + 3])
+def test_block_scores_bit_identical(rng, n):
+    """A search for every row of a family spanning several score blocks
+    returns each row once, ranked, with the bits of the whole-family
+    float64 product."""
+    index = _index(rng, n, d=32)
+    q = rng.normal(size=32)
+    q /= np.linalg.norm(q)
+    for which in ("text", "image"):
+        full = index.family(which).astype(np.float64) @ q
+        rows, scores = index.search(which, q, n)
+        assert np.array_equal(np.sort(rows), np.arange(n))
+        assert np.array_equal(scores.view(np.uint64), full[rows].view(np.uint64))
+        assert np.array_equal(rows, np.lexsort((index.pair_ids, -full)))
+
+
 def _adversarial_family(rng, n, d, kind):
     mat = rng.normal(size=(n, d))
     if kind == "scaled":
