@@ -66,12 +66,13 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-# the fields of each config that are flags, in --help order
+# the fields of each config that are flags, in --help order; each training
+# stage has flags for only the TrainConfig fields it reads
 MODEL_FIELDS = ("d", "n_head", "l_fuse", "l_text", "l_image", "d_proj", "d_ff",
                 "d_patch", "patch_grid", "max_text_len", "dropout_rate")
-TRAIN_FIELDS = ("seed", "batch_size", "lr", "itc_temperature", "momentum",
-                "ema_decay", "rdrop_alpha", "mask_rate", "distill_weight",
-                "weight_decay")
+PRETRAIN_FIELDS = ("seed", "batch_size", "lr", "itc_temperature", "momentum",
+                   "mask_rate", "distill_weight", "weight_decay")
+FINETUNE_FIELDS = ("seed", "batch_size", "lr", "ema_decay", "rdrop_alpha", "weight_decay")
 SYNTH_FIELDS = ("seed", "n_clusters", "pairs_per_cluster", "n_train", "n_test",
                 "patch_grid", "d_patch", "required_fraction", "closed_fraction")
 _FLAG_DEST = {"dropout_rate": "dropout"}    # field -> flag dest, where they differ
@@ -150,7 +151,7 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=150)
     _add_fields(p, ModelConfig, MODEL_FIELDS)
-    _add_fields(p, TrainConfig, TRAIN_FIELDS)
+    _add_fields(p, TrainConfig, PRETRAIN_FIELDS)
 
     p = sub.add_parser("build-index", help="encode the corpus into a RAMMIDX1 index")
     p.add_argument("--checkpoint", required=True)
@@ -165,7 +166,7 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     p.add_argument("--r", type=int, default=4)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--feature-noise", type=float, default=0.0)
-    _add_fields(p, TrainConfig, TRAIN_FIELDS)
+    _add_fields(p, TrainConfig, FINETUNE_FIELDS)
 
     p = sub.add_parser("eval", help="evaluate a fine-tuned checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -197,7 +198,7 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
     p.add_argument("--out", required=True)
     p.add_argument("--rs", default="0,1,2,4,8")
     p.add_argument("--epochs", type=int, default=10)
-    _add_fields(p, TrainConfig, TRAIN_FIELDS)
+    _add_fields(p, TrainConfig, FINETUNE_FIELDS)
 
     unknown = sorted(set(defaults) - dests)
     if unknown:
@@ -228,7 +229,7 @@ def _cmd_pretrain(args) -> int:
                         vocab_size=len(Vocab.load(data / "vocab.txt")),
                         n_answers=len(load_answers(data)))
     out = pretrain(args.data, args.out, mcfg,
-                   _from_fields(TrainConfig, TRAIN_FIELDS, args), steps=args.steps)
+                   _from_fields(TrainConfig, PRETRAIN_FIELDS, args), steps=args.steps)
     print(f"checkpoint written to {out}")
     return EXIT_OK
 
@@ -248,7 +249,7 @@ def _cmd_finetune(args) -> int:
     from .train import finetune
 
     out = finetune(args.checkpoint, args.index, args.data, args.r,
-                   _from_fields(TrainConfig, TRAIN_FIELDS, args), args.out,
+                   _from_fields(TrainConfig, FINETUNE_FIELDS, args), args.out,
                    epochs=args.epochs, feature_noise=args.feature_noise)
     print(f"fine-tuned checkpoint written to {out}")
     return EXIT_OK
@@ -316,7 +317,7 @@ def _cmd_sweep_r(args) -> int:
     from .train import sweep_r, sweep_table
 
     rows = sweep_r(args.checkpoint, args.index, args.data, rs,
-                   _from_fields(TrainConfig, TRAIN_FIELDS, args), args.out,
+                   _from_fields(TrainConfig, FINETUNE_FIELDS, args), args.out,
                    epochs=args.epochs)
     print(sweep_table(rows), end="")
     return EXIT_OK

@@ -262,10 +262,10 @@ def save_params(params: dict[str, Node], directory) -> None:
     partial.replace(manifest)
 
 
-def load_params(directory, shapes: dict[str, tuple] | None = None) -> dict[str, Node]:
+def load_params(directory, shapes: dict[str, tuple]) -> dict[str, Node]:
     """The float32 tensors of a save_params directory. A manifest line whose
     dimensions are not integers, or a manifest whose names or shapes differ
-    from `shapes`, if given, raises FormatError first."""
+    from `shapes`, raises FormatError first."""
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     if not manifest.exists():
@@ -279,19 +279,18 @@ def load_params(directory, shapes: dict[str, tuple] | None = None) -> dict[str, 
         except ValueError:
             raise FormatError(f"{manifest} line {number}: dimensions of "
                               f"{line!r} are not integers") from None
-    if shapes is not None:
-        for name in sorted(listed.keys() | shapes.keys()):
-            if listed.get(name) != shapes.get(name):
-                raise FormatError(f"{directory}: tensor {name} has shape "
-                                  f"{listed.get(name, 'absent')} in the manifest, "
-                                  f"{shapes.get(name, 'absent')} in the config")
+    for name in sorted(listed.keys() | shapes.keys()):
+        if listed.get(name) != shapes.get(name):
+            raise FormatError(f"{directory}: tensor {name} has shape "
+                              f"{listed.get(name, 'absent')} in the manifest, "
+                              f"{shapes.get(name, 'absent')} in the config")
     params: dict[str, Node] = {}
     for name, dims in listed.items():
         t = load_tensor(directory / f"{name}.ten")
         if dims != t.shape:
             raise FormatError(f"{directory / f'{name}.ten'}: shape {t.shape}, "
                               f"the manifest lists {dims}")
-        params[name] = ops.param(t.array.astype(np.float32))
+        params[name] = ops.param(t.array.astype(np.float32, copy=False))
     return params
 
 

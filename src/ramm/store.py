@@ -8,6 +8,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +56,11 @@ def fingerprint_params(params: dict[str, Node], d_proj: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingIndex:
-    """The dual vector store of a corpus. Searching caches facts about the
-    arrays it was given (the `pair_ids` order, each family's largest row
-    norm), keyed on array identity, so a vector or id array is not modified
-    in place once searched: assign a new array instead."""
+    """The dual vector store of a corpus, fixed at construction; use
+    `dataclasses.replace` for a variant. What searches derive from the arrays
+    is computed once, so an array is not modified in place once searched."""
 
     d_proj: int
     fingerprint: int
@@ -69,12 +69,6 @@ class EmbeddingIndex:
     text_vecs: np.ndarray         # (n, d_proj) float32
     image_vecs: np.ndarray        # (n, d_proj) float32
     captions: list[str] = field(default_factory=list)
-    # (pair_ids it was built from, rows in ascending pair_id order)
-    _id_order: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
-    # which -> (family array it was computed from, its norm bound)
-    _norms: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __len__(self) -> int:
         return int(self.pair_ids.shape[0])
@@ -88,10 +82,12 @@ class EmbeddingIndex:
         for bit.
 
         Casts and multiplies only the aligned CHUNK-row groups holding a
-        requested row. Gathering the rows instead would move them within
-        BLAS gemv's row groups, and their sums by an ulp. numpy computes a
-        one-row product as a dot, not with gemv, and its sum can differ in
-        the last bit, so a lone last row joins the group before it.
+        requested row, each run of consecutive groups within one
+        SCORE_BLOCK as one product, so the float64 cast stays cache-sized.
+        Gathering the rows instead would move them within BLAS gemv's row
+        groups, and their sums by an ulp. numpy computes a one-row product
+        as a dot, not with gemv, and its sum can differ in the last bit, so
+        a lone last row joins the group before it.
         """
         out = np.empty(rows.shape[0], dtype=np.float64)
         if not rows.shape[0]:
@@ -99,10 +95,12 @@ class EmbeddingIndex:
         family = self.family(which)
         last = max(0, (family.shape[0] - 2) // CHUNK)
         group = np.minimum(rows // CHUNK, last)
-        starts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
+        prev, nxt, per_block = group[:-1], group[1:], SCORE_BLOCK // CHUNK
+        new_run = (nxt - prev > 1) | (nxt // per_block != prev // per_block)
+        starts = (np.flatnonzero(new_run) + 1).tolist()
         for lo, hi in zip([0, *starts], [*starts, rows.shape[0]]):
             a = int(group[lo]) * CHUNK
-            b = family.shape[0] if group[lo] == last else a + CHUNK
+            b = family.shape[0] if group[hi - 1] == last else int(group[hi - 1] + 1) * CHUNK
             out[lo:hi] = (family[a:b].astype(np.float64) @ q)[rows[lo:hi] - a]
         return out
 
@@ -128,30 +126,30 @@ class EmbeddingIndex:
         order = np.lexsort((self.pair_ids[rows], -scores))[:k]
         return rows[order], scores[order]
 
-    def norm_bound(self, which: str) -> float:
-        """N, an upper bound on the largest row norm of a vector family, up
-        to the factor `_screen` allows for; built on first use and again
-        whenever the family array is replaced. It is inf or NaN when a row
-        is not finite or its squared norm overflows float32."""
-        family = self.family(which)
-        cached = self._norms.get(which)
-        if cached is None or cached[0] is not family:
+    @cached_property
+    def _norm_bounds(self) -> dict[str, float]:
+        bounds = {}
+        for which in ("text", "image"):
+            family = self.family(which)
             with np.errstate(over="ignore", invalid="ignore"):
                 sq = np.einsum("ij,ij->i", family, family).max(initial=0.0)
-            bound = float(np.sqrt(np.float64(sq) + family.shape[1] * 2.0**-149))
-            self._norms[which] = cached = (family, bound)
-        return cached[1]
+            bounds[which] = float(np.sqrt(np.float64(sq) + family.shape[1] * 2.0**-149))
+        return bounds
 
+    def norm_bound(self, which: str) -> float:
+        """N, an upper bound on the largest row norm of a vector family, up
+        to the factor `_screen` allows for. It is inf or NaN when a row is
+        not finite or its squared norm overflows float32."""
+        return self._norm_bounds[which]
+
+    @cached_property
     def id_order(self) -> np.ndarray:
-        """Rows sorted by pair_id, built on first use and again whenever
-        `pair_ids` is replaced. An index holds each pair_id once."""
-        if self._id_order is None or self._id_order[0] is not self.pair_ids:
-            self._id_order = (self.pair_ids, np.argsort(self.pair_ids))
-        return self._id_order[1]
+        """Rows sorted by pair_id. An index holds each pair_id once."""
+        return np.argsort(self.pair_ids)
 
     def row_of(self, pair_id: int) -> int:
         key = np.uint64(pair_id)
-        order = self.id_order()
+        order = self.id_order
         at = int(np.searchsorted(self.pair_ids, key, sorter=order))
         if at == order.shape[0] or self.pair_ids[order[at]] != key:
             raise KeyError(f"pair_id {pair_id} not in index")
@@ -328,9 +326,10 @@ def sidecar_path(path) -> Path:
 
 def save_index(index: EmbeddingIndex, path) -> None:
     """RAMMIDX1: magic | version u16 | d_proj u16 | count u64 | fingerprint
-    u64 | count records | text vecs f32 | image vecs f32, all little-endian."""
+    u64 | count records | text vecs f32 | image vecs f32, all little-endian.
+    The sidecar holds each caption up to its first newline, as it loads."""
     path = Path(path)
-    encoded = [cap.encode("utf-8") + b"\n" for cap in index.captions]
+    encoded = [cap.split("\n", 1)[0].encode("utf-8") + b"\n" for cap in index.captions]
     n = len(index)
     recs = np.empty(n, dtype=_REC)
     recs["pair_id"] = index.pair_ids
@@ -353,7 +352,8 @@ def save_index(index: EmbeddingIndex, path) -> None:
 def _read_captions(path: Path, offsets: np.ndarray) -> list[str]:
     """The caption at each byte offset of the sidecar: the line starting
     there, up to the next newline. save_index writes each caption's offset
-    at a line start, so an offset inside a line is a corrupt file."""
+    at a line start and nothing after the last caption, so an offset inside
+    a line, or bytes after the last caption's line, are a corrupt file."""
     side = sidecar_path(path)
     blob = side.read_bytes()
     newlines = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == ord("\n"))
@@ -364,6 +364,9 @@ def _read_captions(path: Path, offsets: np.ndarray) -> list[str]:
                                  f"in {len(blob)} bytes")
     if not np.array_equal(starts[line], offsets):
         raise FormatError(f"{side}: a caption offset is not at a line start")
+    end = int(starts[line.max(initial=-1) + 1])
+    if len(blob) > end:
+        raise FormatError(f"{side}: {len(blob) - end} bytes after the last caption")
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -402,7 +405,7 @@ def load_index(path) -> EmbeddingIndex:
         image_vecs=ivecs.astype(np.float32, copy=False).reshape(count, d_proj),
         captions=_read_captions(path, recs["offset"]),
     )
-    ids = index.pair_ids[index.id_order()]
+    ids = index.pair_ids[index.id_order]
     dups = ids[1:][ids[1:] == ids[:-1]]
     if dups.size:
         raise FormatError(f"{path}: duplicate pair_id {int(dups[0])}")

@@ -3,14 +3,14 @@
 import json
 import warnings
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from ramm.cli import (
     EXIT_BAD_R, EXIT_CONFIG, EXIT_ERROR, EXIT_FINGERPRINT, EXIT_FORMAT,
-    EXIT_MISSING, EXIT_OK, build_parser, main,
+    EXIT_MISSING, EXIT_OK, _config_defaults, build_parser, main,
 )
 from ramm.errors import ConfigError
 from ramm.model import ModelConfig, Vocab
@@ -306,7 +306,7 @@ def test_retrieve_refuses_nonfinite_index(pipeline, tmp_path, capsys):
     index = load_index(pipeline["index"])
     vecs = index.image_vecs.copy()
     vecs[2, 0] = np.nan
-    index.image_vecs = vecs
+    index = replace(index, image_vecs=vecs)
     save_index(index, tmp_path / "nan.idx")
     save_tensor(Tensor(vecs[0]), tmp_path / "q.ten")
     assert main(["retrieve", "--index", str(tmp_path / "nan.idx"), "--query-tensor",
@@ -347,16 +347,47 @@ _REQUIRED_FLAGS = {
 }
 
 
+# the TrainConfig fields each training stage reads
+_PRETRAIN = {"seed", "batch_size", "lr", "itc_temperature", "momentum", "mask_rate",
+             "distill_weight", "weight_decay"}
+_FINETUNE = {"seed", "batch_size", "lr", "ema_decay", "rdrop_alpha", "weight_decay"}
+_STAGE_FIELDS = {"pretrain": _PRETRAIN, "finetune": _FINETUNE, "sweep-r": _FINETUNE}
+
+
 @pytest.mark.parametrize("command", sorted(_REQUIRED_FLAGS))
 def test_train_flags_default_to_train_config(command):
     """Every TrainConfig field a subcommand parses defaults to the field's
-    default; the training subcommands parse all but total_steps."""
+    default; each training subcommand parses exactly the fields its stage
+    reads."""
     args = build_parser().parse_args([command, *_REQUIRED_FLAGS[command]])
     names = [f.name for f in fields(TrainConfig) if hasattr(args, f.name)]
     assert {n: getattr(args, n) for n in names} == {
         n: getattr(TrainConfig(), n) for n in names}
-    if command in ("pretrain", "finetune", "sweep-r"):
-        assert set(names) == {f.name for f in fields(TrainConfig)} - {"total_steps"}
+    if command in _STAGE_FIELDS:
+        assert set(names) == _STAGE_FIELDS[command]
+    else:
+        assert set(names) <= {"seed"}
+
+
+_OTHER_STAGE_FLAGS = [
+    (command, name) for command, own in _STAGE_FIELDS.items()
+    for name in sorted((_PRETRAIN | _FINETUNE) - own)]
+
+
+@pytest.mark.parametrize("command, name", _OTHER_STAGE_FLAGS)
+def test_other_stage_train_flags_are_refused(tmp_path, capsys, command, name):
+    """A TrainConfig flag that only the other stage reads exits 2 as an
+    unrecognized argument; its config-file key still parses, since it names
+    a flag of another subcommand."""
+    argv = [command, *_REQUIRED_FLAGS[command]]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, "--" + name.replace("_", "-"), "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "ramm.cfg"
+    cfg.write_text(f"{name} = 0.5\n")
+    argv = ["--config", str(cfg), *argv]
+    assert not hasattr(build_parser(_config_defaults(argv)).parse_args(argv), name)
 
 
 def test_dropout_is_the_flag_and_key_of_dropout_rate():

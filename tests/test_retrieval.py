@@ -3,6 +3,7 @@
 import itertools
 import logging
 import threading
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -540,13 +541,16 @@ def _same_bits(got, want):
                                2 * SCORE_BLOCK + 3])
 def test_scores_at_bit_identical(rng, n):
     """Rescoring any subset of rows, all of them too, gives the bits of the
-    whole-family float64 product."""
+    whole-family float64 product, whether its groups are multiplied alone or
+    as a run of consecutive groups."""
     index = _index(rng, n, d=32)
     q = rng.normal(size=32)
     q /= np.linalg.norm(q)
     subsets = [np.arange(n), np.array([0]), np.array([n - 1]), np.array([n - 2, n - 1]),
                np.zeros(0, dtype=np.intp)]
     subsets += [np.sort(rng.choice(n, size=m, replace=False)) for m in (1, min(n, 3), min(n, 40))]
+    # consecutive groups multiplied as one run, then a gap, then the last group
+    subsets.append(np.unique(np.r_[1, CHUNK + 3, 2 * CHUNK + 5, n - 1].clip(0, n - 1)))
     for which in ("text", "image"):
         full = index.family(which).astype(np.float64) @ q
         for rows in subsets:
@@ -677,7 +681,7 @@ def test_nonfinite_screen_takes_full_pass(rng, monkeypatch, bad):
     vecs[rows[0], 3] = {"nan": np.nan, "inf": np.inf}.get(bad, vecs[rows[0], 3])
     if bad == "large":
         vecs[rows] *= np.float32(1e30)
-    index.text_vecs = vecs
+    index = replace(index, text_vecs=vecs)
     assert not index.norm_bound("text") < np.inf
     calls = _counting_full_passes(monkeypatch)
     for trial in range(3):
@@ -766,20 +770,24 @@ def test_finite_query_is_divided_by_its_norm_once(rng):
 
 
 def test_replaced_family_refreshes_norm_bound(rng):
-    """The norm bound is cached per family array: a new array gets a new
-    bound, and a search over it stays exact."""
+    """An index is fixed at construction: assigning a field raises. A
+    variant made by `replace` has its own norm bound, and a search over it
+    stays exact, while the original keeps its own."""
     index = _index(rng, 300, d=8)
     before = index.norm_bound("text")
     assert 1.0 <= before < 1.0 + 1e-5
-    assert index.norm_bound("text") == before
-    index.text_vecs = (index.text_vecs * np.float32(1000.0)).astype(np.float32)
-    after = index.norm_bound("text")
+    with pytest.raises(FrozenInstanceError):
+        index.text_vecs = index.text_vecs * np.float32(1000.0)
+    scaled = replace(index, text_vecs=(index.text_vecs * np.float32(1000.0)).astype(np.float32))
+    after = scaled.norm_bound("text")
     assert 1000.0 <= after < 1000.0 * (1 + 1e-5)
+    assert index.norm_bound("text") == before
+    assert scaled.norm_bound("image") == index.norm_bound("image")
     assert index.norm_bound("image") == pytest.approx(before, rel=1e-5)
     q = rng.normal(size=8)
     q /= np.linalg.norm(q)
-    got = _found(search_topr(q, index, "text", 4), "text")
-    assert _same_bits(got, _exact_topr(q, index.text_vecs, index.pair_ids, 4))
+    got = _found(search_topr(q, scaled, "text", 4), "text")
+    assert _same_bits(got, _exact_topr(q, scaled.text_vecs, scaled.pair_ids, 4))
 
 
 def test_finite_search_never_scores_every_row(rng, monkeypatch):
@@ -948,7 +956,7 @@ def test_screen_cut_keeps_the_float32_at_its_edge(rng, monkeypatch, cores):
     for i, row in enumerate(edge_rows):
         family[row] = 0
         family[row, 0] = above if i % 2 else below
-    index.text_vecs = family.copy()
+    index = replace(index, text_vecs=family.copy())
     got = store._screen(index, "text", q, 1)
     assert np.array_equal(got, _screen_oracle(index, "text", q, 1))
     assert got.tolist() == [0, 700, n - 1]

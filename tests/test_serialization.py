@@ -1,5 +1,7 @@
 """Bit-exact round trips and header-corruption handling for both file formats."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -220,8 +222,8 @@ def test_index_nonfinite_vector(tmp_path, rng, which, value):
 
 
 def test_index_roundtrip_shuffled_ids_and_lookup(tmp_path, rng):
-    index = _random_index(rng, n=50)
-    index.pair_ids = rng.permutation(np.arange(100, 150, dtype=np.uint64))
+    index = replace(_random_index(rng, n=50),
+                    pair_ids=rng.permutation(np.arange(100, 150, dtype=np.uint64)))
     index.captions[3] = "unicode caption: µm ülcer — 5×"
     index.captions[4] = ""
     back = load_index(_saved(tmp_path, index)[0])
@@ -233,12 +235,15 @@ def test_index_roundtrip_shuffled_ids_and_lookup(tmp_path, rng):
 
 
 def test_index_multiline_caption_loads_first_line(tmp_path, rng):
-    """The sidecar is newline-separated: a caption holding a newline reads
-    back up to it, and the captions after it are unaffected."""
+    """The sidecar is newline-separated: a caption holding a newline, the
+    last one too, reads back up to it, and the captions after it are
+    unaffected."""
     index = _random_index(rng, n=4)
     index.captions[1] = "first line\nsecond line"
+    index.captions[3] = "last caption\nits second line"
     back = load_index(_saved(tmp_path, index)[0])
-    assert back.captions == [index.captions[0], "first line", *index.captions[2:]]
+    assert back.captions == [index.captions[0], "first line", index.captions[2],
+                             "last caption"]
 
 
 def test_index_caption_offset_inside_line(tmp_path, rng):
@@ -247,6 +252,17 @@ def test_index_caption_offset_inside_line(tmp_path, rng):
     raw[28 + 17 + 9] += 2          # the second record's caption offset
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="line start"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("n", [0, 4])
+@pytest.mark.parametrize("extra", [b"stale caption\n", b"junk"])
+def test_index_sidecar_bytes_after_last_caption(tmp_path, rng, n, extra):
+    """A sidecar holding anything after its last caption, a stale line or
+    an unterminated tail, is a corrupt file, refused by name."""
+    path, side = _saved(tmp_path, _random_index(rng, n=n))
+    side.write_bytes(side.read_bytes() + extra)
+    with pytest.raises(FormatError, match=f"{side.name}: {len(extra)} bytes after the last caption"):
         load_index(path)
 
 
@@ -288,20 +304,20 @@ def test_index_fingerprint_guard(tmp_path, rng):
     cfg = micro_config()
     params_a = micro_params(cfg, seed=1)
     params_b = micro_params(cfg, seed=2)
-    index = _random_index(rng, n=3, d_proj=cfg.d_proj)
-    index.fingerprint = fingerprint_params(params_a, cfg.d_proj)
+    index = replace(_random_index(rng, n=3, d_proj=cfg.d_proj),
+                    fingerprint=fingerprint_params(params_a, cfg.d_proj))
     verify_fingerprint(index, params_a, cfg.d_proj)
     with pytest.raises(FingerprintMismatchError, match="rebuild"):
         verify_fingerprint(index, params_b, cfg.d_proj)
 
 
 def test_weights_manifest_roundtrip(tmp_path):
-    from ramm.model import load_params, save_params
+    from ramm.model import load_params, param_shapes, save_params
 
     cfg = micro_config()
     params = micro_params(cfg, seed=3, dtype=np.float32)
     save_params(params, tmp_path / "w")
-    back = load_params(tmp_path / "w")
+    back = load_params(tmp_path / "w", param_shapes(cfg))
     assert set(back) == set(params)
     for name in params:
         assert np.array_equal(back[name].value, params[name].value)
@@ -314,7 +330,7 @@ def test_interrupted_weights_overwrite_never_loads(tmp_path, monkeypatch):
     name; a completed save leaves only the tensors and the manifest."""
     import ramm.model
     from ramm.errors import MissingArtifactError
-    from ramm.model import load_params, save_params
+    from ramm.model import load_params, param_shapes, save_params
 
     cfg = micro_config()
     save_params(micro_params(cfg, seed=3, dtype=np.float32), tmp_path / "w")
@@ -332,7 +348,7 @@ def test_interrupted_weights_overwrite_never_loads(tmp_path, monkeypatch):
         save_params(micro_params(cfg, seed=4, dtype=np.float32), tmp_path / "w")
     assert len(written) == 20
     with pytest.raises(MissingArtifactError, match="manifest"):
-        load_params(tmp_path / "w")
+        load_params(tmp_path / "w", param_shapes(cfg))
 
 
 @pytest.mark.parametrize("dies_at", ["sidecar", "rename"])
@@ -349,8 +365,8 @@ def test_interrupted_index_overwrite_never_loads(tmp_path, monkeypatch, capsys, 
     path = tmp_path / "i.idx"
     old = _random_index(rng, n=6)
     save_index(old, path)
-    new = _random_index(rng, n=6)
-    new.captions = [c.upper() for c in old.captions]   # the old offsets, other text
+    new = replace(_random_index(rng, n=6),
+                  captions=[c.upper() for c in old.captions])   # the old offsets, other text
 
     def killed(self, *args):
         raise OSError("killed")
@@ -375,8 +391,8 @@ def test_fingerprint_covers_encoders(rng):
     heads, makes the index fingerprint a mismatch."""
     cfg = micro_config()
     params = micro_params(cfg, seed=1)
-    index = _random_index(rng, n=3, d_proj=cfg.d_proj)
-    index.fingerprint = fingerprint_params(params, cfg.d_proj)
+    index = replace(_random_index(rng, n=3, d_proj=cfg.d_proj),
+                    fingerprint=fingerprint_params(params, cfg.d_proj))
     params["image.0.attn.wq"].value[0, 0] += 1e-3
     with pytest.raises(FingerprintMismatchError):
         verify_fingerprint(index, params, cfg.d_proj)

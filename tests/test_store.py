@@ -1,6 +1,6 @@
 """Embedding store construction: determinism, norms, failure handling."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -116,19 +116,20 @@ def test_index_lookup_and_immutability(vocab, rng):
 
 
 def test_lookup_shuffled_ids_and_replaced_ids(vocab, rng):
-    """row_of resolves ids stored in any order, and follows a replaced
-    pair_ids array."""
+    """row_of resolves ids stored in any order, and a variant index with
+    other pair_ids resolves its own while the original keeps its order."""
     cfg = micro_config()
     pairs = _pairs(cfg, rng, 6)
-    index, _ = build_store(pairs, micro_params(cfg), cfg, vocab, _loader(pairs))
-    index.pair_ids = np.array([40, 7, 93, 12, 5, 61], dtype=np.uint64)
+    built, _ = build_store(pairs, micro_params(cfg), cfg, vocab, _loader(pairs))
+    index = replace(built, pair_ids=np.array([40, 7, 93, 12, 5, 61], dtype=np.uint64))
     assert [index.row_of(pid) for pid in (5, 7, 12, 40, 61, 93)] == [4, 1, 3, 0, 5, 2]
     assert index.caption_of(93) == index.captions[2]
     for missing in (0, 6, 94, 2**64 - 1):
         with pytest.raises(KeyError):
             index.row_of(missing)
-    index.pair_ids = index.pair_ids[::-1].copy()
-    assert index.row_of(40) == 5
+    reversed_ids = replace(index, pair_ids=index.pair_ids[::-1].copy())
+    assert reversed_ids.row_of(40) == 5
+    assert index.row_of(40) == 0
 
 
 def test_batched_build_matches_per_pair_reference(vocab, rng):
