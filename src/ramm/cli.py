@@ -66,8 +66,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-# the fields of each config that are flags, in --help order; each training
-# stage has flags for only the TrainConfig fields it reads
+# the fields of each config that are flags, in --help order (a training stage's: those it reads)
 MODEL_FIELDS = ("d", "n_head", "l_fuse", "l_text", "l_image", "d_proj", "d_ff",
                 "d_patch", "patch_grid", "max_text_len", "dropout_rate")
 PRETRAIN_FIELDS = ("seed", "batch_size", "lr", "itc_temperature", "momentum",

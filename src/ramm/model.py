@@ -290,7 +290,7 @@ def load_params(directory, shapes: dict[str, tuple]) -> dict[str, Node]:
         if dims != t.shape:
             raise FormatError(f"{directory / f'{name}.ten'}: shape {t.shape}, "
                               f"the manifest lists {dims}")
-        params[name] = ops.param(t.array.astype(np.float32, copy=False))
+        params[name] = ops.param(t.array.astype(np.float32))
     return params
 
 

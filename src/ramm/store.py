@@ -82,12 +82,10 @@ class EmbeddingIndex:
         for bit.
 
         Casts and multiplies only the aligned CHUNK-row groups holding a
-        requested row, each run of consecutive groups within one
-        SCORE_BLOCK as one product, so the float64 cast stays cache-sized.
-        Gathering the rows instead would move them within BLAS gemv's row
-        groups, and their sums by an ulp. numpy computes a one-row product
-        as a dot, not with gemv, and its sum can differ in the last bit, so
-        a lone last row joins the group before it.
+        requested row. Gathering the rows instead would move them within
+        BLAS gemv's row groups, and their sums by an ulp. numpy computes a
+        one-row product as a dot, not with gemv, and its sum can differ in
+        the last bit, so a lone last row joins the group before it.
         """
         out = np.empty(rows.shape[0], dtype=np.float64)
         if not rows.shape[0]:
@@ -95,12 +93,10 @@ class EmbeddingIndex:
         family = self.family(which)
         last = max(0, (family.shape[0] - 2) // CHUNK)
         group = np.minimum(rows // CHUNK, last)
-        prev, nxt, per_block = group[:-1], group[1:], SCORE_BLOCK // CHUNK
-        new_run = (nxt - prev > 1) | (nxt // per_block != prev // per_block)
-        starts = (np.flatnonzero(new_run) + 1).tolist()
+        starts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
         for lo, hi in zip([0, *starts], [*starts, rows.shape[0]]):
             a = int(group[lo]) * CHUNK
-            b = family.shape[0] if group[hi - 1] == last else int(group[hi - 1] + 1) * CHUNK
+            b = family.shape[0] if group[lo] == last else a + CHUNK
             out[lo:hi] = (family[a:b].astype(np.float64) @ q)[rows[lo:hi] - a]
         return out
 
@@ -351,9 +347,8 @@ def save_index(index: EmbeddingIndex, path) -> None:
 
 def _read_captions(path: Path, offsets: np.ndarray) -> list[str]:
     """The caption at each byte offset of the sidecar: the line starting
-    there, up to the next newline. save_index writes each caption's offset
-    at a line start and nothing after the last caption, so an offset inside
-    a line, or bytes after the last caption's line, are a corrupt file."""
+    there, up to the next newline. save_index writes each offset at a line
+    start and nothing after the last line; anything else is corrupt."""
     side = sidecar_path(path)
     blob = side.read_bytes()
     newlines = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == ord("\n"))
@@ -366,7 +361,8 @@ def _read_captions(path: Path, offsets: np.ndarray) -> list[str]:
         raise FormatError(f"{side}: a caption offset is not at a line start")
     end = int(starts[line.max(initial=-1) + 1])
     if len(blob) > end:
-        raise FormatError(f"{side}: {len(blob) - end} bytes after the last caption")
+        raise FormatError(f"{side}: {len(blob) - end} bytes after the last caption (an older "
+                          "index whose last caption held a newline: rerun `ramm build-index`)")
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -57,7 +57,10 @@ def save_tensor(t: Tensor | np.ndarray, path: str | Path) -> None:
     if itemsize not in _DTYPES:
         raise FormatError(f"unsupported dtype {arr.dtype}")
     with open(path, "wb") as f:
-        f.write(struct.pack(f"<8sBB{arr.ndim}Q", MAGIC, itemsize, arr.ndim, *arr.shape))
+        f.write(MAGIC)
+        f.write(struct.pack("<BB", itemsize, arr.ndim))
+        for dim in arr.shape:
+            f.write(struct.pack("<Q", dim))
         f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
@@ -79,12 +82,13 @@ def load_tensor(path: str | Path) -> Tensor:
         raise FormatError(f"{path}: zero dimension in {dims}")
     # exact integers: a corrupt dimension can overflow a 64-bit product
     count = math.prod(dims)
-    if len(raw) - need < count * prec:
+    payload = raw[need:]
+    if len(payload) < count * prec:
         raise TruncatedFileError(
-            f"{path}: payload has {len(raw) - need} bytes, need {count * prec}"
+            f"{path}: payload has {len(payload)} bytes, need {count * prec}"
         )
     dtype = np.dtype(_DTYPES[prec]).newbyteorder("<")
-    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=need).reshape(dims)
+    arr = np.frombuffer(payload[: count * prec], dtype=dtype).reshape(dims)
     try:
         return Tensor(arr.astype(_DTYPES[prec]))
     except RammError as exc:  # a non-finite value
