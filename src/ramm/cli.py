@@ -343,6 +343,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "r", 0) < 0:
             print("invalid r: must be non-negative", file=sys.stderr)
             return EXIT_BAD_R
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except MissingArtifactError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ class ContractViolation(RammError):
 
 
 class StructureError(RammError):
-    """Two parameter sets that must share a manifest do not."""
+    """Two parameter sets that must share tensor names and shapes do not."""
 
 
 class FormatError(RammError):

@@ -32,10 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ContractViolation, FormatError, MissingArtifactError
+from .errors import ConfigError, ContractViolation, FormatError
 from .ops import Node
 from .tensor import load_tensor, save_tensor
-from .textio import read_lines, read_text
+from .textio import read_lines
 
 PAD, CLS, MASK, UNK = "[pad]", "[cls]", "[mask]", "[unk]"
 SPECIALS = [PAD, CLS, MASK, UNK]
@@ -239,59 +239,32 @@ def reinit_group(params: dict[str, Node], prefix: str, seed: int) -> None:
             node.value = np.full_like(node.value, fill)
 
 
-def save_params(params: dict[str, Node], directory) -> None:
-    """Directory of RAMMTEN1 files plus a plain-text manifest, written last
-    and renamed into place. A tensor with a value that is not finite in
-    float32 raises ContractViolation before anything is written."""
+def save_params(params: dict[str, Node], path) -> None:
+    """One RAMMTEN1 float32 vector at `path`: every tensor flattened and laid
+    end to end in sorted name order. A tensor with a value that is not finite
+    in float32 raises ContractViolation before anything is written."""
+    names = sorted(params)
     with np.errstate(over="ignore"):
-        arrays = {name: params[name].value.astype(np.float32) for name in sorted(params)}
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise ContractViolation(f"{name}: not finite in float32, checkpoint not written")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    # no manifest while the tensors are replaced, so a save cut short never loads
-    manifest = directory / "manifest.txt"
-    manifest.unlink(missing_ok=True)
-    lines = []
-    for name, arr in arrays.items():
-        save_tensor(arr, directory / f"{name}.ten")
-        lines.append(name + " " + " ".join(str(d) for d in arr.shape))
-    partial = directory / "manifest.txt.partial"
-    partial.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    partial.replace(manifest)
+        flat = np.concatenate([params[n].value.reshape(-1) for n in names], dtype=np.float32)
+        if not np.isfinite(flat).all():   # name the first tensor that is not
+            bad = next(n for n in names
+                       if not np.isfinite(params[n].value.astype(np.float32)).all())
+            raise ContractViolation(f"{bad}: not finite in float32, checkpoint not written")
+    save_tensor(flat, path)
 
 
-def load_params(directory, shapes: dict[str, tuple]) -> dict[str, Node]:
-    """The float32 tensors of a save_params directory. A manifest line whose
-    dimensions are not integers, or a manifest whose names or shapes differ
-    from `shapes`, raises FormatError first."""
-    directory = Path(directory)
-    manifest = directory / "manifest.txt"
-    if not manifest.exists():
-        raise MissingArtifactError(f"no weights manifest at {manifest}")
-    listed = {}
-    for number, line in enumerate(read_text(manifest).splitlines(), 1):
-        row = line.split()
-        try:
-            if row:
-                listed[row[0]] = tuple(int(d) for d in row[1:])
-        except ValueError:
-            raise FormatError(f"{manifest} line {number}: dimensions of "
-                              f"{line!r} are not integers") from None
-    for name in sorted(listed.keys() | shapes.keys()):
-        if listed.get(name) != shapes.get(name):
-            raise FormatError(f"{directory}: tensor {name} has shape "
-                              f"{listed.get(name, 'absent')} in the manifest, "
-                              f"{shapes.get(name, 'absent')} in the config")
-    params: dict[str, Node] = {}
-    for name, dims in listed.items():
-        t = load_tensor(directory / f"{name}.ten")
-        if dims != t.shape:
-            raise FormatError(f"{directory / f'{name}.ten'}: shape {t.shape}, "
-                              f"the manifest lists {dims}")
-        params[name] = ops.param(t.array.astype(np.float32))
-    return params
+def load_params(path, shapes: dict[str, tuple]) -> dict[str, Node]:
+    """The float32 tensors of a save_params file, cut from it by `shapes` in
+    sorted name order; a file that is not one float32 vector of exactly
+    their total length raises FormatError."""
+    names = sorted(shapes)
+    sizes = [math.prod(shapes[n]) for n in names]
+    flat = load_tensor(path).array
+    if flat.dtype != np.float32 or flat.shape != (sum(sizes),):
+        raise FormatError(f"{path}: {flat.dtype} of shape {flat.shape}, the config needs "
+                          f"{len(names)} float32 tensors of {sum(sizes)} values")
+    return {n: ops.param(part.reshape(shapes[n]))
+            for n, part in zip(names, np.split(flat, np.cumsum(sizes[:-1])))}
 
 
 # ---------------------------------------------------------------------------

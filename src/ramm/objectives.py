@@ -40,8 +40,9 @@ class TrainConfig:
             raise ConfigError("distill_weight must lie in [0, 1]")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if not (0.0 <= self.lr < math.inf and 0.0 <= self.weight_decay < math.inf):
-            raise ConfigError("lr and weight_decay must be finite and non-negative")
+        if not (0.0 <= self.lr < math.inf and 0.0 <= self.weight_decay < math.inf
+                and 0.0 <= self.rdrop_alpha < math.inf):
+            raise ConfigError("lr, weight_decay and rdrop_alpha must be finite and non-negative")
 
 
 def itc_loss(text_proj: Node, image_proj: Node, temperature: float) -> Node:
@@ -151,7 +152,7 @@ def ema_update(target: dict[str, Node], online: dict[str, Node], decay: float) -
     one entry can be a whole buffer of views (see AdamW.views)."""
     if set(target) != set(online):
         missing = set(target) ^ set(online)
-        raise StructureError(f"parameter manifests differ: {sorted(missing)[:5]}")
+        raise StructureError(f"parameter names differ: {sorted(missing)[:5]}")
     for name, t in target.items():
         o = online[name]
         if t.value.shape != o.value.shape:

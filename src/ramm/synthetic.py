@@ -45,14 +45,17 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_clusters", "n_train", "n_test", "patch_grid", "d_patch",
+                     "n_open_answers", "anchor_copies", "pairs_per_cluster"):
+            least = 0 if name == "pairs_per_cluster" else 1
+            if type(value := getattr(self, name)) is not int or value < least:
+                raise ConfigError(f"{name} = {value!r} is not an integer >= {least}")
         if not (0.0 <= self.required_fraction <= 1.0):
             raise ConfigError("required_fraction must lie in [0, 1]")
         if not (0.0 <= self.closed_fraction <= 1.0):
             raise ConfigError("closed_fraction must lie in [0, 1]")
         if self.n_open_answers > len(OPEN_ANSWERS):
             raise ConfigError(f"at most {len(OPEN_ANSWERS)} open answers available")
-        if self.anchor_copies < 1:
-            raise ConfigError("anchor_copies must be >= 1")
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.__dict__, sort_keys=True).encode()

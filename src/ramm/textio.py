@@ -45,7 +45,7 @@ def read_jsonl(path, cls=None, check=None) -> list:
             records.append(cls(**obj) if cls else obj)
             if check:
                 check(records[-1])
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise FormatError(f"{path} line {number}: {type(exc).__name__}: {exc}") from None
     return records
 

@@ -51,13 +51,13 @@ def _sub_seed(*parts) -> int:
 def save_checkpoint(directory, params, mcfg: ModelConfig, extra: dict):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_params(params, directory / "weights")
+    save_params(params, directory / "weights.ten")
     (directory / "config.json").write_text(mcfg.to_json(), encoding="utf-8")
     (directory / "meta.json").write_text(json.dumps(extra, sort_keys=True), encoding="utf-8")
 
 
 def load_checkpoint(directory, weights: str = "weights"):
-    """Model config and the float32 parameters in the `weights` subdirectory;
+    """Model config and the float32 parameters in the file `{weights}.ten`;
     FormatError if config.json is no ModelConfig or the weights not its tensors."""
     directory = Path(directory)
     cfg_path = directory / "config.json"
@@ -65,9 +65,9 @@ def load_checkpoint(directory, weights: str = "weights"):
         raise MissingArtifactError(f"no checkpoint at {directory}")
     try:
         mcfg = ModelConfig(**json.loads(read_text(cfg_path)))
-    except (ValueError, TypeError, ConfigError) as exc:   # not JSON, or not a ModelConfig
+    except (ValueError, TypeError, RecursionError, ConfigError) as exc:   # not ModelConfig JSON
         raise FormatError(f"{cfg_path}: {exc}") from exc
-    return load_params(directory / weights, param_shapes(mcfg)), mcfg
+    return load_params(directory / f"{weights}.ten", param_shapes(mcfg)), mcfg
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,7 @@ def finetune(checkpoint_dir, index_path, data_dir, r: int, tcfg: TrainConfig,
                                - leak * ema_init) / (1.0 - leak)
     # frozen tensors stay bitwise the checkpoint's, so the index fingerprint holds
     save_params({**params, **{n: ops.param(v) for n, v in opt.views(ema_flat.value).items()}},
-                out_dir / "weights_ema")
+                out_dir / "weights_ema.ten")
     (out_dir / "train_log.tsv").write_text("\n".join(log_lines) + "\n",
                                            encoding="utf-8")
     return out_dir
@@ -413,7 +413,7 @@ def evaluate(checkpoint_dir, index_path, data_dir, r: int, split: str = "test",
     """Deterministic inference-mode evaluation; returns report and details.
     Every item retrieves first, then items are scored EVAL_BATCH at a time,
     one graph per batch."""
-    use_ema = use_ema and (Path(checkpoint_dir) / "weights_ema").exists()
+    use_ema = use_ema and (Path(checkpoint_dir) / "weights_ema.ten").exists()
     stage = Stage(checkpoint_dir, index_path, data_dir, split,
                   "weights_ema" if use_ema else "weights")
     params, mcfg, index, items = stage.params, stage.mcfg, stage.index, stage.items

@@ -16,7 +16,7 @@ from ramm.errors import ConfigError
 from ramm.model import ModelConfig, Vocab
 from ramm.objectives import TrainConfig
 from ramm.synthetic import SyntheticSpec
-from ramm.tensor import Tensor, save_tensor
+from ramm.tensor import Tensor, load_tensor, save_tensor
 
 MODEL_FLAGS = ["--d", "16", "--n-head", "2", "--l-fuse", "1", "--l-text", "1",
                "--l-image", "1", "--d-proj", "8", "--d-ff", "32",
@@ -221,7 +221,8 @@ def test_exit_diverged_finetune(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite gradient at optimizer step ")
     assert "fuse." in err and "Traceback" not in err
-    assert not (out / "weights").exists()
+    assert out.is_dir() and not (out / "weights.ten").exists()
+    assert not (out / "weights_ema.ten").exists()
 
 
 def test_eval_answer_vocabulary_mismatch(pipeline, tmp_path, capsys):
@@ -424,18 +425,18 @@ def test_finetune_has_one_training_path(tmp_path, capsys):
 
 def test_finetune_leaves_frozen_tensors_alone(pipeline):
     """Every tensor outside the fusion stack and the VQA head, in the
-    weights and in their EMA, keeps the pretrain checkpoint's bytes; the
+    weights and in their EMA, keeps the pretrain checkpoint's bits; the
     trained ones moved."""
-    pretrained = pipeline["ckpt"] / "weights"
-    names = [line.split()[0] for line in
-             (pretrained / "manifest.txt").read_text().splitlines()]
-    trained = [n for n in names if n.startswith(("fuse.", "vqa."))]
-    assert trained and len(trained) < len(names)
-    for weights in ("weights", "weights_ema"):
-        tuned = pipeline["ft"] / weights
-        assert (tuned / "manifest.txt").read_bytes() == (pretrained / "manifest.txt").read_bytes()
-        for name in names:
-            same = (tuned / f"{name}.ten").read_bytes() == (pretrained / f"{name}.ten").read_bytes()
+    from ramm.model import load_params
+
+    shapes = _checkpoint_shapes(pipeline["ckpt"])
+    pretrained = load_params(pipeline["ckpt"] / "weights.ten", shapes)
+    trained = [n for n in shapes if n.startswith(("fuse.", "vqa."))]
+    assert trained and len(trained) < len(shapes)
+    for weights in ("weights.ten", "weights_ema.ten"):
+        tuned = load_params(pipeline["ft"] / weights, shapes)
+        for name in shapes:
+            same = tuned[name].value.tobytes() == pretrained[name].value.tobytes()
             assert same == (name not in trained), (weights, name)
 
 
@@ -508,6 +509,83 @@ def test_settings_that_cannot_train_exit_config(pipeline, tmp_path, capsys, stag
     assert not out.exists()
 
 
+_NEGATIVE_SEED = "seed must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    *((command, ["--seed", "-1"], _NEGATIVE_SEED)
+      for command in ("gen-synth", "pretrain", "retrieve", "finetune", "eval", "sweep-r")),
+    ("pretrain", "seed = -1", _NEGATIVE_SEED),
+    ("finetune", ["--rdrop-alpha", "nan"], "rdrop_alpha"),
+    ("finetune", ["--rdrop-alpha", "-3"], "rdrop_alpha"),
+    ("gen-synth", ["--n-clusters", "0"], "n_clusters = 0 is not an integer >= 1"),
+    ("gen-synth", ["--n-train", "-3"], "n_train = -3 is not an integer >= 1"),
+    ("gen-synth", ["--pairs-per-cluster", "-1"], "pairs_per_cluster = -1 is not an integer >= 0"),
+])
+def test_out_of_range_flags_exit_config(pipeline, tmp_path, capsys, command, flags, message):
+    """A negative seed, an R-Drop weight that is not finite and non-negative,
+    or a synthetic count below its least value is a config error (exit 6)
+    with one stderr line, before anything is written."""
+    data, index, out = str(pipeline["data"]), str(pipeline["index"]), tmp_path / "out"
+    query = sorted((pipeline["data"] / "vqa_images").glob("test_*.ten"))[0]
+    common = ["--checkpoint", str(pipeline["ckpt"]), "--index", index, "--data", data]
+    argv = {
+        "gen-synth": ["--out", str(out)],
+        "pretrain": ["--data", data, "--out", str(out), "--steps", "2", *MODEL_FLAGS],
+        "retrieve": ["--index", index, "--query-tensor", str(query), "--r", "2",
+                     "--mode", "train"],
+        "finetune": [*common, "--r", "2", "--epochs", "1", "--out", str(out)],
+        "eval": [*common, "--r", "2", "--out", str(out)],
+        "sweep-r": [*common, "--rs", "0", "--epochs", "1", "--out", str(out)],
+    }[command]
+    pre = []
+    if isinstance(flags, str):   # a config-file line instead of flags
+        (tmp_path / "ramm.cfg").write_text(flags + "\n")
+        pre, flags = ["--config", str(tmp_path / "ramm.cfg")], []
+    assert main([*pre, command, *argv, *flags]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.out == "" and not out.exists()
+
+
+_NESTED_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("target", ["pairs.jsonl", "vqa_test.jsonl", "eval_details.jsonl",
+                                    "config.json"])
+def test_deeply_nested_json_exits_format(pipeline, tmp_path, capsys, target):
+    """A JSON line nested past the parser's recursion limit, as a corpus,
+    split, details or checkpoint config line, exits 5 with one stderr line
+    naming the file, not with a RecursionError traceback."""
+    import shutil
+
+    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+    shutil.copytree(pipeline["data"], data)
+    shutil.copytree(pipeline["ft"], ckpt)
+    index = str(pipeline["index"])
+    path, argv = {
+        "pairs.jsonl": (data / "corpus" / "pairs.jsonl",
+                        ["build-index", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--out", str(tmp_path / "index.idx")]),
+        "vqa_test.jsonl": (data / "vqa_test.jsonl",
+                           ["eval", "--checkpoint", str(ckpt), "--index", index,
+                            "--data", str(data), "--r", "2"]),
+        "eval_details.jsonl": (tmp_path / "eval_details.jsonl",
+                               ["stats", "--details", str(tmp_path / "eval_details.jsonl")]),
+        "config.json": (ckpt / "config.json",
+                        ["build-index", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--out", str(tmp_path / "index.idx")]),
+    }[target]
+    path.write_text(_NESTED_JSON + ("" if target == "config.json" else "\n"))
+    assert main(argv) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    line = "" if target == "config.json" else " line 1"
+    assert captured.err.startswith(f"format error: {path}{line}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == "" and not (tmp_path / "index.idx").exists()
+
+
 @pytest.mark.parametrize("command, split", [("finetune", "train"), ("eval", "test")])
 def test_empty_split_is_a_missing_artifact(pipeline, tmp_path, capsys, command, split):
     """A split file without items exits 2 and names the file, instead of a
@@ -528,13 +606,13 @@ def test_empty_split_is_a_missing_artifact(pipeline, tmp_path, capsys, command, 
 
 @pytest.mark.parametrize("kind", ["inf", "nan"])
 def test_eval_checkpoint_with_nonfinite_tensor_exits_format(pipeline, tmp_path, capsys, kind):
-    """A checkpoint tensor whose payload holds an infinity or a NaN (every
+    """A weights file whose payload holds an infinity or a NaN (every
     exponent bit of one entry set) is a format error, exit 5, naming it."""
     import shutil
 
     ckpt = tmp_path / "ft"
     shutil.copytree(pipeline["ft"], ckpt)
-    path = ckpt / "weights" / "vqa.w2.ten"
+    path = ckpt / "weights.ten"
     raw = bytearray(path.read_bytes())
     bits = np.frombuffer(raw, dtype="<u4", offset=10 + 8 * raw[9])   # the float32 payload
     entry = int(bits[-1]) | 0x7F800000
@@ -543,7 +621,7 @@ def test_eval_checkpoint_with_nonfinite_tensor_exits_format(pipeline, tmp_path, 
     assert main(["eval", "--checkpoint", str(ckpt), "--index", str(pipeline["index"]),
                  "--data", str(pipeline["data"]), "--r", "2", "--no-ema"]) == EXIT_FORMAT
     err = capsys.readouterr().err
-    assert err.startswith("format error: ") and "vqa.w2.ten" in err and "non-finite" in err
+    assert err.startswith("format error: ") and str(path) in err and "non-finite" in err
 
 
 def _count_load_tensor(monkeypatch) -> list:
@@ -577,25 +655,42 @@ def test_pretrain_batch_of_one_exits_config_before_reading(pipeline, tmp_path, c
     assert calls == [] and not out.exists()
 
 
-def _add_key_bias(weights):
-    """What a checkpoint written while attention had a key bias also holds."""
-    save_tensor(np.zeros(16, dtype=np.float32), weights / "fuse.0.self_w.bk.ten")
-    with open(weights / "manifest.txt", "a", encoding="utf-8") as f:
-        f.write("fuse.0.self_w.bk 16\n")
+def _checkpoint_shapes(ckpt) -> dict:
+    from ramm.model import param_shapes
+
+    return param_shapes(ModelConfig(**json.loads((ckpt / "config.json").read_text())))
+
+
+def _length_error(path, have: int, shapes: dict) -> str:
+    """The one stderr line for a weights file of `have` values that is not
+    the `shapes` of its config."""
+    need = sum(int(np.prod(shape)) for shape in shapes.values())
+    return (f"format error: {path}: float32 of shape ({have},), the config needs "
+            f"{len(shapes)} float32 tensors of {need} values\n")
+
+
+def _append_values(path, n: int) -> int:
+    """Append n zeros to the float32 vector of a weights file; its new length."""
+    flat = np.concatenate([load_tensor(path).array, np.zeros(n, dtype=np.float32)])
+    save_tensor(flat, path)
+    return flat.size
 
 
 @pytest.mark.parametrize("command", ["build-index", "finetune", "eval", "retrieve"])
 def test_checkpoint_with_key_bias_exits_format(pipeline, tmp_path, capsys, monkeypatch,
                                                command):
-    """A checkpoint holding a key bias, as every checkpoint written before
-    attention lost it does, exits 5 naming that tensor, before any tensor
-    of it is read."""
+    """A weights file that also holds a (d,) key bias for each attention, as
+    one written while attention had a key bias did, exits 5 naming the file
+    and both lengths; the weights file is the only file of it read."""
     import shutil
 
     ckpt = tmp_path / "ckpt"
     shutil.copytree(pipeline["ft" if command == "eval" else "ckpt"], ckpt)
-    for weights in ckpt.glob("weights*"):
-        _add_key_bias(weights)
+    shapes = _checkpoint_shapes(ckpt)
+    biases = [n for n in shapes if n.endswith(".bq")]
+    assert len(biases) == 8
+    have = {path.name: _append_values(path, len(biases) * shapes[biases[0]][0])
+            for path in ckpt.glob("weights*.ten")}
     data, index, out = str(pipeline["data"]), str(pipeline["index"]), tmp_path / "out"
     query = sorted((pipeline["data"] / "vqa_images").glob("test_*.ten"))[0]
     argv = {
@@ -608,54 +703,37 @@ def test_checkpoint_with_key_bias_exits_format(pipeline, tmp_path, capsys, monke
     }[command]
     calls = _count_load_tensor(monkeypatch)
     assert main([command, "--checkpoint", str(ckpt), *argv]) == EXIT_FORMAT
-    weights = ckpt / ("weights_ema" if command == "eval" else "weights")
-    assert capsys.readouterr().err == (
-        f"format error: {weights}: tensor fuse.0.self_w.bk has shape (16,) in the "
-        f"manifest, absent in the config\n")
-    assert [p for p in calls if str(ckpt) in str(p)] == [] and not out.exists()
+    weights = ckpt / ("weights_ema.ten" if command == "eval" else "weights.ten")
+    assert capsys.readouterr().err == _length_error(weights, have[weights.name], shapes)
+    assert [p for p in calls if str(ckpt) in str(p)] == [weights] and not out.exists()
 
 
-def _drop_line(weights, name):
-    lines = (weights / "manifest.txt").read_text().splitlines()
-    (weights / "manifest.txt").write_text(
-        "".join(l + "\n" for l in lines if l.split()[0] != name))
-
-
-def _extra_tensor(weights, name):
-    save_tensor(np.zeros(3, dtype=np.float32), weights / f"{name}.ten")
-    with open(weights / "manifest.txt", "a", encoding="utf-8") as f:
-        f.write(f"{name} 3\n")
-
-
-def _wrong_shape(weights, name):
-    _drop_line(weights, name)
-    _extra_tensor(weights, name)
-
-
-@pytest.mark.parametrize("edit, name, message", [
-    (_drop_line, "vqa.w2", "has shape absent in the manifest, (16, 2) in the config"),
-    (_extra_tensor, "vqa.w3", "has shape (3,) in the manifest, absent in the config"),
-    (_wrong_shape, "text.lnf.g", "has shape (3,) in the manifest, (16,) in the config"),
-])
+@pytest.mark.parametrize("edit", ["short", "long", "config"])
 def test_checkpoint_tensors_not_the_config_exit_format(pipeline, tmp_path, capsys,
-                                                       monkeypatch, edit, name, message):
-    """A manifest missing a tensor the config builds, listing one it does
-    not build, or listing one at another shape exits 5 with one line naming
-    the tensor, before any tensor is read."""
+                                                       monkeypatch, edit):
+    """A weights file short by one tensor or long by one, or a config.json
+    whose d_ff was edited, exits 5 with one line naming the weights file
+    and both lengths; that file is the only one read."""
     import shutil
 
     ckpt = tmp_path / "ckpt"
     shutil.copytree(pipeline["ckpt"], ckpt)
-    edit(ckpt / "weights", name)
-    n_answers = len((pipeline["data"] / "answers.txt").read_text().splitlines())
-    message = message.replace("(16, 2)", f"(16, {n_answers})")
+    weights, shapes = ckpt / "weights.ten", _checkpoint_shapes(ckpt)
+    if edit == "short":   # without vqa.w2, the last tensor in name order
+        assert max(shapes) == "vqa.w2"
+        save_tensor(load_tensor(weights).array[: -int(np.prod(shapes["vqa.w2"]))], weights)
+    elif edit == "long":   # with a (3,) tensor more
+        _append_values(weights, 3)
+    else:
+        config = json.loads((ckpt / "config.json").read_text())
+        (ckpt / "config.json").write_text(json.dumps({**config, "d_ff": config["d_ff"] + 1}))
     calls = _count_load_tensor(monkeypatch)
     out = tmp_path / "index.idx"
     assert main(["build-index", "--checkpoint", str(ckpt), "--data", str(pipeline["data"]),
                  "--out", str(out)]) == EXIT_FORMAT
-    err = capsys.readouterr().err
-    assert err == f"format error: {ckpt / 'weights'}: tensor {name} {message}\n"
-    assert calls == [] and not out.exists()
+    assert capsys.readouterr().err == _length_error(
+        weights, load_tensor(weights).array.size, _checkpoint_shapes(ckpt))
+    assert calls == [weights] and not out.exists()
 
 
 @pytest.mark.parametrize("content, message", [
@@ -691,8 +769,9 @@ def test_checkpoint_config_not_a_model_config_exits_format(pipeline, tmp_path, c
 @pytest.mark.parametrize("key, size", [("d_ff", 2**40), ("n_answers", 2**70)])
 def test_checkpoint_config_with_huge_dimension_exits_format(pipeline, tmp_path, capsys,
                                                             monkeypatch, key, size):
-    """A config.json dimension far past what the manifest holds exits 5 with
-    one line naming the tensor, before any tensor is read or allocated."""
+    """A config.json dimension far past what the weights file holds exits 5
+    with one line naming that file, the only one read, before anything the
+    config sizes is allocated."""
     import shutil
 
     ckpt = tmp_path / "ft"
@@ -704,8 +783,10 @@ def test_checkpoint_config_with_huge_dimension_exits_format(pipeline, tmp_path, 
                  "--data", str(pipeline["data"]), "--r", "2",
                  "--out", str(tmp_path / "eval")]) == EXIT_FORMAT
     err = capsys.readouterr().err
-    assert err.startswith(f"format error: {ckpt / 'weights'}") and f", ({size}," in err
-    assert err.count("\n") == 1 and calls == []
+    weights = ckpt / "weights_ema.ten"
+    assert err == _length_error(weights, load_tensor(weights).array.size,
+                                _checkpoint_shapes(ckpt))
+    assert calls == [weights]
 
 
 def test_caption_edited_after_build_index_exits_fingerprint(pipeline, tmp_path, capsys):
@@ -747,28 +828,6 @@ def test_multiline_corpus_caption_is_not_stale(pipeline, tmp_path):
                  "--out", str(index)]) == EXIT_OK
     assert main(["eval", "--checkpoint", str(pipeline["ft"]), "--index", str(index),
                  "--data", str(data), "--r", "2", "--out", str(tmp_path / "eval")]) == EXIT_OK
-
-def test_manifest_dimension_not_an_integer_exits_format(pipeline, tmp_path, capsys,
-                                                        monkeypatch):
-    """A manifest line whose dimensions are not integers exits 5 with one
-    line naming the manifest and the line, before any tensor is read."""
-    import shutil
-
-    ckpt = tmp_path / "ckpt"
-    shutil.copytree(pipeline["ckpt"], ckpt)
-    manifest = ckpt / "weights" / "manifest.txt"
-    lines = manifest.read_text().splitlines()
-    number = next(i for i, line in enumerate(lines, 1) if line.split()[0] == "vqa.w2")
-    lines[number - 1] = "vqa.w2 32 x8"
-    manifest.write_text("\n".join(lines) + "\n")
-    calls = _count_load_tensor(monkeypatch)
-    out = tmp_path / "index.idx"
-    assert main(["build-index", "--checkpoint", str(ckpt), "--data", str(pipeline["data"]),
-                 "--out", str(out)]) == EXIT_FORMAT
-    err = capsys.readouterr().err
-    assert err.startswith(f"format error: {manifest} line {number}: ") and "x8" in err
-    assert err.count("\n") == 1 and calls == [] and not out.exists()
-
 
 @pytest.mark.parametrize("record, message", [
     ("{not json", "JSONDecodeError"),
@@ -1033,18 +1092,21 @@ def test_malformed_input_exits_with_one_named_line(pipeline, tmp_path, capsys, m
 
 
 def test_checkpoint_tensor_of_another_shape_exits_format_naming_it(pipeline, tmp_path, capsys):
-    """A weights file whose shape differs from its manifest line ends in one
-    stderr line that names the file."""
+    """A weights file of the right length that is rank 2, or float64, ends
+    in one stderr line that names the file and its shape."""
     import shutil
 
     ckpt = tmp_path / "ckpt"
     shutil.copytree(pipeline["ckpt"], ckpt)
-    bad = ckpt / "weights" / "proj.text.b.ten"
-    save_tensor(Tensor(np.ones((3, 3), dtype=np.float32)), bad)
-    assert main(["build-index", "--checkpoint", str(ckpt), "--data", str(pipeline["data"]),
-                 "--out", str(tmp_path / "index.idx")]) == EXIT_FORMAT
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"format error: {bad}: shape (3, 3)"), err
+    weights = ckpt / "weights.ten"
+    flat = load_tensor(weights).array
+    for bad, found in ((flat.reshape(1, -1), f"float32 of shape (1, {flat.size})"),
+                       (flat.astype(np.float64), f"float64 of shape ({flat.size},)")):
+        save_tensor(bad, weights)
+        assert main(["build-index", "--checkpoint", str(ckpt), "--data",
+                     str(pipeline["data"]), "--out", str(tmp_path / "index.idx")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"format error: {weights}: {found},"), err
 
 
 def test_pretrain_with_dropout_is_reproducible(pipeline, tmp_path):
@@ -1059,8 +1121,8 @@ def test_pretrain_with_dropout_is_reproducible(pipeline, tmp_path):
                      "--dropout", dropout]) == EXIT_OK
         runs[name] = {str(p.relative_to(out)): p.read_bytes()
                       for p in sorted(out.rglob("*")) if p.is_file()}
-    assert "weights/mlm.w.ten" in runs["a"] and runs["a"] == runs["b"]
-    assert runs["off"]["weights/mlm.w.ten"] != runs["a"]["weights/mlm.w.ten"]
+    assert "weights.ten" in runs["a"] and runs["a"] == runs["b"]
+    assert runs["off"]["weights.ten"] != runs["a"]["weights.ten"]
 
 
 def test_finetune_and_eval_build_only_float32_nodes(pipeline, tmp_path, monkeypatch):

@@ -311,44 +311,85 @@ def test_index_fingerprint_guard(tmp_path, rng):
         verify_fingerprint(index, params_b, cfg.d_proj)
 
 
-def test_weights_manifest_roundtrip(tmp_path):
+def test_weights_roundtrip(tmp_path):
+    """save_params writes one float32 vector, every tensor flattened in
+    sorted name order, and load_params cuts it back into equal tensors."""
     from ramm.model import load_params, param_shapes, save_params
 
     cfg = micro_config()
     params = micro_params(cfg, seed=3, dtype=np.float32)
-    save_params(params, tmp_path / "w")
-    back = load_params(tmp_path / "w", param_shapes(cfg))
+    save_params(params, tmp_path / "w.ten")
+    assert list(tmp_path.iterdir()) == [tmp_path / "w.ten"]
+    flat = load_tensor(tmp_path / "w.ten").array
+    assert flat.dtype == np.float32 and np.array_equal(
+        flat, np.concatenate([params[n].value.reshape(-1) for n in sorted(params)]))
+    back = load_params(tmp_path / "w.ten", param_shapes(cfg))
     assert set(back) == set(params)
     for name in params:
+        assert back[name].value.dtype == np.float32
         assert np.array_equal(back[name].value, params[name].value)
 
 
-
-def test_interrupted_weights_overwrite_never_loads(tmp_path, monkeypatch):
-    """A save_params that stops after 20 tensors, over a complete earlier
-    save, leaves no manifest, so the next load refuses the directory by
-    name; a completed save leaves only the tensors and the manifest."""
+def test_interrupted_weights_overwrite_never_loads(tmp_path, monkeypatch, capsys):
+    """A save_params whose write stops partway, over a complete earlier
+    save, leaves a short file: the next load raises TruncatedFileError
+    naming it, never loading the earlier weights, and `ramm eval` on the
+    checkpoint exits 5 with one stderr line."""
     import ramm.model
-    from ramm.errors import MissingArtifactError
+    from ramm.cli import EXIT_FORMAT, main
+    from ramm.model import load_params, param_shapes, save_params
+    from ramm.train import save_checkpoint
+
+    cfg, ckpt = micro_config(), tmp_path / "ckpt"
+    save_checkpoint(ckpt, micro_params(cfg, seed=3, dtype=np.float32), cfg, extra={})
+    assert sorted(p.name for p in ckpt.iterdir()) == ["config.json", "meta.json", "weights.ten"]
+    path = ckpt / "weights.ten"
+    size = path.stat().st_size
+    for cut in (0, 5, 20, size // 2, size - 1):
+        def dying_save(tensor, path, _save=save_tensor):
+            _save(tensor, path)
+            with open(path, "r+b") as f:   # what a write stopped at byte `cut` leaves
+                f.truncate(cut)
+            raise OSError("killed")
+        monkeypatch.setattr(ramm.model, "save_tensor", dying_save)
+        with pytest.raises(OSError, match="killed"):
+            save_params(micro_params(cfg, seed=4, dtype=np.float32), path)
+        assert path.stat().st_size == cut
+        with pytest.raises(TruncatedFileError, match="weights.ten"):
+            load_params(path, param_shapes(cfg))
+        assert main(["eval", "--checkpoint", str(ckpt), "--index", str(tmp_path / "i.idx"),
+                     "--data", str(tmp_path / "data")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith(f"format error: {path}: ") and err.count("\n") == 1, (cut, err)
+
+
+_FUZZ_CONFIG = micro_config()
+
+
+@given(flip=st.booleans(), at=st.floats(min_value=0, max_value=1, exclude_max=True),
+       mask=st.integers(min_value=1, max_value=255))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_weights_fuzz_named_errors_only(tmp_path, flip, at, mask):
+    """Weights-file bytes with one byte flipped, or cut at any point, either
+    load as the config's tensors or raise FormatError/TruncatedFileError."""
     from ramm.model import load_params, param_shapes, save_params
 
-    cfg = micro_config()
-    save_params(micro_params(cfg, seed=3, dtype=np.float32), tmp_path / "w")
-    assert sorted(p.name for p in (tmp_path / "w").iterdir() if p.suffix != ".ten") == [
-        "manifest.txt"]
-    written = []
-
-    def dying_save(tensor, path, _save=save_tensor):
-        if len(written) == 20:
-            raise OSError("killed")
-        written.append(path)
-        _save(tensor, path)
-    monkeypatch.setattr(ramm.model, "save_tensor", dying_save)
-    with pytest.raises(OSError, match="killed"):
-        save_params(micro_params(cfg, seed=4, dtype=np.float32), tmp_path / "w")
-    assert len(written) == 20
-    with pytest.raises(MissingArtifactError, match="manifest"):
-        load_params(tmp_path / "w", param_shapes(cfg))
+    path, shapes = tmp_path / "w.ten", param_shapes(_FUZZ_CONFIG)
+    save_params(micro_params(_FUZZ_CONFIG, seed=3, dtype=np.float32), path)
+    raw = bytearray(path.read_bytes())
+    pos = int(at * len(raw))
+    if flip:
+        raw[pos] ^= mask
+    else:
+        del raw[pos:]
+    path.write_bytes(bytes(raw))
+    try:
+        back = load_params(path, shapes)
+    except (FormatError, TruncatedFileError):
+        return
+    assert {n: p.value.shape for n, p in back.items()} == shapes
+    assert all(np.isfinite(p.value).all() for p in back.values())
 
 
 @pytest.mark.parametrize("dies_at", ["sidecar", "rename"])
