@@ -26,9 +26,8 @@ TAG_NAMES = {v: k for k, v in SOURCE_TAGS.items()}
 _HEADER = struct.Struct("<HHQQ")  # version, d_proj, count, fingerprint
 _REC = np.dtype([("pair_id", "<u8"), ("source_tag", "u1"), ("offset", "<u8")])
 
-# Rows per block of the float32 screen (`_screen`). A power of two, so a
-# family split at a multiple of it splits where BLAS gemv's row groups do,
-# and each screened score keeps the whole-family product's bits.
+# Rows of the float32 screen's first block, whose k-th largest pre-cuts the
+# family (`_cut`); families of twice as many rows are worth a second thread.
 SCORE_BLOCK = 2048
 
 # Rows per group when only some rows are rescored (`scores_at`). Also a power
@@ -100,27 +99,25 @@ class EmbeddingIndex:
             out[lo:hi] = (family[a:b].astype(np.float64) @ q)[rows[lo:hi] - a]
         return out
 
-    def search(self, which: str, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k best rows for float64 `q` (every row if k >= n), in
-        descending score order with ties by ascending pair_id, and their
-        float64 scores, bit for bit those of `family.astype(np.float64) @ q`.
-
-        A float32 screen (`_screen`) picks the rows that can reach the top k,
-        and only those are rescored (`scores_at`); where the screen is not
-        finite, every row is."""
-        n = len(self)
-        rows = _screen(self, which, q, k) if k < n else None
-        if rows is None:
-            rows = np.arange(n)
-        scores = self.scores_at(which, q, rows)
-        if k < rows.size:
-            # superset including every exact tie with the k-th score, so the
-            # pair_id tiebreak is applied over all tied candidates
-            kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
-            keep = scores >= kth
-            rows, scores = rows[keep], scores[keep]
-        order = np.lexsort((self.pair_ids[rows], -scores))[:k]
-        return rows[order], scores[order]
+    def search(self, families: tuple[str, ...], q: np.ndarray, k: int
+               ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each of the distinct `families`, its k best rows for float64 q
+        (every row if k >= n) in descending score order, ties by ascending
+        pair_id, and a (len(families), k) array of each named family's float64
+        scores at them, bit for bit `family.astype(np.float64) @ q`. A float32
+        screen (`_screen`) keeps the rows that can reach any family's top k,
+        and each family rescores their union (`scores_at`), or every row."""
+        rows = _screen(self, families, q, k) if k < len(self) else None
+        rows = np.arange(len(self)) if rows is None else rows
+        scores = np.stack([self.scores_at(which, q, rows) for which in families])
+        ranked = []
+        for s in scores:
+            # every exact tie with the k-th score: the pair_id tiebreak sees them all
+            at = (np.flatnonzero(s >= s[np.argpartition(-s, k - 1)[k - 1]]) if k < rows.size
+                  else np.arange(rows.size))
+            at = at[np.lexsort((self.pair_ids[rows[at]], -s[at]))][:k]
+            ranked.append((rows[at], scores[:, at]))
+        return ranked
 
     @cached_property
     def _norm_bounds(self) -> dict[str, float]:
@@ -143,13 +140,16 @@ class EmbeddingIndex:
         """Rows sorted by pair_id. An index holds each pair_id once."""
         return np.argsort(self.pair_ids)
 
+    @cached_property
+    def sorted_ids(self) -> np.ndarray:   # pair_ids[id_order], ascending
+        return self.pair_ids[self.id_order]
+
     def row_of(self, pair_id: int) -> int:
-        key = np.uint64(pair_id)
-        order = self.id_order
-        at = int(np.searchsorted(self.pair_ids, key, sorter=order))
-        if at == order.shape[0] or self.pair_ids[order[at]] != key:
+        key, ids = np.uint64(pair_id), self.sorted_ids
+        at = int(np.searchsorted(ids, key))
+        if at == ids.shape[0] or ids[at] != key:
             raise KeyError(f"pair_id {pair_id} not in index")
-        return int(order[at])
+        return int(self.id_order[at])
 
     def caption_of(self, pair_id: int) -> str:
         return self.captions[self.row_of(pair_id)]
@@ -164,14 +164,15 @@ class EmbeddingIndex:
         return h.hexdigest()
 
 
-_worker: list = []   # the executor of the one thread `_screen` hands second chunks to
+_worker: list = []   # the executor of the one thread `_screen` hands a second family to
 
 
-def _screen(index: EmbeddingIndex, which: str, q: np.ndarray, k: int
+def _screen(index: EmbeddingIndex, families: tuple[str, ...], q: np.ndarray, k: int
             ) -> np.ndarray | None:
-    """Ascending rows, found by a float32 product over the family, that
-    include every row whose exact score reaches the k-th largest exact
-    score; None when the screen could overflow or meets a non-finite value.
+    """Ascending rows, found by a float32 product over each named family,
+    that include every row whose exact score in a family reaches that
+    family's k-th largest exact score; None when a screen could overflow or
+    meets a non-finite value.
 
     Bound. Let S = F_i . q exactly, s64 the float64 score `scores_at`
     computes from the float32 row F_i, and s32 = fl32(F_i . fl32(q)) the
@@ -195,43 +196,38 @@ def _screen(index: EmbeddingIndex, which: str, q: np.ndarray, k: int
     s32 >= T - 2E. If N*|q| < 2**120, every s32 partial sum stays below
     float32's largest value and every vector entry is finite.
 
-    Chunks. With more than one usable core, a family whose last multiple of
-    SCORE_BLOCK up to n/2 leaves each side max(SCORE_BLOCK, k) rows or more
-    is cut there in two (`_cut`), the second on `_worker`; gemv's row groups
-    split there too, so s32 keeps its bits. A chunk's k-th largest s32 is
-    at most T, so each keeps every row with s32 >= T - 2E.
+    With two families, more than one usable core and at least
+    2 * SCORE_BLOCK rows, the worker cuts the second family meanwhile.
     """
-    family = index.family(which)
-    n, d = family.shape
-    bound, q_norm = index.norm_bound(which), float(np.linalg.norm(q))
-    if not bound * q_norm < 2.0**120:  # false for inf and NaN too
+    n, d = index.family(families[0]).shape
+    bounds, q_norm = [index.norm_bound(which) for which in families], float(np.linalg.norm(q))
+    if not all(bound * q_norm < 2.0**120 for bound in bounds):  # false for inf and NaN too
         return None
-    err = (2 * ((d + 1) * 2.0**-24 + d * 2.0**-53) * bound * q_norm
-           + d * (1 + bound) * 2.0**-148)
-    q32, s32 = q.astype(np.float32), np.empty(n, dtype=np.float32)
-    half = n // 2 // SCORE_BLOCK * SCORE_BLOCK
-    if half >= max(SCORE_BLOCK, k) and len(os.sched_getaffinity(0)) > 1:
-        if not _worker:   # at the first split, so a process that never splits imports none
-            from concurrent.futures import ThreadPoolExecutor
-            _worker.append(ThreadPoolExecutor(1))
-        tail = _worker[0].submit(_cut, family[half:], q32, k, err, s32[half:], half)
-        head = _cut(family[:half], q32, k, err, s32[:half])
-        rows, top = (np.concatenate(parts) for parts in zip(head, tail.result()))
-    else:
-        rows, top = _cut(family, q32, k, err, s32)
-    return rows[top >= np.float64(np.partition(top, -k)[-k]) - 2 * err]
+    q32, s32 = q.astype(np.float32), np.empty((len(families), n), np.float32)  # not the worker's
+    cuts = [(index.family(which), q32, k, 2 * ((d + 1) * 2.0**-24 + d * 2.0**-53) * bound
+             * q_norm + d * (1 + bound) * 2.0**-148, out)
+            for which, bound, out in zip(families, bounds, s32)]
+    handoff = len(cuts) == 2 and n >= 2 * SCORE_BLOCK and len(os.sched_getaffinity(0)) > 1
+    if handoff and not _worker:   # at the first, so a process that never hands off imports none
+        from concurrent.futures import ThreadPoolExecutor
+        _worker.append(ThreadPoolExecutor(1))
+    second = _worker[0].submit(_cut, *cuts.pop()) if handoff else None
+    kept = [_cut(*args) for args in cuts] + ([second.result()] if handoff else [])
+    rows = np.sort(np.concatenate(kept))
+    return rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
 
 
-def _cut(family: np.ndarray, q32: np.ndarray, k: int, err: float, s32: np.ndarray,
-         start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Writes family @ q32 into s32, and returns the rows (plus `start`) and s32
-    reaching its first max(SCORE_BLOCK, k) rows' k-th largest minus 2E. Only
-    numpy. The cut is rounded to float32: the float32 above keeps the same
-    rows, the one below adds only rows equal to it, which `_screen` drops."""
+def _cut(family: np.ndarray, q32: np.ndarray, k: int, err: float, s32: np.ndarray
+         ) -> np.ndarray:
+    """Writes family @ q32 into s32; the ascending rows whose s32 reaches its
+    k-th largest minus 2E, partitioning only those reaching the first
+    max(SCORE_BLOCK, k) rows' k-th largest minus 2E, a cut rounded to float32
+    that adds only rows equal to it, which the final cut drops. Only numpy."""
     np.matmul(family, q32, out=s32)
     cut = np.float64(np.partition(s32[:max(SCORE_BLOCK, k)], -k)[-k]) - 2 * err
     rows = np.flatnonzero(s32 >= np.float32(cut))
-    return rows + start, s32[rows]
+    top = s32[rows]
+    return rows[top >= np.float64(np.partition(top, -k)[-k]) - 2 * err]
 
 
 def frozen_texts(params, cfg: ModelConfig, vocab, texts: list[str]) -> list[np.ndarray]:
@@ -401,7 +397,7 @@ def load_index(path) -> EmbeddingIndex:
         image_vecs=ivecs.astype(np.float32, copy=False).reshape(count, d_proj),
         captions=_read_captions(path, recs["offset"]),
     )
-    ids = index.pair_ids[index.id_order]
+    ids = index.sorted_ids
     dups = ids[1:][ids[1:] == ids[:-1]]
     if dups.size:
         raise FormatError(f"{path}: duplicate pair_id {int(dups[0])}")

@@ -51,6 +51,8 @@ def _sub_seed(*parts) -> int:
 def save_checkpoint(directory, params, mcfg: ModelConfig, extra: dict):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    for stale in ("weights_ema.ten", "train_log.tsv"):   # an earlier run's, stale beside these
+        (directory / stale).unlink(missing_ok=True)
     save_params(params, directory / "weights.ten")
     (directory / "config.json").write_text(mcfg.to_json(), encoding="utf-8")
     (directory / "meta.json").write_text(json.dumps(extra, sort_keys=True), encoding="utf-8")

@@ -561,18 +561,20 @@ def test_scores_at_bit_identical(rng, n):
 
 @pytest.mark.parametrize("n", [2 * SCORE_BLOCK + 3])
 def test_block_scores_bit_identical(rng, n):
-    """A search for every row of a family spanning several score blocks
-    returns each row once, ranked, with the bits of the whole-family
-    float64 product."""
+    """A search for every row of families spanning several score blocks,
+    alone or both in one call, returns each row once per family, ranked,
+    with the bits of each whole-family float64 product."""
     index = _index(rng, n, d=32)
     q = rng.normal(size=32)
     q /= np.linalg.norm(q)
-    for which in ("text", "image"):
-        full = index.family(which).astype(np.float64) @ q
-        rows, scores = index.search(which, q, n)
-        assert np.array_equal(np.sort(rows), np.arange(n))
-        assert np.array_equal(scores.view(np.uint64), full[rows].view(np.uint64))
-        assert np.array_equal(rows, np.lexsort((index.pair_ids, -full)))
+    full = {which: index.family(which).astype(np.float64) @ q for which in ("text", "image")}
+    for families in (("text",), ("image",), ("text", "image"), ("image", "text")):
+        for which, (rows, scores) in zip(families, index.search(families, q, n)):
+            assert np.array_equal(np.sort(rows), np.arange(n))
+            assert np.array_equal(rows, np.lexsort((index.pair_ids, -full[which])))
+            assert scores.shape == (len(families), n)
+            for named, got in zip(families, scores):
+                assert np.array_equal(got.view(np.uint64), full[named][rows].view(np.uint64))
 
 
 def _adversarial_family(rng, n, d, kind):
@@ -635,7 +637,8 @@ def _screen_oracle(index, which, q, k):
 def test_screen_keeps_exactly_the_rows_the_bound_names(rng, kind):
     """One cut at the first block's k-th largest score keeps exactly the rows
     a whole-family partition names, for k from 1 to past the block edge, on
-    families with many exact ties."""
+    families with many exact ties; a two-family screen keeps the union of
+    the rows each family's own screen keeps."""
     n, d = 2 * SCORE_BLOCK + 37, 8
     family = _unit_rows(rng, n, d)
     if kind == "duplicate":   # about half the rows copy another one
@@ -645,25 +648,28 @@ def test_screen_keeps_exactly_the_rows_the_bound_names(rng, kind):
         family = family[rng.integers(0, 5, size=n)]
     index = EmbeddingIndex(d_proj=d, fingerprint=1, pair_ids=np.arange(n, dtype=np.uint64),
                            source_tags=np.zeros(n, dtype=np.uint8), text_vecs=family,
-                           image_vecs=family, captions=[""] * n)
+                           image_vecs=family[::-1].copy(), captions=[""] * n)
     for trial in range(3):
         q = family[rng.integers(n)].astype(np.float64) if trial else rng.normal(size=d)
         q /= np.linalg.norm(q)
         for k in (1, 4, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, n - 1):
-            got = store._screen(index, "text", q, k)
-            assert np.array_equal(got, _screen_oracle(index, "text", q, k)), (trial, k)
+            want = [_screen_oracle(index, which, q, k) for which in ("text", "image")]
+            for which, rows in zip(("text", "image"), want):
+                assert np.array_equal(store._screen(index, (which,), q, k), rows), (trial, k)
+            got = store._screen(index, ("text", "image"), q, k)
+            assert np.array_equal(got, np.union1d(*want)), (trial, k)
 
 
 def _counting_full_passes(monkeypatch):
-    """The family of each screen that gave up (returned None), so that the
+    """The families of each screen that gave up (returned None), so that the
     search scored every row."""
     calls = []
     screen = store._screen
 
-    def counting(index, which, q, k):
-        rows = screen(index, which, q, k)
+    def counting(index, families, q, k):
+        rows = screen(index, families, q, k)
         if rows is None:
-            calls.append(which)
+            calls.extend(families)
         return rows
     monkeypatch.setattr(store, "_screen", counting)
     return calls
@@ -825,7 +831,7 @@ def test_pool_components_equal_full_family_product(rng):
     assert s_filled > 12 * 5
 
 
-# -- pool bound and the screen split over two cores ---------------------------------
+# -- pool bound, and one family per core ---------------------------------------------
 
 @pytest.mark.parametrize("text_ids, image_ids", [([3], [3]), ([1, 2, 3], [4, 5, 6, 7])],
                          ids=["too few", "too many"])
@@ -833,9 +839,9 @@ def test_candidate_pool_refuses_a_pool_outside_its_bound(rng, monkeypatch, text_
     """A merged pool of fewer than min(r, |index|) or more than 2r pairs
     raises ContractViolation instead of reaching a selection."""
     def fake_search(q, index, which, r):
-        ids = text_ids if which == "text" else image_ids
-        return [RetrievalCandidate(pid, **{"s_w" if which == "text" else "s_v": 0.5})
-                for pid in ids]
+        assert which == ("text", "image")
+        return [[RetrievalCandidate(pid, s_w=0.5, s_v=0.5) for pid in ids]
+                for ids in (text_ids, image_ids)]
     monkeypatch.setattr(retrieval, "search_topr", fake_search)
     with pytest.raises(ContractViolation, match=r"outside \[3, 6\]"):
         candidate_pool(rng.normal(size=8), _index(rng, 10), 3)
@@ -847,74 +853,96 @@ def _usable_cores(monkeypatch, count):
 
 def _split_family(rng, n, kind):
     """(family, q): n random unit rows in d = 8 ("unit"); the same rows in
-    ascending score order, so every top row lies in the second chunk; or
-    rows drawn from five vectors, with the top one in the three rows on
-    either side of the split ("ties across the split")."""
-    d, half = 8, n // 2 // SCORE_BLOCK * SCORE_BLOCK
-    family, q = _unit_rows(rng, n, d), _unit_rows(rng, 1, d)[0].astype(np.float64)
+    ascending score order, so every top row lies past the first score block
+    ("top in second chunk"); or rows drawn from five vectors, with the top
+    one in the three rows on either side of that block's edge ("ties across
+    the split")."""
+    family, q = _unit_rows(rng, n, 8), _unit_rows(rng, 1, 8)[0].astype(np.float64)
     if kind == "top in second chunk":
         family = family[np.argsort(family.astype(np.float64) @ q, kind="stable")]
     elif kind == "ties across the split":
         five = family[:5]
         family = five[rng.integers(0, 5, size=n)]
-        top = five[np.argmax(five.astype(np.float64) @ q)]
-        family[max(half - 3, 0):half + 3] = top
+        family[SCORE_BLOCK - 3:SCORE_BLOCK + 3] = five[np.argmax(five.astype(np.float64) @ q)]
     return family, q
+
+
+def _cut_threads(monkeypatch):
+    """(family, thread) of each `_cut` call, in the order they start."""
+    cuts, cut = [], store._cut
+
+    def recording(family, *args):
+        cuts.append((family, threading.current_thread()))
+        return cut(family, *args)
+    monkeypatch.setattr(store, "_cut", recording)
+    return cuts
+
+
+def _with_components(cands):
+    """(pair_id, s_w bits, s_v bits) of each candidate."""
+    return [(c.pair_id, *np.array([c.s_w, c.s_v], dtype=np.float64).view(np.uint64).tolist())
+            for c in cands]
+
+
+def _two_family_oracle(index, q, r):
+    """Each family's top r by a full sort of its whole-family product, with
+    both families' score bits at each row."""
+    full = [index.family(which).astype(np.float64) @ q for which in ("text", "image")]
+    bits = np.stack(full).view(np.uint64)
+    return [[(int(index.pair_ids[row]), *bits[:, row].tolist())
+             for row in np.lexsort((index.pair_ids, -s))[:r]] for s in full]
 
 
 @pytest.mark.parametrize("kind", ["unit", "top in second chunk", "ties across the split"])
 @pytest.mark.parametrize("n", [2 * SCORE_BLOCK - 1, 2 * SCORE_BLOCK, 2 * SCORE_BLOCK + 37,
                                4 * SCORE_BLOCK + 5])
 def test_split_screen_equals_one_product(rng, monkeypatch, n, kind):
-    """With the split forced on (two usable cores) and off (one), `_screen`
-    keeps the same rows and search_topr returns the same ids and score bits;
-    the family is split exactly when each chunk holds max(SCORE_BLOCK, k)
-    rows."""
-    family, q = _split_family(rng, n, kind)
+    """With the worker forced on (two usable cores) and off (one), a
+    two-family screen keeps the same rows, and a two-family search_topr
+    returns the same ids and score bits, each family's own top r with both
+    whole-family products' bits. The worker cuts the second family, and
+    does so exactly when there are two cores and 2 * SCORE_BLOCK rows."""
+    text, q = _split_family(rng, n, kind)
     index = EmbeddingIndex(d_proj=8, fingerprint=1, pair_ids=rng.permutation(n).astype(np.uint64),
-                           source_tags=np.zeros(n, dtype=np.uint8), text_vecs=family,
-                           image_vecs=family, captions=[""] * n)
-    starts = []
-    cut = store._cut
-
-    def recording_cut(family, q32, k, err, s32, start=0):
-        starts.append(start)
-        return cut(family, q32, k, err, s32, start)
-    monkeypatch.setattr(store, "_cut", recording_cut)
-    half = n // 2 // SCORE_BLOCK * SCORE_BLOCK
+                           source_tags=np.zeros(n, dtype=np.uint8), text_vecs=text,
+                           image_vecs=text[rng.permutation(n)], captions=[""] * n)
+    cuts = _cut_threads(monkeypatch)
     for k in (1, 4, SCORE_BLOCK + 1):
         found = {}
         for cores in (1, 2):
             _usable_cores(monkeypatch, cores)
-            starts.clear()
-            found[cores] = (store._screen(index, "text", q, k),
-                            _found(search_topr(q, index, "text", k), "text"))
-            split = cores == 2 and half >= max(SCORE_BLOCK, k)
-            assert sorted(set(starts)) == ([0, half] if split else [0]), (cores, k)
+            cuts.clear()
+            rows = store._screen(index, ("text", "image"), q, k)
+            found[cores] = rows, [_with_components(c) for c in
+                                  search_topr(q, index, ("text", "image"), k)]
+            on_worker = [t is not threading.main_thread() for _, t in cuts]
+            handoff = cores == 2 and n >= 2 * SCORE_BLOCK
+            assert sorted(on_worker) == sorted([False, handoff] * 2), (cores, k)
+            assert all((f is index.image_vecs) == w for (f, _), w in zip(cuts, on_worker)
+                       if handoff)
         assert np.array_equal(found[1][0], found[2][0]), k
-        assert _same_bits(found[2][1], found[1][1]), k
-        assert _same_bits(found[2][1], _exact_topr(q, family, index.pair_ids, k)), k
+        assert found[1][1] == found[2][1] == _two_family_oracle(index, q, k), k
 
 
 def test_worker_exception_reaches_the_caller(rng, monkeypatch):
-    """An exception raised while the worker thread cuts the second chunk is
-    raised again by `_screen` in the calling thread."""
-    class ChunkError(Exception):
+    """An exception raised while the worker thread cuts the second family
+    is raised again by `_screen` in the calling thread."""
+    class CutError(Exception):
         pass
 
     cut, threads = store._cut, []
 
-    def failing_second_chunk(family, q32, k, err, s32, start=0):
-        if start:
+    def failing_on_the_worker(family, *args):
+        if threading.current_thread() is not threading.main_thread():
             threads.append(threading.current_thread())
-            raise ChunkError(f"chunk at {start}")
-        return cut(family, q32, k, err, s32, start)
+            raise CutError(f"family of {family.shape[0]} rows")
+        return cut(family, *args)
     _usable_cores(monkeypatch, 2)
-    monkeypatch.setattr(store, "_cut", failing_second_chunk)
+    monkeypatch.setattr(store, "_cut", failing_on_the_worker)
     index = _spanning_index(rng)
-    with pytest.raises(ChunkError, match=f"chunk at {SCORE_BLOCK}"):
-        store._screen(index, "text", index.text_vecs[0].astype(np.float64), 4)
-    assert threads and threads[0] is not threading.main_thread()
+    with pytest.raises(CutError, match=f"family of {len(index)} rows"):
+        store._screen(index, ("text", "image"), index.text_vecs[0].astype(np.float64), 4)
+    assert len(threads) == 1
 
 
 @pytest.mark.parametrize("n, cores", [(4 * SCORE_BLOCK, 1), (2 * SCORE_BLOCK - 1, 2),
@@ -932,11 +960,113 @@ def test_one_core_or_a_small_family_starts_no_thread(rng, monkeypatch, n, cores)
     assert len(candidate_pool(q, index, 4)) >= 4
 
 
+def _record_calls(monkeypatch, owner, names):
+    """Wrap each named attribute of a module or class with a recorder of its
+    (name, args), the way perfbench's tracing wraps what it times."""
+    calls = []
+    for name in names:
+        def recording(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls.append((_name, args))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [Mode.INFER, Mode.TRAIN])
+def test_retrieve_passes_through_every_traced_step(rng, monkeypatch, mode):
+    """perfbench times retrieval by wrapping these `retrieval` functions and
+    requires each span to fire (perfbench/test_perfbench.py): a query on an
+    index large enough for the worker still calls each of them, by its
+    module name, once."""
+    _usable_cores(monkeypatch, 2)
+    index = _index(rng, 2 * SCORE_BLOCK)
+    selector = "select_training" if mode is Mode.TRAIN else "select_inference"
+    names = ("candidate_pool", "search_topr", "merge_candidates", "complete_scores", selector)
+    calls = _record_calls(monkeypatch, retrieval, names)
+    for q in index.image_vecs[:3]:
+        calls.clear()
+        assert len(retrieve_by_vector(q, index, 4, mode).selected) == 4
+        assert [name for name, _ in calls] == list(names)
+
+
+def test_a_pool_rescores_each_family_once(rng, monkeypatch):
+    """One candidate_pool on a large index hands one family to the worker,
+    calls `scores_at` once per family and looks up no row: its members
+    come out of the search with both components."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    _usable_cores(monkeypatch, 2)
+    index = _spanning_index(rng)
+    submitted = []
+
+    class RecordingWorker(ThreadPoolExecutor):
+        def submit(self, fn, family, *args):
+            submitted.append(family)
+            return super().submit(fn, family, *args)
+    worker = RecordingWorker(1)
+    monkeypatch.setattr(store, "_worker", [worker])
+    calls = _record_calls(monkeypatch, EmbeddingIndex, ("scores_at", "row_of"))
+    try:
+        for r in (1, 4, 8):
+            calls.clear()
+            submitted.clear()
+            pool = candidate_pool(index.text_vecs[r].astype(np.float64), index, r)
+            assert all(c.s_w is not None and c.s_v is not None for c in pool)
+            assert [(name, args[1]) for name, args in calls] == \
+                [("scores_at", "text"), ("scores_at", "image")]
+            assert len(submitted) == 1 and submitted[0] is index.image_vecs
+    finally:
+        worker.shutdown()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("kind", ["unit", "ties across families", "nonfinite text row"])
+def test_two_family_search_equals_single_family_searches(rng, monkeypatch, cores, kind):
+    """search_topr over ("text", "image") gives each family the ids and
+    score bits of its own search, r up to and past the index size, with the
+    worker on or off, under exact ties within and across the families, and
+    with a NaN row in one family only; and each candidate carries the other
+    family's whole-family score bits too."""
+    _usable_cores(monkeypatch, cores)
+    n = 2 * SCORE_BLOCK + 37
+    text, image = _unit_rows(rng, n, 8), _unit_rows(rng, n, 8)
+    if kind == "ties across families":
+        text = text[rng.integers(0, 5, size=n)]
+        image = text[rng.permutation(n)]
+    elif kind == "nonfinite text row":
+        text[rng.integers(n), 3] = np.nan
+    index = EmbeddingIndex(d_proj=8, fingerprint=1, pair_ids=rng.permutation(n).astype(np.uint64),
+                           source_tags=np.zeros(n, dtype=np.uint8), text_vecs=text,
+                           image_vecs=image, captions=[""] * n)
+    with np.errstate(invalid="ignore"):
+        for trial in range(3):
+            q = image[rng.integers(n)].astype(np.float64) if trial else rng.normal(size=8)
+            q /= np.linalg.norm(q)
+            other = {"text": index.image_vecs.astype(np.float64) @ q,
+                     "image": index.text_vecs.astype(np.float64) @ q}
+            for r in (1, 4, n, n + 3):
+                both = search_topr(q, index, ("text", "image"), r)
+                for which, got in zip(("text", "image"), both):
+                    assert _same_bits(_found(got, which), _found(search_topr(q, index, which, r),
+                                                                 which)), (trial, r, which)
+                    rows = [index.row_of(c.pair_id) for c in got]
+                    carried = [c.s_v if which == "text" else c.s_w for c in got]
+                    assert np.array_equal(np.array(carried).view(np.uint64),
+                                          other[which][rows].view(np.uint64)), (trial, r, which)
+
+
+@pytest.mark.parametrize("which", [("text", "text"), ("image", "audio"), (), "audio",
+                                   ("image", "text", "image")])
+def test_search_topr_refuses_an_unknown_or_repeated_family(rng, which):
+    with pytest.raises(ContractViolation, match="unknown or repeated vector family"):
+        search_topr(rng.normal(size=8), _index(rng, 3), which, 1)
+
+
 @pytest.mark.parametrize("cores", [1, 2])
 def test_screen_cut_keeps_the_float32_at_its_edge(rng, monkeypatch, cores):
     """Rows whose float32 score is the float32 just at or above the cut
-    1 - 2E survive, and those just below it do not, in either chunk: the
-    cut rounded to float32 drops no row the bound names."""
+    1 - 2E survive, and those just below it do not, in either family and on
+    either thread: the cut rounded to float32 drops no row the bound names."""
     _usable_cores(monkeypatch, cores)
     n, d = 2 * SCORE_BLOCK + 37, 8
     family = _unit_rows(rng, n, d) * np.float32(0.5)
@@ -957,6 +1087,8 @@ def test_screen_cut_keeps_the_float32_at_its_edge(rng, monkeypatch, cores):
         family[row] = 0
         family[row, 0] = above if i % 2 else below
     index = replace(index, text_vecs=family.copy())
-    got = store._screen(index, "text", q, 1)
-    assert np.array_equal(got, _screen_oracle(index, "text", q, 1))
-    assert got.tolist() == [0, 700, n - 1]
+    assert np.array_equal(index.image_vecs, index.text_vecs)   # both families edited
+    for families in (("text",), ("image",), ("text", "image")):
+        got = store._screen(index, families, q, 1)
+        assert np.array_equal(got, _screen_oracle(index, "text", q, 1))
+        assert got.tolist() == [0, 700, n - 1]

@@ -363,6 +363,57 @@ def test_interrupted_weights_overwrite_never_loads(tmp_path, monkeypatch, capsys
         assert err.startswith(f"format error: {path}: ") and err.count("\n") == 1, (cut, err)
 
 
+def test_interrupted_finetune_overwrite_leaves_no_stale_ema(tmp_path, monkeypatch):
+    """A fine-tune into the directory of an earlier one, stopped at its EMA
+    save, leaves no `weights_ema.ten` or `train_log.tsv` from the earlier
+    run, so `evaluate`, EMA by default, reads the new `weights.ten`."""
+    import hashlib
+
+    from ramm import train
+    from ramm.model import ModelConfig, Vocab
+    from ramm.objectives import TrainConfig
+    from ramm.synthetic import SyntheticSpec, generate
+
+    data, ckpt, idx, ft = (tmp_path / name for name in ("data", "ckpt", "index.idx", "ft"))
+    generate(SyntheticSpec(n_train=8, n_test=4, pairs_per_cluster=2, seed=2), data)
+    mcfg = ModelConfig(vocab_size=len(Vocab.load(data / "vocab.txt")),
+                       n_answers=len((data / "answers.txt").read_text().split()), d=16,
+                       n_head=2, l_fuse=1, l_text=1, l_image=1, d_proj=8, max_text_len=12,
+                       patch_grid=2, d_patch=16, d_ff=32, dropout_rate=0.0)
+    train.pretrain(data, ckpt, mcfg, TrainConfig(seed=0, batch_size=4), steps=2)
+    train.build_index_cmd(ckpt, data, idx)
+
+    def md5(name):
+        return hashlib.md5((ft / name).read_bytes()).hexdigest()
+    train.finetune(ckpt, idx, data, 2, TrainConfig(seed=1, batch_size=4), ft, epochs=1)
+    first = md5("weights.ten")
+    assert (ft / "weights_ema.ten").exists() and (ft / "train_log.tsv").exists()
+
+    saves, save = [], train.save_params
+
+    def second_save_dies(params, path):
+        saves.append(path.name)
+        if len(saves) == 2:
+            raise OSError("killed")
+        save(params, path)
+    with monkeypatch.context() as patched:
+        patched.setattr(train, "save_params", second_save_dies)
+        with pytest.raises(OSError, match="killed"):
+            train.finetune(ckpt, idx, data, 2, TrainConfig(seed=2, batch_size=4), ft, epochs=1)
+    assert saves == ["weights.ten", "weights_ema.ten"]
+    assert sorted(f.name for f in ft.iterdir()) == ["config.json", "meta.json", "weights.ten"]
+    assert md5("weights.ten") != first
+
+    loaded, load = [], train.load_checkpoint
+
+    def recording_load(directory, weights="weights"):
+        loaded.append(weights)
+        return load(directory, weights)
+    monkeypatch.setattr(train, "load_checkpoint", recording_load)
+    _, details = train.evaluate(ft, idx, data, 2)
+    assert loaded == ["weights"] and len(details) == 4
+
+
 _FUZZ_CONFIG = micro_config()
 
 
